@@ -21,7 +21,7 @@ from .lagrange import LagrangeData, NodeSet, build_lagrange, default_nodes
 from .nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
                              StripMonitor, WaveCubic, ZeroNonlinearity,
                              estimate_lipschitz)
-from .phi import PhiTable, phi, stage_weights_diagonal
+from .phi import phi, stage_weights_diagonal
 from .propagators import (HeatTorusProblem, OUProblem, SmoothingProfile,
                           WaveProblem, gaussian_smoothing_constant, lp_norm,
                           measure_smoothing)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdvectionNonlinearity", "AprioriConstants", "ContractionError",
     "ConvergenceReport", "ExpsplitError", "FixedPointDivergenceError",
-    "HeatTorusProblem", "LagrangeData", "NodeSet", "OUProblem", "PhiTable",
+    "HeatTorusProblem", "LagrangeData", "NodeSet", "OUProblem",
     "PowerNonlinearity", "SchemeSpec", "SmoothingProfile", "StepGuards",
     "StripMonitor", "StripViolationError", "StudyFailedError", "StudyPlan",
     "TrajectoryRecord", "ValidationError", "WaveCubic", "WaveProblem",

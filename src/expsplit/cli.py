@@ -200,9 +200,7 @@ def _add_common(sp, with_overrides=True):
     sp.add_argument("--config", required=True,
                     help="config file path or shipped preset name")
     sp.add_argument("--out", default="expsplit-out", help="output directory")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel study cells")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--format", choices=("csv", "structured"), default="csv")
     if with_overrides:
         sp.add_argument("--h", type=float, default=None, help="step size override")
         sp.add_argument("--t-final", dest="t_final", type=float, default=None)
@@ -223,6 +221,7 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_run)
     sp = sub.add_parser("convergence", help="convergence-order study")
     _add_common(sp)
+    sp.add_argument("--jobs", type=int, default=1, help="parallel study cells")
     sp.set_defaults(func=cmd_convergence)
     sp = sub.add_parser("smoothing", help="propagator smoothing slopes")
     _add_common(sp, with_overrides=False)

@@ -84,12 +84,13 @@ class StageInfo:
 class TrajectoryRecord:
     """Stored trajectory plus per-step diagnostics.
 
-    states/times hold every store_stride-th step (always including the
-    initial and, on success, the final state).
+    states/times/steps hold the state, time and step index of every
+    store_stride-th step, always including step 0 and, on success, the last.
     """
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
     stage_iterations: list = field(default_factory=list)
     contraction_ratios: list = field(default_factory=list)
     strip_distances: list = field(default_factory=list)
@@ -110,15 +111,15 @@ class TrajectoryRecord:
     def text_lines(self):
         """Line-oriented record: one line per stored step."""
         yield "# n t iterations"
-        for i, t in enumerate(self.times):
-            it = self.stage_iterations[i] if i < len(self.stage_iterations) else 0
-            yield f"{i} {t:.12g} {it}"
+        for n, t in zip(self.steps, self.times):
+            it = self.stage_iterations[n - 1] if n > 0 else 0
+            yield f"{n} {t:.12g} {it}"
 
     def summary(self) -> dict:
         return {
             "status": self.status,
             "error": self.error,
-            "steps": max(len(self.stage_iterations), 0),
+            "steps": len(self.stage_iterations),
             "kappa": self.kappa,
             "max_stage_iterations": max(self.stage_iterations, default=0),
             "max_contraction_ratio": max(self.contraction_ratios, default=0.0),
@@ -139,15 +140,13 @@ def _check_contraction(guards: StepGuards, h: float) -> float:
 
 def internal_stages(u_n, t_n: float, h: float, scheme: SchemeSpec,
                     propagator: Propagator, g, guards: StepGuards):
-    """Solve the stage equations; returns (stages, StageInfo)."""
+    """Solve the stage equations; returns ((s, *grid) stages, StageInfo)."""
     kappa = _check_contraction(guards, h)
     lag = scheme.lag
-    s = scheme.s
     nodes = lag.node_set.nodes
     tol = guards.tolerance(h)
     # linear-flow anchor, the same start the contraction argument uses
-    base = propagator.apply_nodes(h, nodes, u_n)
-    stages = [b.copy() for b in base]
+    base = stages = propagator.apply_nodes(h, nodes, u_n)
     info = StageInfo()
     # increments cannot drop below rounding in the stage scale; accept
     # machine-precision stagnation even when h^(s+1) asks for less
@@ -157,10 +156,9 @@ def internal_stages(u_n, t_n: float, h: float, scheme: SchemeSpec,
     ratio_floor = max(1e3 * tol, 1e-11 * scale)
     prev_inc = None
     for it in range(1, guards.fp_max_iter + 1):
-        g_vals = [g.eval(t_n + c * h, x) for c, x in zip(nodes, stages)]
-        conv = propagator.stage_convolve_all(h, lag, g_vals)
-        new_stages = [b + c for b, c in zip(base, conv)]
-        inc = max(propagator.v_norm(ns - st) for ns, st in zip(new_stages, stages))
+        G = np.stack([g.eval(t_n + c * h, x) for c, x in zip(nodes, stages)])
+        new_stages = base + propagator.stage_convolve(h, lag, G, nodes)
+        inc = max(propagator.v_norm(d) for d in new_stages - stages)
         stages = new_stages
         info.iterations = it
         info.increments.append(inc)
@@ -187,11 +185,9 @@ def step(u_n, t_n: float, h: float, scheme: SchemeSpec, propagator: Propagator,
          g, guards: StepGuards):
     """One full step; returns (u_next, StageInfo)."""
     stages, info = internal_stages(u_n, t_n, h, scheme, propagator, g, guards)
-    nodes = scheme.nodes.nodes
-    g_vals = [g.eval(t_n + c * h, x) for c, x in zip(nodes, stages)]
-    u_next = propagator.apply(h, u_n) \
-        + propagator.stage_convolve(h, scheme.lag, g_vals, "final")
-    return u_next, info
+    G = np.stack([g.eval(t_n + c * h, x) for c, x in zip(scheme.nodes.nodes, stages)])
+    (conv,) = propagator.stage_convolve(h, scheme.lag, G, (1.0,))
+    return propagator.apply(h, u_n) + conv, info
 
 
 def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
@@ -203,6 +199,7 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
     u = np.asarray(u_0).copy()
     record.times.append(0.0)
     record.states.append(u.copy())
+    record.steps.append(0)
     if N == 0:
         return record
     h = T / N
@@ -234,5 +231,6 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
         if (n + 1) % store_stride == 0 or n == N - 1:
             record.times.append(t_next)
             record.states.append(u.copy())
+            record.steps.append(n + 1)
     record.wall_per_step = (time.perf_counter() - t_start) / max(len(record.stage_iterations), 1)
     return record

@@ -7,7 +7,7 @@ uniform bound c_ell) is independent of the step size h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +50,13 @@ class LagrangeData:
     node_set: NodeSet
     monomial_coeffs: np.ndarray
     c_ell: float
-    _hash_token: int = field(default=0, repr=False)
 
     @property
     def s(self) -> int:
         return self.node_set.s
 
     def __hash__(self):  # usable as a cache key
-        return hash((self.node_set.nodes, self._hash_token))
+        return hash(self.node_set.nodes)
 
     def __eq__(self, other):
         return isinstance(other, LagrangeData) and self.node_set.nodes == other.node_set.nodes

@@ -32,16 +32,6 @@ class Nonlinearity:
     def __call__(self, t, v):
         return self.eval(t, v)
 
-    def lipschitz_on_ball(self, problem, center, radius, t_range=(0.0, 1.0),
-                          rng=None, n_samples=200):
-        return estimate_lipschitz(self, problem, center, radius, t_range,
-                                  n_samples=n_samples, rng=rng)
-
-    def bound_on_ball(self, problem, center, radius, t_range=(0.0, 1.0),
-                      rng=None, n_samples=200):
-        return sample_bound(self, problem, center, radius, t_range,
-                            n_samples=n_samples, rng=rng)
-
 
 class ZeroNonlinearity(Nonlinearity):
     """g = 0: the purely linear problem."""

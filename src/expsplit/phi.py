@@ -9,43 +9,32 @@ integrate the Lagrange interpolant of the nonlinearity exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .lagrange import LagrangeData
 
-__all__ = ["PhiTable", "phi", "phi_many", "stage_weights_diagonal"]
+__all__ = ["phi", "phi_many", "stage_weights_diagonal"]
+
+# Below _SWITCH_RADIUS the Taylor series sum_m z^m/(m+k)! is used; above it
+# the upward recurrence from e^z is stable enough (cancellation in
+# phi_k - 1/k! only bites for small |z|).
+_MAX_ORDER = 12
+_TAYLOR_TERMS = 30
+_SWITCH_RADIUS = 0.5
 
 
-@dataclass(frozen=True)
-class PhiTable:
-    """Evaluation parameters for the phi family.
-
-    Below switch_radius the Taylor series sum_m z^m/(m+k)! is used; above it
-    the upward recurrence from e^z is stable enough (cancellation in
-    phi_k - 1/k! only bites for small |z|).
-    """
-
-    max_order: int = 12
-    taylor_terms: int = 30
-    switch_radius: float = 0.5
-
-
-_DEFAULT_TABLE = PhiTable()
-
-
-def phi_many(max_k: int, z, table: PhiTable = _DEFAULT_TABLE) -> np.ndarray:
+def phi_many(max_k: int, z) -> np.ndarray:
     """phi_0..phi_max_k at z (scalar or array), stacked along a new axis 0."""
-    if max_k > table.max_order:
-        raise ValidationError(f"order {max_k} exceeds table max_order {table.max_order}")
+    if max_k > _MAX_ORDER:
+        raise ValidationError(f"order {max_k} exceeds max_order {_MAX_ORDER}")
     z = np.asarray(z, dtype=complex)
     out = np.empty((max_k + 1,) + z.shape, dtype=complex)
-    small = np.abs(z) < table.switch_radius
+    small = np.abs(z) < _SWITCH_RADIUS
     for k in range(max_k + 1):
         acc = np.zeros_like(z)
-        for m in reversed(range(table.taylor_terms)):
+        for m in reversed(range(_TAYLOR_TERMS)):
             acc = acc * z + 1.0 / math.factorial(m + k)
         out[k] = acc
     z_safe = np.where(small, 1.0, z)
@@ -56,26 +45,26 @@ def phi_many(max_k: int, z, table: PhiTable = _DEFAULT_TABLE) -> np.ndarray:
     return out
 
 
-def phi(k: int, z, table: PhiTable = _DEFAULT_TABLE):
+def phi(k: int, z):
     """phi_k(z); relative accuracy ~1e-13 for |z| <= 50."""
     if k < 0:
         raise ValidationError("phi order must be >= 0")
-    res = phi_many(k, z, table)[k]
+    res = phi_many(k, z)[k]
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return complex(res)
     return res
 
 
-def stage_weights_diagonal(lam, h: float, lag: LagrangeData):
+def stage_weights_diagonal(lam, h: float, lag: LagrangeData, ends):
     """Exact convolution weights for one eigenvalue (or an array of them).
 
-    Returns (W, F) with
-      W[i, j] = int_0^{c_i h} e^{(c_i h - tau) lam} ell_j(tau) dtau,
-      F[j]    = int_0^{h}     e^{(h - tau) lam}     ell_j(tau) dtau.
-    Expanding ell_j in monomials of tau/h and substituting tau = c_i h theta
-    reduces each integral to k! phi_{k+1}(c_i h lam) terms.  Rows with
-    c_i = 0 are identically zero (the stage equation degenerates there).
-    lam may be a scalar or an ndarray; trailing axes of W and F match it.
+    Returns W with
+      W[i, j] = int_0^{e_i h} e^{(e_i h - tau) lam} ell_j(tau) dtau
+    for each end point e_i in ends: the nodes give the stage rows, e = 1
+    the update row.  Expanding ell_j in monomials of tau/h and substituting
+    tau = e_i h theta reduces each integral to k! phi_{k+1}(e_i h lam)
+    terms.  Rows with e_i = 0 are identically zero.  lam may be a scalar
+    or an ndarray; the trailing axes of W match it.
     """
     if h <= 0.0:
         raise ValidationError("h must be positive")
@@ -83,21 +72,14 @@ def stage_weights_diagonal(lam, h: float, lag: LagrangeData):
     s = lag.s
     coeffs = lag.monomial_coeffs
     fact = np.array([math.factorial(k) for k in range(s)])
-    W = np.zeros((s, s) + lam.shape, dtype=complex)
-    for i, ci in enumerate(lag.node_set.nodes):
-        if ci == 0.0:
+    W = np.zeros((len(ends), s) + lam.shape, dtype=complex)
+    for i, e in enumerate(ends):
+        if e == 0.0:
             continue
-        ph = phi_many(s, ci * h * lam)
+        ph = phi_many(s, e * h * lam)
         for j in range(s):
             acc = np.zeros(lam.shape, dtype=complex)
             for k in range(s):
-                acc = acc + coeffs[j, k] * ci ** (k + 1) * fact[k] * ph[k + 1]
+                acc = acc + coeffs[j, k] * e ** (k + 1) * fact[k] * ph[k + 1]
             W[i, j] = h * acc
-    ph = phi_many(s, h * lam)
-    F = np.zeros((s,) + lam.shape, dtype=complex)
-    for j in range(s):
-        acc = np.zeros(lam.shape, dtype=complex)
-        for k in range(s):
-            acc = acc + coeffs[j, k] * fact[k] * ph[k + 1]
-        F[j] = h * acc
-    return W, F
+    return W

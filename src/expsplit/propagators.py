@@ -25,7 +25,7 @@ from .lagrange import LagrangeData, eval_basis
 from .phi import stage_weights_diagonal
 
 __all__ = [
-    "lp_norm", "SmoothingProfile", "CoupleNorms", "gaussian_smoothing_constant",
+    "lp_norm", "SmoothingProfile", "gaussian_smoothing_constant",
     "Propagator", "DiagonalPropagator", "HeatTorusProblem", "OUProblem",
     "WaveProblem", "SmoothingReport", "measure_smoothing",
 ]
@@ -70,15 +70,6 @@ class SmoothingProfile:
         if h < 0.0:
             raise ValidationError("h must be nonnegative")
         return self.c * h ** (1.0 - self.alpha) / (1.0 - self.alpha)
-
-
-@dataclass(frozen=True)
-class CoupleNorms:
-    """The three discrete norms a problem exposes."""
-
-    x_norm: object
-    v_norm: object
-    w_norm: object
 
 
 def gaussian_smoothing_constant(dim: int, p: float, r: float) -> tuple[float, float]:
@@ -128,10 +119,11 @@ def _quad_plan(h: float, lag: LagrangeData, t_end: float, q_nodes: int):
 class Propagator:
     """Abstract linear propagator e^{tA} on a grid problem.
 
-    Subclasses provide apply() and the norm set; the generic
-    stage_convolve() integrates the Lagrange interpolant of the given
-    stage values by Gauss-Legendre quadrature in tau (one apply per node).
-    Diagonal problems override it with exact phi-weights.
+    Stage values travel as one (s, *grid) array.  Subclasses provide
+    apply() and the norm set; the generic stage_convolve() integrates the
+    Lagrange interpolant of the stage values by Gauss-Legendre quadrature
+    in tau (one apply per node).  Diagonal problems override it with exact
+    phi-weights.
     """
 
     bound_m: float = 1.0
@@ -150,10 +142,6 @@ class Propagator:
     def w_norm(self, v) -> float:
         raise NotImplementedError
 
-    @property
-    def norms(self) -> CoupleNorms:
-        return CoupleNorms(self.x_norm, self.v_norm, self.w_norm)
-
     def zeros(self):
         raise NotImplementedError
 
@@ -167,52 +155,53 @@ class Propagator:
 
     quad_extra_nodes: int = 2  # q_tau = s + quad_extra_nodes
 
-    def stage_convolve(self, h: float, lag: LagrangeData, g_values, target,
+    def stage_convolve(self, h: float, lag: LagrangeData, G, ends,
                        q_nodes: int | None = None):
-        """int_0^{c_i h} e^{(c_i h - tau) A} sum_j ell_j(tau) g_j dtau.
+        """Row i: int_0^{e_i h} e^{(e_i h - tau) A} sum_j ell_j(tau) G_j dtau.
 
-        target is a 1-based stage index or "final" (integral over [0, h]).
+        G holds the s stage values stacked as (s, *grid); ends are the end
+        points e_i as fractions of h (the nodes for the stage equations,
+        (1.0,) for the update).  Returns (len(ends), *grid).
         """
+        G = _check_stages(G, lag)
         s = lag.s
-        if len(g_values) != s:
-            raise ValidationError(f"expected {s} stage values, got {len(g_values)}")
         if q_nodes is None:
             q_nodes = s + self.quad_extra_nodes
         if q_nodes < s:
             raise ValidationError(
                 f"{q_nodes} quadrature nodes cannot integrate degree {s - 1} exactly")
-        if target == "final":
-            t_end = h
-        else:
-            if not 1 <= target <= s:
-                raise ValidationError(f"stage target {target} out of range")
-            t_end = lag.node_set.nodes[target - 1] * h
-        if t_end == 0.0:
-            return self.zeros()
-        tau, wt, basis = _quad_plan(h, lag, t_end, q_nodes)
-        interp = np.tensordot(basis, np.stack([np.asarray(g) for g in g_values]),
-                              axes=(1, 0))
-        out = self.zeros()
-        for k in range(q_nodes):
-            out = out + wt[k] * self.apply(t_end - tau[k], interp[k])
-        return out
-
-    def stage_convolve_all(self, h: float, lag: LagrangeData, g_values):
-        """All s stage integrals at once (convenience for the stepper)."""
-        return [self.stage_convolve(h, lag, g_values, i) for i in range(1, lag.s + 1)]
+        rows = []
+        for e in ends:
+            t_end = e * h
+            if t_end == 0.0:
+                rows.append(self.zeros())
+                continue
+            tau, wt, basis = _quad_plan(h, lag, t_end, q_nodes)
+            interp = np.tensordot(basis, G, axes=(1, 0))
+            rows.append(sum(wt[k] * self.apply(t_end - tau[k], interp[k])
+                            for k in range(q_nodes)))
+        return np.stack(rows)
 
     def apply_nodes(self, h: float, nodes, u):
-        """[e^{c h A} u for c in nodes]; batched in diagonal subclasses."""
-        return [self.apply(c * h, u) for c in nodes]
+        """e^{c h A} u for c in nodes, stacked as (len(nodes), *grid)."""
+        return np.stack([self.apply(c * h, u) for c in nodes])
+
+
+def _check_stages(G, lag: LagrangeData):
+    G = np.asarray(G)
+    if len(G) != lag.s:
+        raise ValidationError(f"expected {lag.s} stage values, got {len(G)}")
+    return G
 
 
 class DiagonalPropagator(Propagator):
     """Propagator diagonalized by a fixed transform pair.
 
     Subclasses set self.eigenvalues (ndarray over modes) and implement
-    to_modes / from_modes.  Stage-convolution weights are exact in the
-    phi-functions and cached per (h, node set): the harness re-steps with
-    fixed h across thousands of steps.
+    to_modes / from_modes on the trailing grid axes, so a stack of states
+    transforms in one call.  Stage-convolution weights are exact in the
+    phi-functions and cached per (h, node set, end points): the harness
+    re-steps with fixed h across thousands of steps.
     """
 
     eigenvalues: np.ndarray
@@ -242,49 +231,19 @@ class DiagonalPropagator(Propagator):
             return v.copy() if hasattr(v, "copy") else v
         return self.from_modes(self._multiplier(t) * self.to_modes(v))
 
-    def _weights(self, h: float, lag: LagrangeData):
-        key = (h, lag.node_set.nodes)
-        got = self._weight_cache.get(key)
-        if got is None:
-            got = stage_weights_diagonal(self.eigenvalues, h, lag)
-            self._weight_cache[key] = got
-        return got
-
-    def stage_convolve(self, h, lag, g_values, target, q_nodes=None):
-        s = lag.s
-        if len(g_values) != s:
-            raise ValidationError(f"expected {s} stage values, got {len(g_values)}")
-        W, F = self._weights(h, lag)
-        if target == "final":
-            row = F
-        else:
-            if not 1 <= target <= s:
-                raise ValidationError(f"stage target {target} out of range")
-            row = W[target - 1]
-        ghat = self.to_modes_batch(g_values)
-        return self.from_modes(np.einsum("j...,j...->...", row, ghat))
-
-    def to_modes_batch(self, arrs) -> np.ndarray:
-        return np.stack([self.to_modes(a) for a in arrs])
-
-    def from_modes_batch(self, zh):
-        return [self.from_modes(z) for z in zh]
-
-    def stage_convolve_all(self, h, lag, g_values):
-        s = lag.s
-        if len(g_values) != s:
-            raise ValidationError(f"expected {s} stage values, got {len(g_values)}")
-        W, _ = self._weights(h, lag)
-        ghat = self.to_modes_batch(g_values)
-        acc = np.einsum("ij...,j...->i...", W, ghat)
-        return self.from_modes_batch(acc)
+    def stage_convolve(self, h, lag, G, ends, q_nodes=None):
+        G = _check_stages(G, lag)
+        ends = tuple(ends)
+        key = (h, lag.node_set.nodes, ends)
+        W = self._weight_cache.get(key)
+        if W is None:
+            W = stage_weights_diagonal(self.eigenvalues, h, lag, ends)
+            self._weight_cache[key] = W
+        return self.from_modes(np.einsum("ij...,j...->i...", W, self.to_modes(G)))
 
     def apply_nodes(self, h, nodes, u):
-        uh = self.to_modes(u)
-        mult = np.stack([self._multiplier(c * h) if c != 0.0
-                         else np.ones_like(self.eigenvalues, dtype=complex)
-                         for c in nodes])
-        return self.from_modes_batch(mult * uh)
+        mult = np.stack([self._multiplier(c * h) for c in nodes])
+        return self.from_modes(mult * self.to_modes(u))
 
 
 class HeatTorusProblem(DiagonalPropagator):
@@ -336,31 +295,19 @@ class HeatTorusProblem(DiagonalPropagator):
     bound_m = 1.0  # kernel has unit mass, Young on every L^p
 
     def _check(self, v):
-        if np.shape(v) != self.shape:
+        if np.shape(v)[-self.dim:] != self.shape:
             raise ValidationError(f"state shape {np.shape(v)} != grid {self.shape}")
 
     def to_modes(self, v):
         self._check(v)
         if self.dim == 1:
             return np.fft.fft(v)
-        return np.fft.fftn(v)
+        return np.fft.fftn(v, axes=(-2, -1))
 
     def from_modes(self, vh):
         if self.dim == 1:
             return np.fft.ifft(vh).real
-        return np.fft.ifftn(vh).real
-
-    def to_modes_batch(self, arrs):
-        a = np.stack(arrs)
-        if self.dim == 1:
-            return np.fft.fft(a, axis=-1)
-        return np.fft.fftn(a, axes=(-2, -1))
-
-    def from_modes_batch(self, zh):
-        zh = np.asarray(zh)
-        if self.dim == 1:
-            return list(np.fft.ifft(zh, axis=-1).real)
-        return list(np.fft.ifftn(zh, axes=(-2, -1)).real)
+        return np.fft.ifftn(vh, axes=(-2, -1)).real
 
     def apply(self, t, v):
         self._check(v)

@@ -179,6 +179,13 @@ class TestCliRun:
         assert summary["status"] == "contraction"
         assert "kappa" in summary["error"]
 
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--format", "structured"]])
+    def test_unused_flags_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", "heat-linear", "--out", str(tmp_path / "out"),
+                  *flag])
+        assert exc.value.code == 2
+
     def test_bad_config_path_exits_two(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "missing.yaml"),
                      "--out", str(tmp_path / "out")])

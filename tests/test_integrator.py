@@ -190,6 +190,20 @@ class TestRun:
         assert rec.times[-1] == pytest.approx(1.0)
         assert len(rec.times) == 4  # t = 0, 0.4, 0.8, 1.0
 
+    def test_trace_rows_align_with_stored_steps(self):
+        hp = HeatTorusProblem(dim=1, n=32)
+        scheme = SchemeSpec.with_stages(2)
+        g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
+        guards = make_guards(hp, scheme, 3.0)
+        rec = run(0.5 * np.sin(hp.grid()), 0.25, 10, scheme, hp, g, guards,
+                  store_stride=4)
+        rows = [line.split() for line in rec.text_lines()][1:]
+        assert [int(r[0]) for r in rows] == [0, 4, 8, 10]
+        # the initial state took no iterations; each later row shows the
+        # count of the step that produced it
+        expected = [0] + [rec.stage_iterations[n - 1] for n in (4, 8, 10)]
+        assert [int(r[2]) for r in rows] == expected
+
     def test_summary_fields(self, rng):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)

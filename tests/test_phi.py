@@ -72,14 +72,16 @@ class TestStageWeights:
     def test_lambda_zero_single_midpoint_node(self):
         lag = build_lagrange(NodeSet((0.5,)))
         h = 0.3
-        W, F = stage_weights_diagonal(0.0, h, lag)
+        WF = stage_weights_diagonal(0.0, h, lag, (*lag.node_set.nodes, 1.0))
+        W, F = WF[:-1], WF[-1]
         assert W[0, 0] == pytest.approx(0.5 * h, rel=1e-13)
         assert F[0] == pytest.approx(h, rel=1e-13)
 
     def test_lambda_zero_trapezoid(self):
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         h = 0.25
-        W, F = stage_weights_diagonal(0.0, h, lag)
+        WF = stage_weights_diagonal(0.0, h, lag, (*lag.node_set.nodes, 1.0))
+        W, F = WF[:-1], WF[-1]
         assert F[0] == pytest.approx(h / 2.0, rel=1e-13)
         assert F[1] == pytest.approx(h / 2.0, rel=1e-13)
         # c_1 = 0 row degenerates to zero
@@ -88,7 +90,7 @@ class TestStageWeights:
     def test_final_weights_against_quadrature(self):
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         lam, h = -10.0, 0.1
-        _, F = stage_weights_diagonal(lam, h, lag)
+        (F,) = stage_weights_diagonal(lam, h, lag, (1.0,))
         x, w = np.polynomial.legendre.leggauss(64)
         tau = 0.5 * h * (x + 1.0)
         wt = 0.5 * h * w
@@ -100,7 +102,7 @@ class TestStageWeights:
         lag = build_lagrange(NodeSet((0.0, 0.5, 1.0)))
         h = 0.2
         for lam in (-3.0, -25.0, 1.5, -4.0 + 7.0j):
-            W, _ = stage_weights_diagonal(lam, h, lag)
+            W = stage_weights_diagonal(lam, h, lag, lag.node_set.nodes)
             x, w = np.polynomial.legendre.leggauss(64)
             for i, ci in enumerate(lag.node_set.nodes):
                 if ci == 0.0:
@@ -116,15 +118,17 @@ class TestStageWeights:
     def test_eigenvalue_array_broadcast(self):
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         lams = np.array([-1.0, -4.0, -9.0])
-        W, F = stage_weights_diagonal(lams, 0.1, lag)
+        WF = stage_weights_diagonal(lams, 0.1, lag, (*lag.node_set.nodes, 1.0))
+        W, F = WF[:-1], WF[-1]
         assert W.shape == (2, 2, 3)
         assert F.shape == (2, 3)
         for m, lam in enumerate(lams):
-            Wm, Fm = stage_weights_diagonal(lam, 0.1, lag)
+            WFm = stage_weights_diagonal(lam, 0.1, lag, (*lag.node_set.nodes, 1.0))
+            Wm, Fm = WFm[:-1], WFm[-1]
             assert np.allclose(W[:, :, m], Wm)
             assert np.allclose(F[:, m], Fm)
 
     def test_nonpositive_h_rejected(self):
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         with pytest.raises(ValidationError):
-            stage_weights_diagonal(-1.0, 0.0, lag)
+            stage_weights_diagonal(-1.0, 0.0, lag, (1.0,))

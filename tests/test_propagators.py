@@ -2,12 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expsplit.errors import ValidationError
 from expsplit.lagrange import NodeSet, build_lagrange
-from expsplit.propagators import (HeatTorusProblem, OUProblem, SmoothingProfile,
-                                  WaveProblem, gaussian_smoothing_constant,
-                                  lp_norm, measure_smoothing)
+from expsplit.propagators import (HeatTorusProblem, OUProblem, Propagator,
+                                  SmoothingProfile, WaveProblem,
+                                  gaussian_smoothing_constant, lp_norm,
+                                  measure_smoothing)
+
+# (problem, largest h*|lambda| drawn).  Heat reaches h*|lambda| ~ 102 in the
+# heat-frac-s2 preset (n=128, h=1/40).  The wave spectrum is imaginary, and
+# 32 Gauss-Legendre nodes resolve e^{i z theta} only up to z ~ 60; the wave
+# presets stay below h*|lambda| = 1.6.
+CONVOLVE_PROBLEMS = {
+    "heat-1d": (lambda: HeatTorusProblem(dim=1, n=64), 110.0),
+    "heat-2d": (lambda: HeatTorusProblem(dim=2, n=16), 110.0),
+    "wave": (lambda: WaveProblem(n_modes=32), 50.0),
+}
 
 
 class TestNorms:
@@ -236,7 +249,7 @@ class TestStageConvolve:
     def test_zero_values_give_zero(self):
         hp = HeatTorusProblem(dim=1, n=64)
         lag = build_lagrange(NodeSet((0.0, 1.0)))
-        out = hp.stage_convolve(0.1, lag, [hp.zeros(), hp.zeros()], "final")
+        (out,) = hp.stage_convolve(0.1, lag, [hp.zeros(), hp.zeros()], (1.0,))
         assert hp.v_norm(out) == 0.0
 
     def test_constant_integrand_single_node(self, make_scalar):
@@ -244,9 +257,9 @@ class TestStageConvolve:
         lag = build_lagrange(NodeSet((0.5,)))
         g1 = np.array([2.0])
         h = 0.2
-        out = pr.stage_convolve(h, lag, [g1], 1)
+        (out,) = pr.stage_convolve(h, lag, [g1], lag.node_set.nodes)
         assert out[0] == pytest.approx(0.5 * h * 2.0, rel=1e-13)
-        fin = pr.stage_convolve(h, lag, [g1], "final")
+        (fin,) = pr.stage_convolve(h, lag, [g1], (1.0,))
         assert fin[0] == pytest.approx(h * 2.0, rel=1e-13)
 
     def test_heat_matches_direct_quadrature(self):
@@ -255,7 +268,7 @@ class TestStageConvolve:
         x = hp.grid()
         k, h = 3, 0.01
         g = [np.cos(k * x), np.sin(k * x)]
-        out = hp.stage_convolve(h, lag, g, "final")
+        (out,) = hp.stage_convolve(h, lag, g, (1.0,))
         xq, wq = np.polynomial.legendre.leggauss(64)
         tau = 0.5 * h * (xq + 1.0)
         wt = 0.5 * h * wq
@@ -265,29 +278,49 @@ class TestStageConvolve:
             ref = ref + wv * hp.apply(h - tq, interp)
         assert hp.v_norm(out - ref) < 1e-11
 
-    def test_generic_quadrature_agrees_with_exact_weights(self, rng):
-        # OU path (generic Gauss-Legendre) vs diagonal path on the same data
-        hp = HeatTorusProblem(dim=1, n=64)
-        lag = build_lagrange(NodeSet((0.0, 0.5, 1.0)))
-        from expsplit.propagators import Propagator
-        g = [hp.random_state(rng) for _ in range(3)]
-        h = 0.05
-        exact = hp.stage_convolve(h, lag, g, 2)
-        generic = Propagator.stage_convolve(hp, h, lag, g, 2, q_nodes=32)
-        assert hp.v_norm(exact - generic) < 1e-11
+    @given(st.sampled_from(sorted(CONVOLVE_PROBLEMS)),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           st.floats(0.5, 1.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_generic_quadrature_agrees_with_exact_weights(self, name, nodes, ends,
+                                                          z_frac, seed):
+        # generic Gauss-Legendre path (the OU path) vs exact phi-weights
+        make, z_max = CONVOLVE_PROBLEMS[name]
+        pr = make()
+        nodes = sorted(nodes)
+        assume(all(b - a >= 0.1 for a, b in zip(nodes, nodes[1:])))
+        lag = build_lagrange(NodeSet(tuple(nodes)))
+        h = z_frac * z_max / np.max(np.abs(pr.eigenvalues))
+        rng = np.random.default_rng(seed)
+        grid = pr.zeros().shape
+        g = rng.standard_normal((lag.s,) + grid)
+        if np.iscomplexobj(pr.zeros()):
+            g = g + 1j * rng.standard_normal(g.shape)
+        g = np.stack([gj / pr.v_norm(gj) for gj in g])  # every mode excited
+        exact = pr.stage_convolve(h, lag, g, ends)
+        generic = Propagator.stage_convolve(pr, h, lag, g, ends, q_nodes=32)
+        assert exact.shape == generic.shape == (len(ends),) + grid
+        for row_exact, row_generic in zip(exact, generic):
+            assert pr.v_norm(row_exact - row_generic) < 1e-11
+        u = pr.random_state(rng)
+        flows = pr.apply_nodes(h, nodes, u)
+        assert flows.shape == (lag.s,) + grid
+        for c, row in zip(nodes, flows):
+            assert pr.v_norm(row - pr.apply(c * h, u)) < 1e-13
 
     def test_too_few_quadrature_nodes_rejected(self):
         hp = OUProblem()
         lag = build_lagrange(NodeSet((0.0, 0.5, 1.0)))
         g = [hp.zeros()] * 3
         with pytest.raises(ValidationError):
-            hp.stage_convolve(0.1, lag, g, "final", q_nodes=2)
+            hp.stage_convolve(0.1, lag, g, (1.0,), q_nodes=2)
 
     def test_wrong_stage_count_rejected(self):
         hp = HeatTorusProblem(dim=1, n=64)
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         with pytest.raises(ValidationError):
-            hp.stage_convolve(0.1, lag, [hp.zeros()], "final")
+            hp.stage_convolve(0.1, lag, [hp.zeros()], (1.0,))
 
 
 class TestMeasureSmoothing:
