@@ -7,7 +7,9 @@ empirical orders, and compares with the a-priori bound chain.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -24,6 +26,9 @@ __all__ = ["StudyPlan", "ConvergenceReport", "ReferenceSolution",
            "reference_solution", "convergence_study", "order_prediction"]
 
 REFERENCE_STAGES = 4  # highest shipped scheme, used for references
+
+# reference key -> _reference_context of the most recent study; one entry
+_REFERENCE_MEMO: dict = {}
 
 
 def order_prediction(s: int, alpha: float, w_choice: str) -> float:
@@ -109,6 +114,7 @@ class ConvergenceReport:
     max_contraction_ratio: float = 0.0
     strip_radius: float = float("nan")
     reference_check: float = float("nan")
+    reference_key: str = ""
     exact_linear: bool = False
     passed: bool = False
     abort_reason: str = ""
@@ -140,6 +146,7 @@ class ConvergenceReport:
             "max_contraction_ratio": self.max_contraction_ratio,
             "strip_radius": self.strip_radius,
             "reference_check": self.reference_check,
+            "reference_key": self.reference_key,
             "exact_linear": self.exact_linear,
             "passed": self.passed,
             "abort_reason": self.abort_reason,
@@ -172,8 +179,8 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
     rec = run(u_0, T, round(T / h_ref), scheme, problem, g, guards,
               store_stride=round(stride))
     rec.raise_if_failed()
-    rec2 = run(u_0, T, 2 * round(T / h_ref), scheme, problem, g, guards,
-               store_stride=2 * round(stride))
+    n2 = 2 * round(T / h_ref)  # only its terminal state is read
+    rec2 = run(u_0, T, n2, scheme, problem, g, guards, store_stride=n2)
     rec2.raise_if_failed()
     diff = problem.v_norm(rec.states[-1] - rec2.states[-1])
     return ReferenceSolution(times=times, states=rec.states, h_ref=h_ref,
@@ -191,6 +198,74 @@ def _estimate_lipschitz_on_strip(g, problem, ref: ReferenceSolution,
             g, problem, ref.states[i], radius, (0.0, horizon),
             n_samples=120, rng=rng))
     return best
+
+
+def _feed(digest, obj):
+    """Hash obj by content: values, array dtype/shape/bytes, and for other
+    objects the class plus every public attribute, recursively.  Private
+    caches and diagnostics are skipped because they fill up with use."""
+    if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
+        digest.update(f"{obj.dtype.str}{obj.shape}".encode())
+        digest.update(np.ascontiguousarray(obj).tobytes())
+    elif obj is None or isinstance(obj, (bool, int, float, complex, str, np.generic)):
+        digest.update(f"{type(obj).__name__}:{obj!r};".encode())
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        digest.update(f"{type(obj).__name__}[{len(obj)}".encode())
+        for item in obj:
+            _feed(digest, item)
+        digest.update(b"]")
+    elif hasattr(obj, "__dict__") and not isinstance(
+            obj, (type, types.FunctionType, types.MethodType, types.ModuleType)):
+        cls = type(obj)
+        digest.update(f"{cls.__module__}.{cls.__qualname__}{{".encode())
+        for name, value in sorted(vars(obj).items()):
+            if not name.startswith("_") and name != "diagnostics":
+                digest.update(f"{name}=".encode())
+                _feed(digest, value)
+        digest.update(b"}")
+    else:
+        raise TypeError(f"cannot key a reference on a {type(obj).__name__}")
+
+
+def _reference_key(problem, g, u_0, T, h_min, h_ref, strip_radius_frac, seed):
+    """Short hex digest of everything a study's reference context depends
+    on; "" when some input cannot be hashed by content or refers to itself."""
+    digest = hashlib.sha256()
+    try:
+        _feed(digest, (REFERENCE_STAGES, problem, g, np.asarray(u_0), T, h_min,
+                       h_ref, strip_radius_frac, seed))
+    except (TypeError, RecursionError):
+        return ""
+    return digest.hexdigest()[:16]
+
+
+def _reference_context(key, problem, g, u_0, T, h_min, h_ref,
+                       strip_radius_frac, seed):
+    """(reference, strip radius, strip Lipschitz) after a bootstrap
+    Lipschitz estimate; none of it depends on the scheme under study, so
+    the last study's context is reused when its key is the same."""
+    ctx = _REFERENCE_MEMO.get(key) if key else None
+    if ctx is not None:
+        return ctx
+    # bootstrap Lipschitz guess around the initial state for the reference run
+    rng = np.random.default_rng(seed)
+    r0 = max(problem.v_norm(u_0), 1.0)
+    lip0 = max(estimate_lipschitz(g, problem, np.asarray(u_0), 0.5 * r0,
+                                  (0.0, T), n_samples=120, rng=rng), 1e-12)
+    ref = reference_solution(problem, g, u_0, T, h_ref, h_min, lip0)
+    radius = strip_radius_frac * max(problem.v_norm(st) for st in ref.states)
+    if isinstance(g, ZeroNonlinearity):
+        lipschitz = 0.0
+    else:
+        lipschitz = _estimate_lipschitz_on_strip(g, problem, ref, radius, T, seed)
+    for arr in (ref.times, *ref.states):
+        if isinstance(arr, np.ndarray):  # shared by every study that hits the key
+            arr.flags.writeable = False
+    ctx = (ref, radius, lipschitz)
+    if key:
+        _REFERENCE_MEMO.clear()
+        _REFERENCE_MEMO[key] = ctx
+    return ctx
 
 
 def convergence_study(plan: StudyPlan, problem, g, u_0, jobs: int = 1) -> ConvergenceReport:
@@ -216,22 +291,14 @@ def convergence_study(plan: StudyPlan, problem, g, u_0, jobs: int = 1) -> Conver
                 f"declared smoothing alpha={alpha:.3f} but measured slope "
                 f"{sm.slope:.3f}; study setup rejected")
 
-    # bootstrap Lipschitz guess around the initial state for the reference run
-    rng = np.random.default_rng(plan.seed)
-    r0 = max(problem.v_norm(u_0), 1.0)
-    lip0 = max(estimate_lipschitz(g, problem, np.asarray(u_0), 0.5 * r0,
-                                  (0.0, T), n_samples=120, rng=rng), 1e-12)
-    ref = reference_solution(problem, g, u_0, T, h_ref, h_min, lip0)
+    inputs = (problem, g, u_0, T, h_min, h_ref, plan.strip_radius_frac, plan.seed)
+    report.reference_key = _reference_key(*inputs)
+    ref, radius, lipschitz = _reference_context(report.reference_key, *inputs)
     report.reference_check = ref.self_check_diff
+    report.strip_radius = radius
+    report.lipschitz = lipschitz
 
     linear = isinstance(g, ZeroNonlinearity)
-    radius = plan.strip_radius_frac * max(problem.v_norm(st) for st in ref.states)
-    report.strip_radius = radius
-    if linear:
-        lipschitz = 0.0
-    else:
-        lipschitz = _estimate_lipschitz_on_strip(g, problem, ref, radius, T, plan.seed)
-    report.lipschitz = lipschitz
     guards = _make_guards(problem, plan.scheme, max(lipschitz, 1e-12))
 
     if not linear:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ class TestCliConvergence:
         csv = (out / "study.csv").read_text().splitlines()
         assert csv[0] == "h,N,error,eoc,bound"
         assert len(csv) == 1 + len(study["h"])
+
+    def test_study_json_records_reference_key(self, tmp_path):
+        keys = []
+        for run in ("a", "b"):
+            code = main(["convergence", "--config", "heat-linear",
+                         "--out", str(tmp_path / run)])
+            assert code == 0
+            keys.append(json.loads((tmp_path / run / "study.json").read_text())
+                        ["reference_key"])
+        assert keys[0] == keys[1]
+        assert re.fullmatch("[0-9a-f]{16}", keys[0])
 
     def test_invalid_sweep_rejected_before_running(self, tmp_path, capsys):
         cfg = cfgmod.resolve_config("heat-linear")

@@ -1,9 +1,13 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from expsplit.errors import StudyFailedError, ValidationError
+from expsplit import config as cfgmod
+from expsplit import harness
+from expsplit.errors import ContractionError, StudyFailedError, ValidationError
 from expsplit.harness import (ConvergenceReport, StudyPlan, convergence_study,
                               order_prediction, reference_solution,
                               require_passed)
@@ -175,3 +179,132 @@ class TestReport:
         assert d["stages"] == 3
         assert d["median_eoc"] == 2.9
         assert d["passed"] is True
+
+
+@pytest.fixture
+def ref_builds(monkeypatch):
+    """Empties the reference memo and records every reference build."""
+    builds = []
+    build = harness.reference_solution
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "reference_solution", counted)
+    harness._REFERENCE_MEMO.clear()
+    yield builds
+    harness._REFERENCE_MEMO.clear()
+
+
+def short_heat_study(preset):
+    """A shipped heat preset with its horizon and sweep cut short."""
+    cfg = cfgmod._merge(cfgmod.resolve_config(preset),
+                        {"run": {"t_final": 0.05},
+                         "study": {"h_list": [1 / 40, 1 / 80]}})
+    problem = cfgmod.build_problem(cfg)
+    return (cfgmod.build_plan(cfg), problem, cfgmod.build_nonlinearity(cfg, problem),
+            cfgmod.build_initial(cfg, problem))
+
+
+def logistic_study(make_scalar):
+    plan = StudyPlan(problem_id="scalar-logistic", scheme=SchemeSpec.with_stages(2),
+                     h_list=[1 / 4, 1 / 8], horizon=0.5)
+    return plan, make_scalar(lam=-1.0), PowerNonlinearity(alpha=2.0, coeff=1.0), \
+        np.array([0.1])
+
+
+def heat_study(n=16):
+    pr = HeatTorusProblem(dim=1, n=n, t_max=0.5)
+    plan = StudyPlan(problem_id="heat", scheme=SchemeSpec.with_stages(2),
+                     h_list=[1 / 40, 1 / 80], horizon=0.05)
+    return plan, pr, PowerNonlinearity(alpha=3.0, coeff=-1.0), np.sin(pr.grid())
+
+
+def reassign_profile(plan, pr, g, u0):
+    pr.profile_x = SmoothingProfile(c=2.0, alpha=0.0, t_max=10.0)
+    return plan, pr, g, u0
+
+
+# study inputs -> the same inputs with one change; heat studies start from
+# heat_study(n=16), the others from logistic_study
+MISSES = {
+    "problem-lam": lambda plan, pr, g, u0: (plan, type(pr)(lam=-0.9), g, u0),
+    "problem-n": lambda plan, pr, g, u0: heat_study(n=32),
+    "profile_x-reassigned": reassign_profile,
+    "nonlinearity-coeff": lambda plan, pr, g, u0: (
+        plan, pr, PowerNonlinearity(alpha=2.0, coeff=0.9), u0),
+    "u_0": lambda plan, pr, g, u0: (plan, pr, g, np.array([0.12])),
+    "T": lambda plan, pr, g, u0: (replace(plan, horizon=0.25), pr, g, u0),
+    "h_min": lambda plan, pr, g, u0: (
+        replace(plan, h_list=[1 / 2, 1 / 4]), pr, g, u0),
+    "ref_factor": lambda plan, pr, g, u0: (replace(plan, ref_factor=128), pr, g, u0),
+    "strip_radius_frac": lambda plan, pr, g, u0: (
+        replace(plan, strip_radius_frac=0.3), pr, g, u0),
+    "seed": lambda plan, pr, g, u0: (replace(plan, seed=1), pr, g, u0),
+}
+HITS = {
+    "scheme": lambda plan, pr, g, u0: (
+        replace(plan, scheme=SchemeSpec.with_stages(1)), pr, g, u0),
+    "eoc_tol": lambda plan, pr, g, u0: (replace(plan, eoc_tol=0.5), pr, g, u0),
+}
+
+
+class TestReferenceMemo:
+    def test_hits_and_misses_give_identical_reports(self, ref_builds, make_scalar):
+        studies = [short_heat_study("heat-cubic-s1"), short_heat_study("heat-cubic-s2"),
+                   logistic_study(make_scalar), logistic_study(make_scalar)]
+        cold = []
+        for study in studies:
+            harness._REFERENCE_MEMO.clear()
+            cold.append(convergence_study(*study).summary())
+        assert len(ref_builds) == 4
+        warm = [convergence_study(*study).summary() for study in studies]
+        assert len(ref_builds) == 4 + 2  # one per pair, not one per study
+        for c, w in zip(cold, warm):
+            assert json.dumps(c, sort_keys=True) == json.dumps(w, sort_keys=True)
+        keys = [c["reference_key"] for c in cold]
+        assert keys[0] == keys[1] and keys[2] == keys[3] and keys[1] != keys[2]
+        assert all(len(k) == 16 for k in keys)
+
+    @pytest.mark.parametrize("name", MISSES)
+    def test_every_input_change_misses(self, ref_builds, make_scalar, name):
+        study = heat_study(n=16) if name == "problem-n" else logistic_study(make_scalar)
+        first = convergence_study(*study)
+        second = convergence_study(*MISSES[name](*study))
+        assert len(ref_builds) == 2
+        assert first.reference_key != second.reference_key
+
+    @pytest.mark.parametrize("change", HITS.values(), ids=HITS.keys())
+    def test_scheme_and_tolerance_changes_hit(self, ref_builds, make_scalar, change):
+        study = logistic_study(make_scalar)
+        first = convergence_study(*study)
+        second = convergence_study(*change(*study))
+        assert len(ref_builds) == 1
+        assert first.reference_key == second.reference_key
+
+    def test_unhashable_input_bypasses_the_memo(self, ref_builds, make_scalar):
+        plan, pr, g, u0 = logistic_study(make_scalar)
+        pr.callback = lambda: None  # no content to key on
+        first = convergence_study(plan, pr, g, u0)
+        second = convergence_study(plan, pr, g, u0)
+        assert len(ref_builds) == 2
+        assert first.reference_key == second.reference_key == ""
+        assert not harness._REFERENCE_MEMO
+
+    def test_cached_reference_is_read_only(self, ref_builds, make_scalar):
+        convergence_study(*logistic_study(make_scalar))
+        ((ref, _, _),) = harness._REFERENCE_MEMO.values()
+        with pytest.raises(ValueError):
+            ref.states[-1][0] = 1.0
+        with pytest.raises(ValueError):
+            ref.times[0] = 1.0
+
+    def test_failed_reference_is_not_stored(self, ref_builds, make_scalar):
+        plan, pr, _, u0 = logistic_study(make_scalar)
+        g = PowerNonlinearity(alpha=2.0, coeff=1e6)  # kappa >> 1 at h_ref
+        for _ in range(2):
+            with pytest.raises(ContractionError):
+                convergence_study(plan, pr, g, u0)
+        assert len(ref_builds) == 2
+        assert not harness._REFERENCE_MEMO
