@@ -98,20 +98,32 @@ def gaussian_smoothing_constant(dim: int, p: float, r: float) -> tuple[float, fl
 _QUAD_CACHE: dict = {}
 
 
-def _quad_plan(h: float, lag: LagrangeData, t_end: float, q_nodes: int):
-    """Cached Gauss-Legendre nodes, weights and Lagrange basis values on
-    [0, t_end]; depends only on (h, node set, t_end, q_nodes)."""
-    key = (h, lag.node_set.nodes, t_end, q_nodes)
+def _quad_plan(h: float, lag: LagrangeData, ends: tuple, q_nodes: int):
+    """Cached Gauss-Legendre plan of stage_convolve for one call signature
+    (h, node set, ends, q_nodes).
+
+    For the E end points with e_i h != 0 (their indices are `live`) and
+    q nodes tau_k on [0, e_i h], it stacks the m = E*q flow times
+    e_i h - tau_k, the Lagrange basis values ell_j(tau_k) as (m, s) and
+    the quadrature weights as (E, q), end by end.
+    """
+    key = (h, lag.node_set.nodes, ends, q_nodes)
     plan = _QUAD_CACHE.get(key)
     if plan is None:
         if len(_QUAD_CACHE) > 4096:
             _QUAD_CACHE.clear()
         x, w = np.polynomial.legendre.leggauss(q_nodes)
-        tau = 0.5 * t_end * (x + 1.0)
-        wt = 0.5 * t_end * w
-        basis = np.array([[eval_basis(lag, j, tq, h)
-                           for j in range(1, lag.s + 1)] for tq in tau])
-        plan = (tau, wt, basis)
+        live = [i for i, e in enumerate(ends) if e * h != 0.0]
+        times, wts, basis = [], [], []
+        for i in live:
+            t_end = ends[i] * h
+            tau = 0.5 * t_end * (x + 1.0)
+            times.extend(t_end - tq for tq in tau)
+            wts.append(0.5 * t_end * w)
+            basis.extend([eval_basis(lag, j, tq, h) for j in range(1, lag.s + 1)]
+                         for tq in tau)
+        plan = (live, np.array(times), np.array(basis).reshape(-1, lag.s),
+                np.array(wts).reshape(-1, q_nodes))
         _QUAD_CACHE[key] = plan
     return plan
 
@@ -122,8 +134,11 @@ class Propagator:
     Stage values travel as one (s, *grid) array.  Subclasses provide
     apply() and the norm set; the generic stage_convolve() integrates the
     Lagrange interpolant of the stage values by Gauss-Legendre quadrature
-    in tau (one apply per node).  Diagonal problems override it with exact
-    phi-weights.
+    in tau.  It builds every quadrature node of one call up front (a
+    cached plan of flow times, basis values and weights) and propagates
+    all of them in one _apply_rows(times, V) call, whose default loops
+    apply(); a problem with a batched kernel overrides _apply_rows.
+    Diagonal problems override stage_convolve with exact phi-weights.
     """
 
     bound_m: float = 1.0
@@ -170,21 +185,29 @@ class Propagator:
         if q_nodes < s:
             raise ValidationError(
                 f"{q_nodes} quadrature nodes cannot integrate degree {s - 1} exactly")
-        rows = []
-        for e in ends:
-            t_end = e * h
-            if t_end == 0.0:
-                rows.append(self.zeros())
-                continue
-            tau, wt, basis = _quad_plan(h, lag, t_end, q_nodes)
-            interp = np.tensordot(basis, G, axes=(1, 0))
-            rows.append(sum(wt[k] * self.apply(t_end - tau[k], interp[k])
-                            for k in range(q_nodes)))
-        return np.stack(rows)
+        live, times, basis, wt = _quad_plan(h, lag, tuple(ends), q_nodes)
+        if not live:
+            zero = self.zeros()
+            return np.zeros((len(ends),) + zero.shape, zero.dtype)
+        # all E*q interpolants in one product, all flows in one call
+        rows = self._apply_rows(times, np.tensordot(basis, G, axes=(1, 0)))
+        rows = rows.reshape(wt.shape + rows.shape[1:])
+        acc = np.sum(wt.reshape(wt.shape + (1,) * (rows.ndim - 2)) * rows, axis=1)
+        if len(live) == len(ends):
+            return acc
+        out = np.zeros((len(ends),) + acc.shape[1:], np.result_type(self.zeros(), acc))
+        out[live] = acc
+        return out
 
     def apply_nodes(self, h: float, nodes, u):
         """e^{c h A} u for c in nodes, stacked as (len(nodes), *grid)."""
-        return np.stack([self.apply(c * h, u) for c in nodes])
+        u = np.asarray(u)
+        return self._apply_rows([c * h for c in nodes],
+                                np.broadcast_to(u, (len(nodes),) + u.shape))
+
+    def _apply_rows(self, times, V):
+        """e^{t_m A} V_m for every row m of the stack V, as (len(times), *grid)."""
+        return np.stack([self.apply(t, v) for t, v in zip(times, V)])
 
 
 def _check_stages(G, lag: LagrangeData):
@@ -400,6 +423,9 @@ class HeatTorusProblem(DiagonalPropagator):
         return probes
 
 
+_ROW_PLANS_KEPT = 16  # a few step sizes' worth of OU stacked plans
+
+
 class OUProblem(Propagator):
     """1D Ornstein-Uhlenbeck propagator on a truncated box [-L, L].
 
@@ -409,6 +435,10 @@ class OUProblem(Propagator):
     maps to one of variance e^{2bt} sigma^2 + 2 q (e^{2bt}-1)/(2b).
     Convolution is trapezoid quadrature on the grid (via FFT), dilation
     is 4-point cubic interpolation with zero extension outside the box.
+    _apply_rows(times, V) applies this to a stack of states at once, and
+    apply(t, v) is its one-row case; stage_convolve hands it every
+    quadrature node of a call.  Stacked plans are cached per time vector,
+    at most _ROW_PLANS_KEPT of them.
     """
 
     def __init__(self, b: float = -1.0, q: float = 2.0, box: float = 12.0,
@@ -431,7 +461,7 @@ class OUProblem(Propagator):
         self.x = np.linspace(-box, box, n, endpoint=False) + box / n
         self.dx = self.x[1] - self.x[0]
         self.cell = self.dx
-        self._cache: dict = {}
+        self._rows_cache: dict = {}
         self.diagnostics: list[str] = []
         alpha = 0.5 * (ip - ir)
         if alpha == 0.0:
@@ -456,60 +486,92 @@ class OUProblem(Propagator):
     def kernel_width(self, t: float) -> float:
         return math.sqrt(max(2.0 * self.q_t(t), 0.0))
 
-    def _plan(self, t: float):
-        key = round(t, 12)
-        plan = self._cache.get(key)
+    def _rows_plan(self, times):
+        """Stacked plan of _apply_rows for one time vector, cached by the
+        exact times (zero rows and tiny rows must not share a key); the
+        per-time pieces are not kept."""
+        key = tuple(times)
+        plan = self._rows_cache.get(key)
         if plan is not None:
             return plan
-        if len(self._cache) > 4096:
-            self._cache.clear()
+        if len(self._rows_cache) >= _ROW_PLANS_KEPT:
+            self._rows_cache.clear()
         n, dx = self.n, self.dx
-        q_t = self.q_t(t)
-        if q_t < 1e-14:
-            # kernel is a near-delta; the symbol is 1 to rounding
-            symbol = None
-            self.diagnostics.append(
-                f"t={t:.3e}: kernel variance {2.0 * q_t:.3e} below cutoff, "
-                f"pure dilation")
-        else:
-            # Gaussian kernel applied through its exact Fourier symbol on
-            # the periodic box; for widths above ~3 dx this matches the
-            # grid-sampled kernel to rounding, and it stays exact (-> 1)
-            # as t -> 0 where pointwise sampling loses the kernel mass
-            xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
-            symbol = np.exp(-q_t * xi ** 2)
-        # 4-point cubic Lagrange interpolation at the dilated points
-        y = np.exp(self.gamma * t) * self.x
-        pos = (y - self.x[0]) / dx
-        j = np.clip(np.floor(pos).astype(int), 1, n - 3)
-        frac = pos - j
-        f = frac
-        w0 = -f * (f - 1.0) * (f - 2.0) / 6.0
-        w1 = (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0
-        w2 = -(f + 1.0) * f * (f - 2.0) / 2.0
-        w3 = (f + 1.0) * f * (f - 1.0) / 6.0
-        weights = np.stack([w0, w1, w2, w3], axis=1)
-        idx = np.stack([j - 1, j, j + 1, j + 2], axis=1)
-        inside = (pos >= 0.0) & (pos <= n - 1)
-        plan = (symbol, idx, weights, inside)
-        self._cache[key] = plan
+        xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
+        live = [m for m, t in enumerate(times) if t != 0.0]
+        smooth, symbols, first, weights, inside = [], [], [], [], []
+        for r, m in enumerate(live):
+            t = times[m]
+            q_t = self.q_t(t)
+            if q_t < 1e-14:
+                # kernel is a near-delta; the symbol is 1 to rounding
+                self.diagnostics.append(
+                    f"t={t:.3e}: kernel variance {2.0 * q_t:.3e} below cutoff, "
+                    f"pure dilation")
+            else:
+                # Gaussian kernel applied through its exact Fourier symbol on
+                # the periodic box; for widths above ~3 dx this matches the
+                # grid-sampled kernel to rounding, and it stays exact (-> 1)
+                # as t -> 0 where pointwise sampling loses the kernel mass
+                smooth.append(r)
+                symbols.append(np.exp(-q_t * xi ** 2))
+            # 4-point cubic Lagrange interpolation at the dilated points
+            y = np.exp(self.gamma * t) * self.x
+            pos = (y - self.x[0]) / dx
+            j = np.clip(np.floor(pos).astype(int), 1, n - 3)
+            f = pos - j
+            w0 = -f * (f - 1.0) * (f - 2.0) / 6.0
+            w1 = (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0
+            w2 = -(f + 1.0) * f * (f - 2.0) / 2.0
+            w3 = (f + 1.0) * f * (f - 1.0) / 6.0
+            weights.append((w0, w1, w2, w3))
+            # first stencil point, as an index into the flattened stack
+            first.append(j - 1 + r * n)
+            inside.append((pos >= 0.0) & (pos <= n - 1))
+        plan = (live, smooth if len(smooth) < len(live) else None,
+                np.array(symbols) if symbols else None,
+                np.array(first, dtype=np.intp),
+                np.array(weights).reshape(-1, 4, n).transpose(1, 0, 2).copy(),
+                ~np.array(inside, dtype=bool))
+        self._rows_cache[key] = plan
         return plan
+
+    def _apply_rows(self, times, V):
+        """One kernel for a stack: one rfft/irfft pass over the rows with a
+        Gaussian symbol, then one gathered 4-point dilation.  Rows with
+        t = 0 are exact copies; rows below the kernel-variance cutoff are
+        pure dilation."""
+        V = np.asarray(V, dtype=float)
+        if V.shape != (len(times), self.n):
+            raise ValidationError(
+                f"state stack shape {V.shape} != ({len(times)}, {self.n})")
+        if len(times) and min(times) < 0.0:
+            raise ValidationError("t must be >= 0")
+        live, smooth, symbol, first, weights, outside = self._rows_plan(times)
+        if not live:
+            return V.copy()
+        conv = V if len(live) == len(V) else V[live]
+        if smooth is None:
+            conv = np.fft.irfft(np.fft.rfft(conv) * symbol, self.n)
+        elif symbol is not None:
+            conv = conv.copy()
+            conv[smooth] = np.fft.irfft(np.fft.rfft(conv[smooth]) * symbol, self.n)
+        # point k of every stencil is one gather from the stack shifted by k
+        flat = conv.ravel()
+        out = flat.take(first) * weights[0] + flat[1:].take(first) * weights[1]
+        out += flat[2:].take(first) * weights[2]
+        out += flat[3:].take(first) * weights[3]
+        out[outside] = 0.0
+        if len(live) == len(V):
+            return out
+        rows = V.copy()
+        rows[live] = out
+        return rows
 
     def apply(self, t: float, v):
         if np.shape(v) != (self.n,):
             raise ValidationError("state size mismatch")
-        if t < 0.0:
-            raise ValidationError("t must be >= 0")
-        if t == 0.0:
-            return np.asarray(v, dtype=float).copy()
-        symbol, idx, weights, inside = self._plan(t)
-        if symbol is None:
-            conv = np.asarray(v, dtype=float)
-        else:
-            conv = np.fft.irfft(np.fft.rfft(v) * symbol, self.n)
-        out = np.sum(conv[idx] * weights, axis=1)
-        out[~inside] = 0.0
-        return out
+        return self._apply_rows((t,), np.reshape(v, (1, self.n)))[0]
 
     def zeros(self):
         return np.zeros(self.n)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expsplit.errors import ValidationError
-from expsplit.lagrange import NodeSet, build_lagrange
+from expsplit.integrator import SchemeSpec
+from expsplit.lagrange import NodeSet, build_lagrange, eval_basis
 from expsplit.propagators import (HeatTorusProblem, OUProblem, Propagator,
                                   SmoothingProfile, WaveProblem,
                                   gaussian_smoothing_constant, lp_norm,
@@ -192,6 +193,89 @@ class TestOU:
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
             self.ou.apply(-0.1, np.zeros(self.ou.n))
+
+
+# OU flow times for the batched kernel: exact zeros, times below the
+# kernel-variance cutoff (pure dilation), step-sized times, and times whose
+# dilation e^{gamma t} x carries most grid points out of the box
+OU_TIMES = st.one_of(st.just(0.0), st.floats(1e-18, 4e-15),
+                     st.floats(1e-5, 0.05), st.floats(0.5, 3.0))
+
+
+class TestOUBatched:
+    ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=512, t_max=1.0)
+
+    @given(st.lists(OU_TIMES, min_size=1, max_size=24), st.integers(0, 2 ** 32 - 1))
+    @example(times=[0.0, 1e-16, 1e-3, 2.0], seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_apply_rows_equals_scalar_apply(self, times, seed):
+        ou = self.ou
+        V = np.random.default_rng(seed).standard_normal((len(times), ou.n))
+        rows = ou._apply_rows(times, V)
+        assert rows.shape == V.shape
+        for t, v, row in zip(times, V, rows):
+            assert np.array_equal(row, ou.apply(t, v))
+            if t == 0.0:
+                assert np.array_equal(row, v)
+
+    @given(st.integers(1, 4), st.booleans(),
+           st.floats(math.log(1 / 10240), math.log(1 / 20)),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stage_convolve_equals_per_node_applies(self, s, at_nodes, log_h, seed):
+        # the quadrature written out one apply per Gauss-Legendre node
+        ou = self.ou
+        lag = SchemeSpec.with_stages(s).lag
+        ends = lag.node_set.nodes if at_nodes else (1.0,)
+        h = math.exp(log_h)
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((s, ou.n)) * np.exp(-ou.x ** 2 / 8.0)
+        out = ou.stage_convolve(h, lag, G, ends)
+        assert out.shape == (len(ends), ou.n)
+        q = s + ou.quad_extra_nodes
+        x, w = np.polynomial.legendre.leggauss(q)
+        for e, row in zip(ends, out):
+            t_end = e * h
+            if t_end == 0.0:
+                assert not np.any(row)
+                continue
+            tau = 0.5 * t_end * (x + 1.0)
+            wt = 0.5 * t_end * w
+            basis = np.array([[eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
+                              for tq in tau])
+            interp = np.tensordot(basis, G, axes=(1, 0))
+            ref = sum(wt[k] * ou.apply(t_end - tau[k], interp[k]) for k in range(q))
+            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_tiny_time_rows_skip_the_fft(self):
+        # an FFT round trip would leave rounding noise at every grid point;
+        # pure dilation of a spike touches only its 4-point stencil
+        ou = self.ou
+        spike = ou.zeros()
+        spike[ou.n // 3] = 1.0
+        rows = ou._apply_rows((1e-16, 0.0, 0.01), np.stack([spike] * 3))
+        assert 0 < np.count_nonzero(rows[0]) <= 4
+        assert np.array_equal(rows[1], spike)
+        assert np.count_nonzero(rows[2]) > 4
+
+    def test_negative_node_time_rejected(self):
+        u = np.exp(-self.ou.x ** 2)
+        with pytest.raises(ValidationError, match="t must be >= 0"):
+            self.ou.apply_nodes(-0.1, (0.5,), u)
+        with pytest.raises(ValidationError, match="t must be >= 0"):
+            self.ou._apply_rows((0.1, -1e-300), np.stack([u, u]))
+
+    def test_wrongly_shaped_stack_rejected(self):
+        ou = self.ou
+        with pytest.raises(ValidationError):
+            ou._apply_rows((0.1, 0.2), np.zeros((3, ou.n)))
+        with pytest.raises(ValidationError):
+            ou._apply_rows((0.1,), np.zeros((1, ou.n + 1)))
+        with pytest.raises(ValidationError):
+            ou.apply_nodes(0.1, (0.0, 0.5), np.zeros(ou.n - 1))
+        lag = build_lagrange(NodeSet((0.0, 1.0)))
+        with pytest.raises(ValidationError):
+            ou.stage_convolve(0.1, lag, np.zeros((2, ou.n // 2)), (1.0,))
 
 
 class TestWave:

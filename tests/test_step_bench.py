@@ -1,0 +1,42 @@
+"""Micro-benchmarks of one integrator step per model problem.
+
+Each benchmark also checks that its timed step returns the same state,
+bit for bit, as an untimed step from the same inputs.  Run only these with
+``pytest tests/test_step_bench.py``; ``--benchmark-skip`` leaves them out.
+"""
+
+import numpy as np
+import pytest
+
+from expsplit import config as cfgmod
+from expsplit.integrator import SchemeSpec, StepGuards, step
+
+# (preset, problem overrides, stages, h)
+STEP_CASES = {
+    "heat1d-n64-s4": ("heat-torus-1d", {"n": 64}, 4, 1 / 640),
+    "ou-n512-s4": ("ou-1d", {"n": 512}, 4, 1 / 5120),
+    "wave-32modes-s2": ("wave-dirichlet-1d", {"n_modes": 32}, 2, 1 / 160),
+}
+
+
+def _step_args(preset, problem_over, stages, h):
+    cfg = cfgmod.resolve_config(preset)
+    cfg["problem"].update(problem_over)
+    problem = cfgmod.build_problem(cfg)
+    g = cfgmod.build_nonlinearity(cfg, problem)
+    u0 = cfgmod.build_initial(cfg, problem)
+    scheme = SchemeSpec.with_stages(stages)
+    guards = StepGuards(lipschitz=3.0, c_ell=scheme.lag.c_ell, s=scheme.s,
+                        omega=problem.profile_x, m_bound=problem.bound_m)
+    return (u0, 0.0, h, scheme, problem, g, guards)
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_single_step(benchmark, case):
+    args = _step_args(*STEP_CASES[case])
+    expected, info = step(*args)
+    assert info.iterations >= 1
+    got, _ = benchmark.pedantic(step, args=args, rounds=30, iterations=1,
+                                warmup_rounds=2)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
