@@ -24,9 +24,15 @@ LIPSCHITZ_SAFETY = 1.5
 
 
 class Nonlinearity:
-    """g: [0,T] x V -> X, deterministic in both arguments."""
+    """g: [0,T] x V -> X, deterministic in both arguments.
 
-    def eval(self, t: float, v):
+    eval acts on the trailing grid axes.  v may be one state with a float
+    t, or a stack (k, *grid) of states with t an array of k row times;
+    a stack gives (k, *grid), row m equal to eval(t[m], v[m]).  The
+    stepper evaluates all s stages of an iteration in one call.
+    """
+
+    def eval(self, t, v):
         raise NotImplementedError
 
     def __call__(self, t, v):

@@ -1,11 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsplit.errors import StripViolationError, ValidationError
 from expsplit.nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
                                      StripMonitor, WaveCubic, ZeroNonlinearity,
                                      estimate_lipschitz, sample_bound)
 from expsplit.propagators import HeatTorusProblem, WaveProblem
+
+_HEAT_1D = HeatTorusProblem(dim=1, n=64)
+_HEAT_2D = HeatTorusProblem(dim=2, n=16)
+_WAVE = WaveProblem(n_modes=32, alpha_w=1.3)
+
+# name -> (nonlinearity, grid shape, complex states)
+STACKED_EVAL_CASES = {
+    "power-1.5": (PowerNonlinearity(1.5, coeff=-1.0), _HEAT_1D.shape, False),
+    "power-3": (PowerNonlinearity(3.0, coeff=-1.0), _HEAT_1D.shape, False),
+    "power-3-2d": (PowerNonlinearity(3.0, coeff=-1.0), _HEAT_2D.shape, False),
+    "advection": (AdvectionNonlinearity(_HEAT_1D), _HEAT_1D.shape, False),
+    "wave-cubic": (WaveCubic(_WAVE), _WAVE.zeros().shape, True),
+    "zero": (ZeroNonlinearity(), _HEAT_1D.shape, False),
+}
 
 
 class TestPower:
@@ -159,6 +175,26 @@ class TestWaveCubic:
                 continue
             worst = max(worst, wp.x_norm(g.eval(0.0, v) - g.eval(0.0, w)) / dv)
         assert worst <= L
+
+
+class TestStackedEval:
+    @given(st.sampled_from(sorted(STACKED_EVAL_CASES)), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_stack_equals_rows(self, case, k, seed):
+        g, shape, cplx = STACKED_EVAL_CASES[case]
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((k,) + shape)
+        if cplx:
+            X = X + 1j * rng.standard_normal((k,) + shape)
+        # exact zeros take the 0 -> 0 branch of powers below 2
+        X[rng.uniform(size=X.shape) < 0.2] = 0.0
+        times = rng.uniform(0.0, 1.0, k)
+        out = g.eval(times, X)
+        rows = np.stack([g.eval(t, x) for t, x in zip(times, X)])
+        assert out.shape == X.shape
+        assert out.dtype == rows.dtype
+        assert np.array_equal(out, rows)
 
 
 class TestStripMonitor:

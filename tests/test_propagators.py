@@ -24,7 +24,64 @@ CONVOLVE_PROBLEMS = {
 }
 
 
+# name -> problem; every norm exponent branch of lp_norm, the Sobolev
+# gradient in 1D and 2D, OU and the wave energy norm
+NORM_PROBLEMS = {
+    "heat-1d": HeatTorusProblem(dim=1, n=64),
+    "heat-2d": HeatTorusProblem(dim=2, n=16),
+    "heat-1d-sobolev": HeatTorusProblem(dim=1, n=64, sobolev_v=True),
+    "heat-2d-sobolev": HeatTorusProblem(dim=2, n=16, sobolev_v=True),
+    "heat-1d-r1": HeatTorusProblem(dim=1, n=64, p=1, r=1),
+    "heat-1d-r4": HeatTorusProblem(dim=1, n=64, p=2, r=4),
+    "heat-2d-rinf": HeatTorusProblem(dim=2, n=16, p=2, r=np.inf, w_choice="X"),
+    "ou": OUProblem(n=128),
+    "ou-r4": OUProblem(n=128, p=2, r=4),
+    "wave": WaveProblem(n_modes=32),
+}
+
+
 class TestNorms:
+    def test_lp_norm_stack_gives_row_norms(self):
+        X = np.array([[3.0, -4.0], [1.0, 0.0]])
+        assert np.array_equal(lp_norm(X, 2, 1.0, 1), [5.0, 1.0])
+        assert np.array_equal(lp_norm(X, 1, 1.0, 1), [7.0, 1.0])
+        assert np.array_equal(lp_norm(X, np.inf, 1.0, 1), [4.0, 1.0])
+        # the same array as one 2D grid function
+        assert lp_norm(X, 1, 1.0, 2) == 8.0
+        assert lp_norm(X, 1, 1.0) == 8.0
+
+    def test_lp_norm_of_empty_grid_is_zero(self):
+        for p in (1.0, 2.0, 3.0, np.inf):
+            assert lp_norm(np.zeros(0), p, 1.0) == 0.0
+            assert np.array_equal(lp_norm(np.zeros((3, 0)), p, 1.0, 1), np.zeros(3))
+
+    @given(st.sampled_from(sorted(NORM_PROBLEMS)), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_stack_norms_equal_row_norms(self, case, k, seed):
+        pr = NORM_PROBLEMS[case]
+        rng = np.random.default_rng(seed)
+        X = np.stack([pr.random_state(rng) * rng.uniform(0.1, 10.0)
+                      for _ in range(k)])
+        for norm in (pr.v_norm, pr.x_norm, pr.w_norm):
+            got = norm(X)
+            rows = np.array([norm(x) for x in X])
+            assert type(norm(X[0])) is float
+            assert isinstance(got, np.ndarray) and got.shape == (k,)
+            assert np.all(np.abs(got - rows) <= 1e-14 * rows)
+
+    @given(st.sampled_from([1, 2]), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_gradient_equals_row_gradients(self, dim, k, seed):
+        # the multiplier does not depend on the stack axis, so a transform
+        # over it as well would agree to rounding; only exact equality
+        # shows that the stack axis is left alone
+        hp = NORM_PROBLEMS[f"heat-{dim}d-sobolev"]
+        rng = np.random.default_rng(seed)
+        X = np.stack([hp.random_state(rng) for _ in range(k)])
+        rows = np.stack([hp.gradient(x) for x in X])
+        assert np.array_equal(hp.gradient(X), rows)
+
     def test_lp_norm_basics(self):
         v = np.array([3.0, -4.0])
         assert lp_norm(v, 1, 1.0) == pytest.approx(7.0)
