@@ -15,8 +15,8 @@ from .gronwall import (AprioriConstants, apriori_error_bound,
                        taylor_kernel_bound)
 from .harness import (ConvergenceReport, StudyPlan, convergence_study,
                       order_prediction, reference_solution, require_passed)
-from .integrator import (SchemeSpec, StepGuards, TrajectoryRecord,
-                         internal_stages, run, step)
+from .integrator import (SchemeSpec, StepGuards, StepPlan, TrajectoryRecord,
+                         internal_stages, plan_step, run, step)
 from .lagrange import LagrangeData, NodeSet, build_lagrange, default_nodes
 from .nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
                              StripMonitor, WaveCubic, ZeroNonlinearity,
@@ -32,13 +32,13 @@ __all__ = [
     "AdvectionNonlinearity", "AprioriConstants", "ContractionError",
     "ConvergenceReport", "ExpsplitError", "FixedPointDivergenceError",
     "HeatTorusProblem", "LagrangeData", "NodeSet", "OUProblem",
-    "PowerNonlinearity", "SchemeSpec", "SmoothingProfile", "StepGuards",
+    "PowerNonlinearity", "SchemeSpec", "SmoothingProfile", "StepGuards", "StepPlan",
     "StripMonitor", "StripViolationError", "StudyFailedError", "StudyPlan",
     "TrajectoryRecord", "ValidationError", "WaveCubic", "WaveProblem",
     "ZeroNonlinearity", "apriori_error_bound", "build_lagrange",
     "convergence_study", "default_nodes", "derivative_l1_norm",
     "estimate_lipschitz", "gaussian_smoothing_constant", "gronwall_bound",
     "internal_stages", "lp_norm", "measure_smoothing", "order_prediction",
-    "phi", "reference_solution", "require_passed", "run", "stage_weights_diagonal",
+    "phi", "plan_step", "reference_solution", "require_passed", "run", "stage_weights_diagonal",
     "step", "taylor_kernel_bound",
 ]

@@ -95,8 +95,7 @@ def cmd_run(args) -> int:
         lip = estimate_lipschitz(g, problem, np.asarray(u0), radius, (0.0, T),
                                  n_samples=120, rng=rng)
     guards = StepGuards(lipschitz=max(lip, 1e-12), c_ell=scheme.lag.c_ell,
-                        s=scheme.s, omega=problem.profile_x,
-                        m_bound=problem.bound_m)
+                        s=scheme.s, omega=problem.profile_x)
     record = run(u0, T, n_steps, scheme, problem, g, guards)
     summary = record.summary()
     summary["config"] = cfg.get("name", "custom")
@@ -124,7 +123,7 @@ def cmd_convergence(args) -> int:
     problem, g, u0, scheme = _build_all(cfg)
     plan = cfgmod.build_plan(cfg)
     plan.scheme = scheme
-    report = convergence_study(plan, problem, g, u0, jobs=args.jobs)
+    report = convergence_study(plan, problem, g, u0)
     _write(out, "resolved_config.yaml", cfgmod.dump_config(cfg))
     _write(out, "study.csv", "\n".join(report.csv_lines()) + "\n")
     _write(out, "study.json", _json(report.summary()))
@@ -221,7 +220,6 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_run)
     sp = sub.add_parser("convergence", help="convergence-order study")
     _add_common(sp)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel study cells")
     sp.set_defaults(func=cmd_convergence)
     sp = sub.add_parser("smoothing", help="propagator smoothing slopes")
     _add_common(sp, with_overrides=False)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import math
 import types
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +154,7 @@ class ConvergenceReport:
 
 def _make_guards(problem, scheme, lipschitz):
     return StepGuards(lipschitz=lipschitz, c_ell=scheme.lag.c_ell, s=scheme.s,
-                      omega=problem.profile_x, m_bound=problem.bound_m)
+                      omega=problem.profile_x)
 
 
 def reference_solution(problem, g, u_0, T: float, h_ref: float,
@@ -202,8 +201,8 @@ def _estimate_lipschitz_on_strip(g, problem, ref: ReferenceSolution,
 
 def _feed(digest, obj):
     """Hash obj by content: values, array dtype/shape/bytes, and for other
-    objects the class plus every public attribute, recursively.  Private
-    caches and diagnostics are skipped because they fill up with use."""
+    objects the class plus every attribute, recursively.  diagnostics is
+    skipped because it fills up with use."""
     if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
         digest.update(f"{obj.dtype.str}{obj.shape}".encode())
         digest.update(np.ascontiguousarray(obj).tobytes())
@@ -219,7 +218,7 @@ def _feed(digest, obj):
         cls = type(obj)
         digest.update(f"{cls.__module__}.{cls.__qualname__}{{".encode())
         for name, value in sorted(vars(obj).items()):
-            if not name.startswith("_") and name != "diagnostics":
+            if name != "diagnostics":
                 digest.update(f"{name}=".encode())
                 _feed(digest, value)
         digest.update(b"}")
@@ -268,7 +267,7 @@ def _reference_context(key, problem, g, u_0, T, h_min, h_ref,
     return ctx
 
 
-def convergence_study(plan: StudyPlan, problem, g, u_0, jobs: int = 1) -> ConvergenceReport:
+def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
     """Run the full sweep of a study plan and assemble the report."""
     plan.validate()
     T = plan.horizon
@@ -314,22 +313,12 @@ def convergence_study(plan: StudyPlan, problem, g, u_0, jobs: int = 1) -> Conver
         c_f=taylor_kernel_bound(plan.scheme.nodes),
         omega_x=problem.profile_x, omega_w=problem.profile_w, horizon=T)
 
-    def one_cell(h):
-        n = round(T / h)
+    for h in hs:
         monitor = None if linear else StripMonitor(
             radius=radius, times=ref.times, states=ref.states,
             v_norm=problem.v_norm)
-        rec = run(u_0, T, n, plan.scheme, problem, g, guards, monitor=monitor)
-        return h, rec
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            cells = dict(ex.map(one_cell, hs))
-    else:
-        cells = dict(one_cell(h) for h in hs)
-
-    for h in hs:  # deterministic assembly order
-        rec = cells[h]
+        rec = run(u_0, T, round(T / h), plan.scheme, problem, g, guards,
+                  monitor=monitor)
         if rec.status != "ok":
             report.abort_reason = f"{rec.status}: {rec.error}"
             report.passed = False

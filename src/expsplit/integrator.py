@@ -7,7 +7,8 @@ by plain iteration from x_i = e^{c_i h A} u_n, then advances
   u_{n+1} = e^{hA} u_n + int_0^h e^{(h-tau)A} sum_j ell_j(tau) g(., U_j) dtau.
 The s stages travel as one (s, *grid) array: each iteration makes one
 g.eval, one stage convolution and one v_norm call on the whole stack.
-A step is only attempted while the contraction certificate
+Every operator a step of size h applies is built once, into a StepPlan,
+and only while the contraction certificate
 kappa(h) = Omega(h) * C_ell * s * L is below one.
 """
 
@@ -23,8 +24,10 @@ from .errors import (ContractionError, FixedPointDivergenceError,
 from .lagrange import LagrangeData, NodeSet, build_lagrange, default_nodes
 from .propagators import Propagator, SmoothingProfile
 
-__all__ = ["SchemeSpec", "StepGuards", "StageInfo", "TrajectoryRecord",
-           "internal_stages", "step", "run"]
+__all__ = ["SchemeSpec", "StepGuards", "StepPlan", "StageInfo", "TrajectoryRecord",
+           "plan_step", "internal_stages", "step", "run"]
+
+FP_MAX_ITER = 60  # fixed-point iterations before a step counts as divergent
 
 
 @dataclass(frozen=True)
@@ -58,18 +61,33 @@ class StepGuards:
     c_ell: float
     s: int
     omega: SmoothingProfile  # Omega for rho_X
-    m_bound: float = 1.0
-    fp_tol: float | None = None  # None: min(1e-12, h^(s+1))
-    fp_max_iter: int = 60
 
     def kappa(self, h: float) -> float:
         """Contraction certificate Omega(h) * C_ell * s * L."""
         return self.omega.omega(h) * self.c_ell * self.s * self.lipschitz
 
     def tolerance(self, h: float) -> float:
-        if self.fp_tol is not None:
-            return self.fp_tol
         return min(1e-12, h ** (self.s + 1))
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """The operators of a step of size h with one scheme, built once.
+
+    offsets are the node times c_i h; node_flow and flow_h are flow ops of
+    the offsets and of h; stage_rows and update_row are convolve ops with
+    the nodes and with (1.0,) as end points.
+    """
+
+    propagator: Propagator
+    s: int
+    offsets: np.ndarray
+    node_flow: object
+    stage_rows: object
+    flow_h: object
+    update_row: object
+    kappa: float
+    tol: float
 
 
 @dataclass
@@ -130,26 +148,33 @@ class TrajectoryRecord:
         }
 
 
-def _check_contraction(guards: StepGuards, h: float) -> float:
+def plan_step(h: float, scheme: SchemeSpec, propagator: Propagator,
+              guards: StepGuards) -> StepPlan:
+    """Build the operators of a step of size h; raises ContractionError
+    when the certificate kappa(h) is not below one."""
     kappa = guards.kappa(h)
     if kappa >= 1.0:
         raise ContractionError(
             f"contraction certificate kappa(h)={kappa:.3f} >= 1 for h={h:.3g} "
             f"(Omega(h)={guards.omega.omega(h):.3g}, C_ell={guards.c_ell:.3g}, "
             f"s={guards.s}, L={guards.lipschitz:.3g}); reduce h")
-    return kappa
+    nodes = scheme.nodes.nodes
+    offsets = h * np.asarray(nodes)
+    return StepPlan(
+        propagator=propagator, s=scheme.s, offsets=offsets,
+        node_flow=propagator.flow_op(offsets),
+        stage_rows=propagator.convolve_op(h, scheme.lag, nodes),
+        flow_h=propagator.flow_op((h,)),
+        update_row=propagator.convolve_op(h, scheme.lag, (1.0,)),
+        kappa=kappa, tol=guards.tolerance(h))
 
 
-def internal_stages(u_n, t_n: float, h: float, scheme: SchemeSpec,
-                    propagator: Propagator, g, guards: StepGuards):
+def internal_stages(u_n, t_n: float, g, plan: StepPlan):
     """Solve the stage equations; returns ((s, *grid) stages, StageInfo)."""
-    kappa = _check_contraction(guards, h)
-    lag = scheme.lag
-    nodes = lag.node_set.nodes
-    tol = guards.tolerance(h)
+    propagator, kappa, tol = plan.propagator, plan.kappa, plan.tol
+    times = t_n + plan.offsets
     # linear-flow anchor, the same start the contraction argument uses
-    times = t_n + h * np.asarray(nodes)
-    base = stages = propagator.apply_nodes(h, nodes, u_n)
+    base = stages = propagator.apply_nodes(plan.node_flow, u_n)
     info = StageInfo()
     # increments cannot drop below rounding in the stage scale; accept
     # machine-precision stagnation even when h^(s+1) asks for less
@@ -158,9 +183,9 @@ def internal_stages(u_n, t_n: float, h: float, scheme: SchemeSpec,
     # ratios measured below this floor are rounding noise, not contraction
     ratio_floor = max(1e3 * tol, 1e-11 * scale)
     prev_inc = None
-    for it in range(1, guards.fp_max_iter + 1):
+    for it in range(1, FP_MAX_ITER + 1):
         G = g.eval(times, stages)
-        new_stages = base + propagator.stage_convolve(h, lag, G, nodes)
+        new_stages = base + propagator.stage_convolve(plan.stage_rows, G)
         inc = float(np.max(propagator.v_norm(new_stages - stages)))
         stages = new_stages
         info.iterations = it
@@ -178,19 +203,19 @@ def internal_stages(u_n, t_n: float, h: float, scheme: SchemeSpec,
     else:
         raise FixedPointDivergenceError(
             f"stage iteration did not reach tol={tol:.1e} in "
-            f"{guards.fp_max_iter} iterations at t={t_n:.6g} "
+            f"{FP_MAX_ITER} iterations at t={t_n:.6g} "
             f"(last increment {inc:.3e}, kappa={kappa:.3f})")
     info.residual_bound = inc * kappa / (1.0 - kappa)
     return stages, info
 
 
-def step(u_n, t_n: float, h: float, scheme: SchemeSpec, propagator: Propagator,
-         g, guards: StepGuards):
+def step(u_n, t_n: float, g, plan: StepPlan):
     """One full step; returns (u_next, StageInfo)."""
-    stages, info = internal_stages(u_n, t_n, h, scheme, propagator, g, guards)
-    G = g.eval(t_n + h * np.asarray(scheme.nodes.nodes), stages)
-    (conv,) = propagator.stage_convolve(h, scheme.lag, G, (1.0,))
-    return propagator.apply(h, u_n) + conv, info
+    stages, info = internal_stages(u_n, t_n, g, plan)
+    G = g.eval(t_n + plan.offsets, stages)
+    (conv,) = plan.propagator.stage_convolve(plan.update_row, G)
+    (flow,) = plan.propagator.apply_nodes(plan.flow_h, u_n)
+    return flow + conv, info
 
 
 def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
@@ -207,18 +232,16 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
         return record
     h = T / N
     try:
-        record.kappa = _check_contraction(guards, h)
+        plan = plan_step(h, scheme, propagator, guards)
     except ContractionError as exc:
         record.status, record.error, record.failure_step = "contraction", str(exc), 0
         return record
+    record.kappa = plan.kappa
     t_start = time.perf_counter()
     for n in range(N):
         t_n = n * h
         try:
-            u, info = step(u, t_n, h, scheme, propagator, g, guards)
-        except ContractionError as exc:
-            record.status, record.error, record.failure_step = "contraction", str(exc), n
-            break
+            u, info = step(u, t_n, g, plan)
         except FixedPointDivergenceError as exc:
             record.status, record.error, record.failure_step = "divergence", str(exc), n
             break

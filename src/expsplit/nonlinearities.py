@@ -18,7 +18,7 @@ from .errors import StripViolationError, ValidationError
 
 __all__ = ["Nonlinearity", "PowerNonlinearity", "AdvectionNonlinearity",
            "WaveCubic", "ZeroNonlinearity", "estimate_lipschitz",
-           "sample_bound", "StripMonitor", "LIPSCHITZ_SAFETY"]
+           "StripMonitor", "LIPSCHITZ_SAFETY"]
 
 LIPSCHITZ_SAFETY = 1.5
 
@@ -82,9 +82,7 @@ class AdvectionNonlinearity(Nonlinearity):
         self.problem = problem
 
     def eval(self, t, v):
-        vh = np.fft.fft(v)
-        dv = np.fft.ifft(1j * self.problem.kvec * vh).real
-        return np.asarray(v) * dv
+        return np.asarray(v) * self.problem.gradient(v)
 
 
 class WaveCubic(Nonlinearity):
@@ -128,21 +126,6 @@ def estimate_lipschitz(g, problem, center, radius, t_range=(0.0, 1.0),
             continue
         dg = problem.x_norm(g.eval(t, v) - g.eval(t, w))
         best = max(best, dg / dv)
-    return safety * best
-
-
-def sample_bound(g, problem, center, radius, t_range=(0.0, 1.0),
-                 n_samples: int = 200, rng=None,
-                 safety: float = LIPSCHITZ_SAFETY) -> float:
-    """Sampled sup of ||g(t,v)||_X over the strip ball, with safety factor."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    t0, t1 = t_range
-    best = problem.x_norm(g.eval(t0, np.asarray(center)))
-    for _ in range(n_samples):
-        t = rng.uniform(t0, t1)
-        v = problem.sample_in_ball(center, radius, rng)
-        best = max(best, problem.x_norm(g.eval(t, v)))
     return safety * best
 
 

@@ -102,50 +102,17 @@ def gaussian_smoothing_constant(dim: int, p: float, r: float) -> tuple[float, fl
     return (4.0 * math.pi) ** (-alpha) * c_q, alpha
 
 
-_QUAD_CACHE: dict = {}
-
-
-def _quad_plan(h: float, lag: LagrangeData, ends: tuple, q_nodes: int):
-    """Cached Gauss-Legendre plan of stage_convolve for one call signature
-    (h, node set, ends, q_nodes).
-
-    For the E end points with e_i h != 0 (their indices are `live`) and
-    q nodes tau_k on [0, e_i h], it stacks the m = E*q flow times
-    e_i h - tau_k, the Lagrange basis values ell_j(tau_k) as (m, s) and
-    the quadrature weights as (E, q), end by end.
-    """
-    key = (h, lag.node_set.nodes, ends, q_nodes)
-    plan = _QUAD_CACHE.get(key)
-    if plan is None:
-        if len(_QUAD_CACHE) > 4096:
-            _QUAD_CACHE.clear()
-        x, w = np.polynomial.legendre.leggauss(q_nodes)
-        live = [i for i, e in enumerate(ends) if e * h != 0.0]
-        times, wts, basis = [], [], []
-        for i in live:
-            t_end = ends[i] * h
-            tau = 0.5 * t_end * (x + 1.0)
-            times.extend(t_end - tq for tq in tau)
-            wts.append(0.5 * t_end * w)
-            basis.extend([eval_basis(lag, j, tq, h) for j in range(1, lag.s + 1)]
-                         for tq in tau)
-        plan = (live, np.array(times), np.array(basis).reshape(-1, lag.s),
-                np.array(wts).reshape(-1, q_nodes))
-        _QUAD_CACHE[key] = plan
-    return plan
-
-
 class Propagator:
     """Abstract linear propagator e^{tA} on a grid problem.
 
-    Stage values travel as one (s, *grid) array.  Subclasses provide
-    apply() and the norm set; the generic stage_convolve() integrates the
-    Lagrange interpolant of the stage values by Gauss-Legendre quadrature
-    in tau.  It builds every quadrature node of one call up front (a
-    cached plan of flow times, basis values and weights) and propagates
-    all of them in one _apply_rows(times, V) call, whose default loops
-    apply(); a problem with a batched kernel overrides _apply_rows.
-    Diagonal problems override stage_convolve with exact phi-weights.
+    Every operator splits into a build and an apply, so a stepper builds
+    its operators once per step size and applies them at every step:
+    flow_op(times) is applied by apply_nodes(op, V), and
+    convolve_op(h, lag, ends) by stage_convolve(op, G).  apply(t, v) is
+    the one-time case of the flow.  Stage values travel as one
+    (s, *grid) array.  The generic convolve_op integrates the Lagrange
+    interpolant of the stage values by Gauss-Legendre quadrature in tau;
+    diagonal problems override it with exact phi-weights.
 
     The norms reduce over the trailing grid axes: one state gives a float,
     a stack (k, *grid) gives its k row norms in one call.  The stepper
@@ -156,8 +123,17 @@ class Propagator:
     profile_x: SmoothingProfile
     profile_w: SmoothingProfile
 
-    def apply(self, t: float, v):
+    def flow_op(self, times):
+        """The flows e^{t_m A} for the given times, ready for apply_nodes."""
         raise NotImplementedError
+
+    def apply_nodes(self, op, V):
+        """e^{t_m A} V_m for every time t_m of a flow_op, as (m, *grid); a
+        single state V is propagated to every time."""
+        raise NotImplementedError
+
+    def apply(self, t: float, v):
+        return self.apply_nodes(self.flow_op((t,)), np.asarray(v)[None])[0]
 
     def x_norm(self, v) -> float:
         raise NotImplementedError
@@ -181,50 +157,60 @@ class Propagator:
 
     quad_extra_nodes: int = 2  # q_tau = s + quad_extra_nodes
 
-    def stage_convolve(self, h: float, lag: LagrangeData, G, ends,
-                       q_nodes: int | None = None):
-        """Row i: int_0^{e_i h} e^{(e_i h - tau) A} sum_j ell_j(tau) G_j dtau.
+    def convolve_op(self, h: float, lag: LagrangeData, ends,
+                    q_nodes: int | None = None):
+        """Operator of stage_convolve whose row i is
+        int_0^{e_i h} e^{(e_i h - tau) A} sum_j ell_j(tau) G_j dtau.
 
-        G holds the s stage values stacked as (s, *grid); ends are the end
-        points e_i as fractions of h (the nodes for the stage equations,
-        (1.0,) for the update).  Returns (len(ends), *grid).
+        ends are the end points e_i as fractions of h (the nodes for the
+        stage equations, (1.0,) for the update).  For the ends with
+        e_i h != 0 (their indices are `live`) and q nodes tau_k on
+        [0, e_i h], it stacks the flows of the m = E*q times e_i h - tau_k,
+        the Lagrange basis values ell_j(tau_k) as (m, s) and the
+        quadrature weights as (E, q), end by end.
         """
-        G = _check_stages(G, lag)
         s = lag.s
         if q_nodes is None:
             q_nodes = s + self.quad_extra_nodes
         if q_nodes < s:
             raise ValidationError(
                 f"{q_nodes} quadrature nodes cannot integrate degree {s - 1} exactly")
-        live, times, basis, wt = _quad_plan(h, lag, tuple(ends), q_nodes)
+        x, w = np.polynomial.legendre.leggauss(q_nodes)
+        live = [i for i, e in enumerate(ends) if e * h != 0.0]
+        times, wts, basis = [], [], []
+        for i in live:
+            t_end = ends[i] * h
+            tau = 0.5 * t_end * (x + 1.0)
+            times.extend(t_end - tq for tq in tau)
+            wts.append(0.5 * t_end * w)
+            basis.extend([eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
+                         for tq in tau)
+        return (len(ends), live, self.flow_op(times), np.array(basis).reshape(-1, s),
+                np.array(wts).reshape(-1, q_nodes))
+
+    def stage_convolve(self, op, G):
+        """Apply a convolve_op to the s stage values G, stacked as
+        (s, *grid); returns (len(ends), *grid)."""
+        n_ends, live, flow, basis, wt = op
+        G = _check_stages(G, basis.shape[1])
         if not live:
             zero = self.zeros()
-            return np.zeros((len(ends),) + zero.shape, zero.dtype)
+            return np.zeros((n_ends,) + zero.shape, zero.dtype)
         # all E*q interpolants in one product, all flows in one call
-        rows = self._apply_rows(times, np.tensordot(basis, G, axes=(1, 0)))
+        rows = self.apply_nodes(flow, np.tensordot(basis, G, axes=(1, 0)))
         rows = rows.reshape(wt.shape + rows.shape[1:])
         acc = np.sum(wt.reshape(wt.shape + (1,) * (rows.ndim - 2)) * rows, axis=1)
-        if len(live) == len(ends):
+        if len(live) == n_ends:
             return acc
-        out = np.zeros((len(ends),) + acc.shape[1:], np.result_type(self.zeros(), acc))
+        out = np.zeros((n_ends,) + acc.shape[1:], np.result_type(self.zeros(), acc))
         out[live] = acc
         return out
 
-    def apply_nodes(self, h: float, nodes, u):
-        """e^{c h A} u for c in nodes, stacked as (len(nodes), *grid)."""
-        u = np.asarray(u)
-        return self._apply_rows([c * h for c in nodes],
-                                np.broadcast_to(u, (len(nodes),) + u.shape))
 
-    def _apply_rows(self, times, V):
-        """e^{t_m A} V_m for every row m of the stack V, as (len(times), *grid)."""
-        return np.stack([self.apply(t, v) for t, v in zip(times, V)])
-
-
-def _check_stages(G, lag: LagrangeData):
+def _check_stages(G, s: int):
     G = np.asarray(G)
-    if len(G) != lag.s:
-        raise ValidationError(f"expected {lag.s} stage values, got {len(G)}")
+    if len(G) != s:
+        raise ValidationError(f"expected {s} stage values, got {len(G)}")
     return G
 
 
@@ -233,16 +219,12 @@ class DiagonalPropagator(Propagator):
 
     Subclasses set self.eigenvalues (ndarray over modes) and implement
     to_modes / from_modes on the trailing grid axes, so a stack of states
-    transforms in one call.  Stage-convolution weights are exact in the
-    phi-functions and cached per (h, node set, end points): the harness
-    re-steps with fixed h across thousands of steps.
+    transforms in one call.  A flow op is the multiplier stack
+    exp(outer(times, eigenvalues)); a convolve op holds the exact
+    phi-function weights.
     """
 
     eigenvalues: np.ndarray
-
-    def __init__(self):
-        self._weight_cache: dict = {}
-        self._mult_cache: dict = {}
 
     def to_modes(self, v) -> np.ndarray:
         raise NotImplementedError
@@ -250,34 +232,23 @@ class DiagonalPropagator(Propagator):
     def from_modes(self, vh: np.ndarray):
         raise NotImplementedError
 
-    def _multiplier(self, t: float) -> np.ndarray:
-        key = round(t, 14)
-        m = self._mult_cache.get(key)
-        if m is None:
-            if len(self._mult_cache) > 4096:
-                self._mult_cache.clear()
-            m = np.exp(t * self.eigenvalues)
-            self._mult_cache[key] = m
-        return m
+    def flow_op(self, times):
+        return np.exp(np.multiply.outer(np.asarray(times, dtype=float), self.eigenvalues))
+
+    def apply_nodes(self, op, V):
+        return self.from_modes(op * self.to_modes(V))
 
     def apply(self, t: float, v):
         if t == 0.0:
             return v.copy() if hasattr(v, "copy") else v
-        return self.from_modes(self._multiplier(t) * self.to_modes(v))
+        return self.from_modes(np.exp(t * self.eigenvalues) * self.to_modes(v))
 
-    def stage_convolve(self, h, lag, G, ends, q_nodes=None):
-        G = _check_stages(G, lag)
-        ends = tuple(ends)
-        key = (h, lag.node_set.nodes, ends)
-        W = self._weight_cache.get(key)
-        if W is None:
-            W = stage_weights_diagonal(self.eigenvalues, h, lag, ends)
-            self._weight_cache[key] = W
-        return self.from_modes(np.einsum("ij...,j...->i...", W, self.to_modes(G)))
+    def convolve_op(self, h, lag, ends, q_nodes=None):
+        return stage_weights_diagonal(self.eigenvalues, h, lag, tuple(ends))
 
-    def apply_nodes(self, h, nodes, u):
-        mult = np.stack([self._multiplier(c * h) for c in nodes])
-        return self.from_modes(mult * self.to_modes(u))
+    def stage_convolve(self, op, G):
+        G = _check_stages(G, op.shape[1])
+        return self.from_modes(np.einsum("ij...,j...->i...", op, self.to_modes(G)))
 
 
 class HeatTorusProblem(DiagonalPropagator):
@@ -290,7 +261,6 @@ class HeatTorusProblem(DiagonalPropagator):
 
     def __init__(self, dim: int = 1, n: int = 64, p: float = 2.0, r: float = 2.0,
                  w_choice: str = "V", sobolev_v: bool = False, t_max: float = 1.0):
-        super().__init__()
         if dim not in (1, 2):
             raise ValidationError("dim must be 1 or 2")
         if n < 4 or n & (n - 1):
@@ -306,16 +276,26 @@ class HeatTorusProblem(DiagonalPropagator):
         self.sobolev_v = sobolev_v
         self.dx = 2.0 * math.pi / n
         self.cell = self.dx ** dim
+        # real fields: the modes are the rfft half spectrum of the last axis
         k = np.fft.fftfreq(n, d=1.0 / n)
+        k_half = np.fft.rfftfreq(n, d=1.0 / n)
         if dim == 1:
             self.shape = (n,)
-            self.ksq = k ** 2
-            self.kvec = k
+            self.ksq = k_half ** 2
+            self.kvec = k_half
+            # sample_in_ball's field: cos(kx)/k^2, sin(kx)/k^2 per k, then 1/2
+            kmax = min(n // 4, 16)
+            kb = np.arange(1, kmax + 1)[:, None]
+            kx = kb * self.grid()
+            waves = np.stack([np.cos(kx), np.sin(kx)], axis=1) / kb[:, None] ** 2
+            self._ball_basis = np.vstack([waves.reshape(2 * kmax, n), np.full((1, n), 0.5)])
         else:
             self.shape = (n, n)
-            kx, ky = np.meshgrid(k, k, indexing="ij")
+            kx, ky = np.meshgrid(k, k_half, indexing="ij")
             self.ksq = kx ** 2 + ky ** 2
-            self.kvec = (kx, ky)
+            # i*k*vh on the x Nyquist row is imaginary in the full spectrum,
+            # so that row adds nothing to a real derivative
+            self.kvec = (np.where(kx == -(n // 2), 0.0, kx), ky)
         self.eigenvalues = -self.ksq
         c, alpha = gaussian_smoothing_constant(dim, p, r)
         if p == r:
@@ -335,18 +315,16 @@ class HeatTorusProblem(DiagonalPropagator):
     def to_modes(self, v):
         self._check(v)
         if self.dim == 1:
-            return np.fft.fft(v)
-        return np.fft.fftn(v, axes=(-2, -1))
+            return np.fft.rfft(v)
+        return np.fft.rfft2(v)
 
     def from_modes(self, vh):
         if self.dim == 1:
-            return np.fft.ifft(vh).real
-        return np.fft.ifftn(vh, axes=(-2, -1)).real
+            return np.fft.irfft(vh, self.n)
+        return np.fft.irfft2(vh, self.shape)
 
     def apply(self, t, v):
         self._check(v)
-        if t == 0.0:
-            return v.copy()
         return super().apply(t, v)
 
     def zeros(self):
@@ -386,16 +364,12 @@ class HeatTorusProblem(DiagonalPropagator):
     def sample_in_ball(self, center, radius, rng):
         # random band-limited field: |k|^-2 spectral decay keeps pointwise
         # values and Lipschitz ratios bounded on V-balls
-        kmax = min(self.n // 4, 16)
-        v = np.zeros(self.shape)
-        x = self.grid()
         if self.dim == 1:
-            for k in range(1, kmax + 1):
-                a, b = rng.standard_normal(2) / k ** 2
-                v += a * np.cos(k * x) + b * np.sin(k * x)
-            v += rng.standard_normal() * 0.5
+            v = rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
         else:
-            xx, yy = x
+            kmax = min(self.n // 4, 16)
+            v = np.zeros(self.shape)
+            xx, yy = self.grid()
             for _ in range(8):
                 kx = rng.integers(0, kmax + 1)
                 ky = rng.integers(0, kmax + 1)
@@ -435,9 +409,6 @@ class HeatTorusProblem(DiagonalPropagator):
         return probes
 
 
-_ROW_PLANS_KEPT = 16  # a few step sizes' worth of OU stacked plans
-
-
 class OUProblem(Propagator):
     """1D Ornstein-Uhlenbeck propagator on a truncated box [-L, L].
 
@@ -447,10 +418,9 @@ class OUProblem(Propagator):
     maps to one of variance e^{2bt} sigma^2 + 2 q (e^{2bt}-1)/(2b).
     Convolution is trapezoid quadrature on the grid (via FFT), dilation
     is 4-point cubic interpolation with zero extension outside the box.
-    _apply_rows(times, V) applies this to a stack of states at once, and
+    apply_nodes applies this to a stack of states in one kernel, and
     apply(t, v) is its one-row case; stage_convolve hands it every
-    quadrature node of a call.  Stacked plans are cached per time vector,
-    at most _ROW_PLANS_KEPT of them.
+    quadrature node of a call.
     """
 
     def __init__(self, b: float = -1.0, q: float = 2.0, box: float = 12.0,
@@ -473,7 +443,6 @@ class OUProblem(Propagator):
         self.x = np.linspace(-box, box, n, endpoint=False) + box / n
         self.dx = self.x[1] - self.x[0]
         self.cell = self.dx
-        self._rows_cache: dict = {}
         self.diagnostics: list[str] = []
         alpha = 0.5 * (ip - ir)
         if alpha == 0.0:
@@ -498,16 +467,13 @@ class OUProblem(Propagator):
     def kernel_width(self, t: float) -> float:
         return math.sqrt(max(2.0 * self.q_t(t), 0.0))
 
-    def _rows_plan(self, times):
-        """Stacked plan of _apply_rows for one time vector, cached by the
-        exact times (zero rows and tiny rows must not share a key); the
-        per-time pieces are not kept."""
-        key = tuple(times)
-        plan = self._rows_cache.get(key)
-        if plan is not None:
-            return plan
-        if len(self._rows_cache) >= _ROW_PLANS_KEPT:
-            self._rows_cache.clear()
+    def flow_op(self, times):
+        """Stacked plan of apply_nodes: which rows move (t != 0), the
+        Gaussian symbols of the rows above the kernel-variance cutoff, and
+        the 4-point dilation stencils with their in-box masks."""
+        times = tuple(times)
+        if times and min(times) < 0.0:
+            raise ValidationError("t must be >= 0")
         n, dx = self.n, self.dx
         xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
         live = [m for m, t in enumerate(times) if t != 0.0]
@@ -540,26 +506,23 @@ class OUProblem(Propagator):
             # first stencil point, as an index into the flattened stack
             first.append(j - 1 + r * n)
             inside.append((pos >= 0.0) & (pos <= n - 1))
-        plan = (live, smooth if len(smooth) < len(live) else None,
+        return (len(times), live, smooth if len(smooth) < len(live) else None,
                 np.array(symbols) if symbols else None,
                 np.array(first, dtype=np.intp),
                 np.array(weights).reshape(-1, 4, n).transpose(1, 0, 2).copy(),
                 ~np.array(inside, dtype=bool))
-        self._rows_cache[key] = plan
-        return plan
 
-    def _apply_rows(self, times, V):
+    def apply_nodes(self, op, V):
         """One kernel for a stack: one rfft/irfft pass over the rows with a
         Gaussian symbol, then one gathered 4-point dilation.  Rows with
         t = 0 are exact copies; rows below the kernel-variance cutoff are
         pure dilation."""
+        m, live, smooth, symbol, first, weights, outside = op
         V = np.asarray(V, dtype=float)
-        if V.shape != (len(times), self.n):
-            raise ValidationError(
-                f"state stack shape {V.shape} != ({len(times)}, {self.n})")
-        if len(times) and min(times) < 0.0:
-            raise ValidationError("t must be >= 0")
-        live, smooth, symbol, first, weights, outside = self._rows_plan(times)
+        if V.ndim == 1:
+            V = np.broadcast_to(V, (m,) + V.shape)
+        if V.shape != (m, self.n):
+            raise ValidationError(f"state stack shape {V.shape} != ({m}, {self.n})")
         if not live:
             return V.copy()
         conv = V if len(live) == len(V) else V[live]
@@ -579,11 +542,6 @@ class OUProblem(Propagator):
         rows = V.copy()
         rows[live] = out
         return rows
-
-    def apply(self, t: float, v):
-        if np.shape(v) != (self.n,):
-            raise ValidationError("state size mismatch")
-        return self._apply_rows((t,), np.reshape(v, (1, self.n)))[0]
 
     def zeros(self):
         return np.zeros(self.n)
@@ -641,7 +599,6 @@ class WaveProblem(DiagonalPropagator):
     """
 
     def __init__(self, n_modes: int = 32, alpha_w: float = 1.0, t_max: float = 2.0):
-        super().__init__()
         if n_modes < 2:
             raise ValidationError("need at least 2 modes")
         self.n = int(n_modes)
@@ -693,9 +650,7 @@ class WaveProblem(DiagonalPropagator):
 
     def apply(self, t, z):
         # the wave flow is a group; allow negative t
-        if t == 0.0:
-            return np.asarray(z, dtype=complex).copy()
-        return self.from_modes(self._multiplier(t) * self.to_modes(z))
+        return super().apply(t, np.asarray(z, dtype=complex))
 
     def modal_energy(self, z):
         """Per-mode invariant omega^2 w_k^2 + wdot_k^2 of the linear flow."""

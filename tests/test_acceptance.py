@@ -345,7 +345,7 @@ def test_criterion_11_wave_example(announce, study_wave):
     from expsplit.nonlinearities import ZeroNonlinearity
     scheme = SchemeSpec.with_stages(2)
     guards = StepGuards(lipschitz=1e-12, c_ell=scheme.lag.c_ell, s=2,
-                        omega=problem.profile_x, m_bound=problem.bound_m)
+                        omega=problem.profile_x)
     rec = run(z0, 1.0, 100, scheme, problem, ZeroNonlinearity(), guards)
     rec.raise_if_failed()
     w_num, wdot_num = wave.decode(rec.states[-1])

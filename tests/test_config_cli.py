@@ -195,6 +195,12 @@ class TestCliRun:
 
 
 class TestCliConvergence:
+    def test_jobs_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--config", "heat-linear",
+                  "--out", str(tmp_path / "out"), "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_linear_study_passes_exactly(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["convergence", "--config", "heat-linear",

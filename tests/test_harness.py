@@ -139,20 +139,6 @@ class TestConvergenceStudy:
         with pytest.raises(ValidationError, match="smoothing"):
             convergence_study(plan, hp, g, 0.1 * np.sin(hp.grid()))
 
-    def test_jobs_parallel_matches_serial(self, make_scalar):
-        pr = make_scalar(lam=-1.0)
-        g = PowerNonlinearity(alpha=2.0, coeff=1.0)
-
-        def make_plan():
-            return StudyPlan(problem_id="scalar-logistic",
-                             scheme=SchemeSpec.with_stages(2),
-                             h_list=[1.0 / 8, 1.0 / 16, 1.0 / 32],
-                             horizon=1.0)
-
-        r1 = convergence_study(make_plan(), pr, g, np.array([0.1]), jobs=1)
-        r2 = convergence_study(make_plan(), pr, g, np.array([0.1]), jobs=3)
-        assert np.allclose(r1.errors, r2.errors, rtol=0.0, atol=0.0)
-
 
 class TestReport:
     def test_require_passed_raises_on_failure(self):

@@ -1,19 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from expsplit.errors import (ContractionError, FixedPointDivergenceError,
                              StripViolationError, ValidationError)
-from expsplit.integrator import SchemeSpec, StepGuards, internal_stages, run, step
+from expsplit.integrator import (SchemeSpec, StepGuards, internal_stages, plan_step,
+                                 run, step)
 from expsplit.lagrange import NodeSet
-from expsplit.nonlinearities import (PowerNonlinearity, StripMonitor,
+from expsplit.nonlinearities import (PowerNonlinearity, StripMonitor, WaveCubic,
                                      ZeroNonlinearity)
 from expsplit.phi import phi
-from expsplit.propagators import HeatTorusProblem
+from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
 
 
 def make_guards(problem, scheme, lipschitz):
     return StepGuards(lipschitz=lipschitz, c_ell=scheme.lag.c_ell, s=scheme.s,
-                      omega=problem.profile_x, m_bound=problem.bound_m)
+                      omega=problem.profile_x)
 
 
 class TestInternalStages:
@@ -22,8 +25,8 @@ class TestInternalStages:
         scheme = SchemeSpec.with_stages(3)
         guards = make_guards(hp, scheme, 1e-12)
         u = hp.random_state(rng)
-        stages, info = internal_stages(u, 0.0, 0.01, scheme, hp,
-                                       ZeroNonlinearity(), guards)
+        stages, info = internal_stages(u, 0.0, ZeroNonlinearity(),
+                                       plan_step(0.01, scheme, hp, guards))
         assert info.iterations == 1
         for c, st in zip(scheme.nodes.nodes, stages):
             assert hp.v_norm(st - hp.apply(c * 0.01, u)) < 1e-14
@@ -34,7 +37,7 @@ class TestInternalStages:
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
         guards = make_guards(hp, scheme, 3.0)
         u = 0.3 * hp.random_state(rng)
-        stages, info = internal_stages(u, 0.0, 0.01, scheme, hp, g, guards)
+        stages, info = internal_stages(u, 0.0, g, plan_step(0.01, scheme, hp, guards))
         # the c = 0 anchor is u_n up to an FFT round trip
         assert hp.v_norm(stages[0] - u) < 1e-15
 
@@ -43,10 +46,10 @@ class TestInternalStages:
         scheme = SchemeSpec.with_stages(2)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
         guards = make_guards(hp, scheme, 3.0)
-        guards.fp_tol = 1e-15
         u = 0.5 * np.sin(hp.grid())
         h = 1e-3
-        _, info = internal_stages(u, 0.0, h, scheme, hp, g, guards)
+        plan = replace(plan_step(h, scheme, hp, guards), tol=1e-15)
+        _, info = internal_stages(u, 0.0, g, plan)
         kappa = guards.kappa(h)
         for r in info.contraction_ratios:
             assert r <= kappa
@@ -56,8 +59,8 @@ class TestInternalStages:
         scheme = SchemeSpec.with_stages(2)
         guards = make_guards(hp, scheme, 50.0)
         with pytest.raises(ContractionError):
-            internal_stages(np.zeros(64), 0.0, 0.5, scheme, hp,
-                            ZeroNonlinearity(), guards)
+            internal_stages(np.zeros(64), 0.0, ZeroNonlinearity(),
+                            plan_step(0.5, scheme, hp, guards))
 
     def test_divergence_detected(self):
         hp = HeatTorusProblem(dim=1, n=64)
@@ -69,7 +72,7 @@ class TestInternalStages:
 
         guards = make_guards(hp, scheme, 0.5)
         with pytest.raises(FixedPointDivergenceError):
-            internal_stages(np.ones(64), 0.0, 0.1, scheme, hp, Exploder(), guards)
+            internal_stages(np.ones(64), 0.0, Exploder(), plan_step(0.1, scheme, hp, guards))
 
 
 class TestStep:
@@ -78,7 +81,7 @@ class TestStep:
         scheme = SchemeSpec.with_stages(2)
         guards = make_guards(hp, scheme, 1e-12)
         u = hp.random_state(rng)
-        u1, _ = step(u, 0.0, 0.05, scheme, hp, ZeroNonlinearity(), guards)
+        u1, _ = step(u, 0.0, ZeroNonlinearity(), plan_step(0.05, scheme, hp, guards))
         assert hp.v_norm(u1 - hp.apply(0.05, u)) < 1e-13
 
     def test_s1_equals_independent_exponential_euler(self, rng):
@@ -89,8 +92,8 @@ class TestStep:
         guards = make_guards(hp, scheme, 3.0)
         u = 0.4 * np.sin(hp.grid()) + 0.1
         h = 0.02
-        u1, _ = step(u, 0.0, h, scheme, hp, g, guards)
-        lam = hp.eigenvalues
+        u1, _ = step(u, 0.0, g, plan_step(h, scheme, hp, guards))
+        lam = -np.fft.fftfreq(64, d=1.0 / 64) ** 2  # heat eigenvalues, full spectrum
         gh = np.fft.fft(g.eval(0.0, u))
         uh = np.fft.fft(u)
         phi1 = np.array([phi(1, h * complex(l)) for l in lam])
@@ -105,7 +108,7 @@ class TestStep:
         guards = make_guards(pr, scheme, 1.0)
         u0 = np.array([0.1])
         h = 1e-3
-        u1, _ = step(u0, 0.0, h, scheme, pr, g, guards)
+        u1, _ = step(u0, 0.0, g, plan_step(h, scheme, pr, guards))
         n_fine = 10 ** 6
         dt = h / n_fine
         u = 0.1
@@ -214,6 +217,29 @@ class TestRun:
         assert s["status"] == "ok"
         assert s["steps"] == 10
         assert s["kappa"] == pytest.approx(guards.kappa(0.01))
+
+
+    @pytest.mark.parametrize("name", ["heat-1d", "heat-2d", "ou", "wave"])
+    def test_run_leaves_problem_unchanged(self, name, rng):
+        # a run builds its operators once; nothing accumulates on the problem
+        problem = {"heat-1d": lambda: HeatTorusProblem(dim=1, n=64),
+                   "heat-2d": lambda: HeatTorusProblem(dim=2, n=16),
+                   "ou": lambda: OUProblem(n=128),
+                   "wave": lambda: WaveProblem(n_modes=16)}[name]()
+        g = WaveCubic(problem) if name == "wave" else PowerNonlinearity(3.0, -1.0)
+
+        def footprint():
+            return {key: (type(v), np.shape(v) if isinstance(v, np.ndarray) else
+                          len(v) if isinstance(v, (list, tuple, dict)) else None)
+                    for key, v in vars(problem).items()}
+
+        before = footprint()
+        scheme = SchemeSpec.with_stages(2)
+        u = 0.3 * problem.random_state(rng)
+        rec = run(u, 0.5, 50, scheme, problem, g, make_guards(problem, scheme, 3.0))
+        rec.raise_if_failed()
+        assert len(rec.stage_iterations) == 50
+        assert footprint() == before
 
 
 class TestSchemeSpec:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from expsplit.errors import StripViolationError, ValidationError
 from expsplit.nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
                                      StripMonitor, WaveCubic, ZeroNonlinearity,
-                                     estimate_lipschitz, sample_bound)
+                                     estimate_lipschitz)
 from expsplit.propagators import HeatTorusProblem, WaveProblem
 
 _HEAT_1D = HeatTorusProblem(dim=1, n=64)
@@ -87,12 +87,6 @@ class TestLipschitzEstimate:
         with pytest.raises(ValidationError):
             estimate_lipschitz(g, scalar_problem, np.zeros(1), 1.0,
                                (0.0, 1.0), n_samples=10, rng=rng)
-
-    def test_sample_bound_dominates_center_value(self, scalar_problem, rng):
-        g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        b = sample_bound(g, scalar_problem, np.array([0.5]), 0.2,
-                         (0.0, 1.0), n_samples=150, rng=rng)
-        assert b >= 0.125  # |(-1) * 0.5^3| at the center
 
 
 class TestAdvection:

@@ -181,6 +181,41 @@ class TestHeat:
         plain = HeatTorusProblem(dim=1, n=64).v_norm(v)
         assert hp.v_norm(v) == pytest.approx(2.0 * plain, rel=1e-12)
 
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 32)])
+    def test_real_transforms_match_complex_fft(self, dim, n):
+        # the complex-FFT formulas on the full spectrum, Nyquist modes included
+        hp = HeatTorusProblem(dim=dim, n=n)
+        X = np.random.default_rng(7).standard_normal((3,) + hp.shape)
+        axes = tuple(range(-dim, 0))
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        ks = np.meshgrid(*[k] * dim, indexing="ij")
+        Xh = np.fft.fftn(X, axes=axes)
+        for t in (0.0, 1e-3, 0.05, 0.7):
+            ref = np.fft.ifftn(np.exp(-t * sum(kk ** 2 for kk in ks)) * Xh, axes=axes).real
+            for x, row in zip(X, ref):
+                assert np.max(np.abs(hp.apply(t, x) - row)) <= 1e-14 * np.max(np.abs(row))
+        parts = [np.fft.ifftn(1j * kk * Xh, axes=axes).real for kk in ks]
+        ref = parts[0] if dim == 1 else np.sqrt(parts[0] ** 2 + parts[1] ** 2)
+        assert np.max(np.abs(hp.gradient(X) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n,sobolev", [(8, False), (64, False), (256, True)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 12345])
+    def test_sample_in_ball_1d_matches_loop(self, n, sobolev, seed):
+        hp = HeatTorusProblem(dim=1, n=n, sobolev_v=sobolev)
+        center = np.cos(hp.grid())
+        rng = np.random.default_rng(seed)
+        got = hp.sample_in_ball(center, 0.3, rng)
+        # the per-mode loop: two draws per wave number, then the mean
+        ref_rng = np.random.default_rng(seed)
+        x, v = hp.grid(), np.zeros(n)
+        for k in range(1, min(n // 4, 16) + 1):
+            a, b = ref_rng.standard_normal(2) / k ** 2
+            v += a * np.cos(k * x) + b * np.sin(k * x)
+        v += ref_rng.standard_normal() * 0.5
+        ref = center + 0.3 * ref_rng.uniform(0.1, 1.0) / hp.v_norm(v) * v
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert rng.standard_normal() == ref_rng.standard_normal()  # same stream
+
 
 class TestOU:
     def setup_method(self):
@@ -268,7 +303,7 @@ class TestOUBatched:
     def test_apply_rows_equals_scalar_apply(self, times, seed):
         ou = self.ou
         V = np.random.default_rng(seed).standard_normal((len(times), ou.n))
-        rows = ou._apply_rows(times, V)
+        rows = ou.apply_nodes(ou.flow_op(times), V)
         assert rows.shape == V.shape
         for t, v, row in zip(times, V, rows):
             assert np.array_equal(row, ou.apply(t, v))
@@ -287,7 +322,7 @@ class TestOUBatched:
         h = math.exp(log_h)
         rng = np.random.default_rng(seed)
         G = rng.standard_normal((s, ou.n)) * np.exp(-ou.x ** 2 / 8.0)
-        out = ou.stage_convolve(h, lag, G, ends)
+        out = ou.stage_convolve(ou.convolve_op(h, lag, ends), G)
         assert out.shape == (len(ends), ou.n)
         q = s + ou.quad_extra_nodes
         x, w = np.polynomial.legendre.leggauss(q)
@@ -310,7 +345,7 @@ class TestOUBatched:
         ou = self.ou
         spike = ou.zeros()
         spike[ou.n // 3] = 1.0
-        rows = ou._apply_rows((1e-16, 0.0, 0.01), np.stack([spike] * 3))
+        rows = ou.apply_nodes(ou.flow_op((1e-16, 0.0, 0.01)), np.stack([spike] * 3))
         assert 0 < np.count_nonzero(rows[0]) <= 4
         assert np.array_equal(rows[1], spike)
         assert np.count_nonzero(rows[2]) > 4
@@ -318,21 +353,21 @@ class TestOUBatched:
     def test_negative_node_time_rejected(self):
         u = np.exp(-self.ou.x ** 2)
         with pytest.raises(ValidationError, match="t must be >= 0"):
-            self.ou.apply_nodes(-0.1, (0.5,), u)
+            self.ou.apply_nodes(self.ou.flow_op((-0.1 * 0.5,)), u)
         with pytest.raises(ValidationError, match="t must be >= 0"):
-            self.ou._apply_rows((0.1, -1e-300), np.stack([u, u]))
+            self.ou.apply_nodes(self.ou.flow_op((0.1, -1e-300)), np.stack([u, u]))
 
     def test_wrongly_shaped_stack_rejected(self):
         ou = self.ou
         with pytest.raises(ValidationError):
-            ou._apply_rows((0.1, 0.2), np.zeros((3, ou.n)))
+            ou.apply_nodes(ou.flow_op((0.1, 0.2)), np.zeros((3, ou.n)))
         with pytest.raises(ValidationError):
-            ou._apply_rows((0.1,), np.zeros((1, ou.n + 1)))
+            ou.apply_nodes(ou.flow_op((0.1,)), np.zeros((1, ou.n + 1)))
         with pytest.raises(ValidationError):
-            ou.apply_nodes(0.1, (0.0, 0.5), np.zeros(ou.n - 1))
+            ou.apply_nodes(ou.flow_op([c * 0.1 for c in (0.0, 0.5)]), np.zeros(ou.n - 1))
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         with pytest.raises(ValidationError):
-            ou.stage_convolve(0.1, lag, np.zeros((2, ou.n // 2)), (1.0,))
+            ou.stage_convolve(ou.convolve_op(0.1, lag, (1.0,)), np.zeros((2, ou.n // 2)))
 
 
 class TestWave:
@@ -390,7 +425,7 @@ class TestStageConvolve:
     def test_zero_values_give_zero(self):
         hp = HeatTorusProblem(dim=1, n=64)
         lag = build_lagrange(NodeSet((0.0, 1.0)))
-        (out,) = hp.stage_convolve(0.1, lag, [hp.zeros(), hp.zeros()], (1.0,))
+        (out,) = hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,)), [hp.zeros(), hp.zeros()])
         assert hp.v_norm(out) == 0.0
 
     def test_constant_integrand_single_node(self, make_scalar):
@@ -398,9 +433,9 @@ class TestStageConvolve:
         lag = build_lagrange(NodeSet((0.5,)))
         g1 = np.array([2.0])
         h = 0.2
-        (out,) = pr.stage_convolve(h, lag, [g1], lag.node_set.nodes)
+        (out,) = pr.stage_convolve(pr.convolve_op(h, lag, lag.node_set.nodes), [g1])
         assert out[0] == pytest.approx(0.5 * h * 2.0, rel=1e-13)
-        (fin,) = pr.stage_convolve(h, lag, [g1], (1.0,))
+        (fin,) = pr.stage_convolve(pr.convolve_op(h, lag, (1.0,)), [g1])
         assert fin[0] == pytest.approx(h * 2.0, rel=1e-13)
 
     def test_heat_matches_direct_quadrature(self):
@@ -409,7 +444,7 @@ class TestStageConvolve:
         x = hp.grid()
         k, h = 3, 0.01
         g = [np.cos(k * x), np.sin(k * x)]
-        (out,) = hp.stage_convolve(h, lag, g, (1.0,))
+        (out,) = hp.stage_convolve(hp.convolve_op(h, lag, (1.0,)), g)
         xq, wq = np.polynomial.legendre.leggauss(64)
         tau = 0.5 * h * (xq + 1.0)
         wt = 0.5 * h * wq
@@ -439,13 +474,14 @@ class TestStageConvolve:
         if np.iscomplexobj(pr.zeros()):
             g = g + 1j * rng.standard_normal(g.shape)
         g = np.stack([gj / pr.v_norm(gj) for gj in g])  # every mode excited
-        exact = pr.stage_convolve(h, lag, g, ends)
-        generic = Propagator.stage_convolve(pr, h, lag, g, ends, q_nodes=32)
+        exact = pr.stage_convolve(pr.convolve_op(h, lag, ends), g)
+        generic = Propagator.stage_convolve(
+            pr, Propagator.convolve_op(pr, h, lag, ends, q_nodes=32), g)
         assert exact.shape == generic.shape == (len(ends),) + grid
         for row_exact, row_generic in zip(exact, generic):
             assert pr.v_norm(row_exact - row_generic) < 1e-11
         u = pr.random_state(rng)
-        flows = pr.apply_nodes(h, nodes, u)
+        flows = pr.apply_nodes(pr.flow_op([c * h for c in nodes]), u)
         assert flows.shape == (lag.s,) + grid
         for c, row in zip(nodes, flows):
             assert pr.v_norm(row - pr.apply(c * h, u)) < 1e-13
@@ -455,13 +491,13 @@ class TestStageConvolve:
         lag = build_lagrange(NodeSet((0.0, 0.5, 1.0)))
         g = [hp.zeros()] * 3
         with pytest.raises(ValidationError):
-            hp.stage_convolve(0.1, lag, g, (1.0,), q_nodes=2)
+            hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,), q_nodes=2), g)
 
     def test_wrong_stage_count_rejected(self):
         hp = HeatTorusProblem(dim=1, n=64)
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         with pytest.raises(ValidationError):
-            hp.stage_convolve(0.1, lag, [hp.zeros()], (1.0,))
+            hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,)), [hp.zeros()])
 
 
 class TestMeasureSmoothing:

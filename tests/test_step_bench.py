@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from expsplit import config as cfgmod
-from expsplit.integrator import SchemeSpec, StepGuards, step
+from expsplit.integrator import SchemeSpec, StepGuards, plan_step, step
 
 # (preset, problem overrides, stages, h)
 STEP_CASES = {
@@ -30,8 +30,8 @@ def _step_args(preset, problem_over, stages, h):
     u0 = cfgmod.build_initial(cfg, problem)
     scheme = SchemeSpec.with_stages(stages)
     guards = StepGuards(lipschitz=3.0, c_ell=scheme.lag.c_ell, s=scheme.s,
-                        omega=problem.profile_x, m_bound=problem.bound_m)
-    return (u0, 0.0, h, scheme, problem, g, guards)
+                        omega=problem.profile_x)
+    return (u0, 0.0, g, plan_step(h, scheme, problem, guards))
 
 
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
