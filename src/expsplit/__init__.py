@@ -32,13 +32,14 @@ __all__ = [
     "AdvectionNonlinearity", "AprioriConstants", "ContractionError",
     "ConvergenceReport", "ExpsplitError", "FixedPointDivergenceError",
     "HeatTorusProblem", "LagrangeData", "NodeSet", "OUProblem",
-    "PowerNonlinearity", "SchemeSpec", "SmoothingProfile", "StepGuards", "StepPlan",
-    "StripMonitor", "StripViolationError", "StudyFailedError", "StudyPlan",
+    "PowerNonlinearity", "SchemeSpec", "SmoothingProfile", "StepGuards",
+    "StepPlan", "StripMonitor", "StripViolationError", "StudyFailedError",
+    "StudyPlan",
     "TrajectoryRecord", "ValidationError", "WaveCubic", "WaveProblem",
     "ZeroNonlinearity", "apriori_error_bound", "build_lagrange",
     "convergence_study", "default_nodes", "derivative_l1_norm",
     "estimate_lipschitz", "gaussian_smoothing_constant", "gronwall_bound",
     "internal_stages", "lp_norm", "measure_smoothing", "order_prediction",
-    "phi", "plan_step", "reference_solution", "require_passed", "run", "stage_weights_diagonal",
-    "step", "taylor_kernel_bound",
+    "phi", "plan_step", "reference_solution", "require_passed", "run",
+    "stage_weights_diagonal", "step", "taylor_kernel_bound",
 ]

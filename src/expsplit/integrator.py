@@ -24,8 +24,8 @@ from .errors import (ContractionError, FixedPointDivergenceError,
 from .lagrange import LagrangeData, NodeSet, build_lagrange, default_nodes
 from .propagators import Propagator, SmoothingProfile
 
-__all__ = ["SchemeSpec", "StepGuards", "StepPlan", "StageInfo", "TrajectoryRecord",
-           "plan_step", "internal_stages", "step", "run"]
+__all__ = ["SchemeSpec", "StepGuards", "StepPlan", "StageInfo",
+           "TrajectoryRecord", "plan_step", "internal_stages", "step", "run"]
 
 FP_MAX_ITER = 60  # fixed-point iterations before a step counts as divergent
 

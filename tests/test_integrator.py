@@ -72,7 +72,8 @@ class TestInternalStages:
 
         guards = make_guards(hp, scheme, 0.5)
         with pytest.raises(FixedPointDivergenceError):
-            internal_stages(np.ones(64), 0.0, Exploder(), plan_step(0.1, scheme, hp, guards))
+            internal_stages(np.ones(64), 0.0, Exploder(),
+                            plan_step(0.1, scheme, hp, guards))
 
 
 class TestStep:

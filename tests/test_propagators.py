@@ -425,7 +425,8 @@ class TestStageConvolve:
     def test_zero_values_give_zero(self):
         hp = HeatTorusProblem(dim=1, n=64)
         lag = build_lagrange(NodeSet((0.0, 1.0)))
-        (out,) = hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,)), [hp.zeros(), hp.zeros()])
+        (out,) = hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,)),
+                                   [hp.zeros(), hp.zeros()])
         assert hp.v_norm(out) == 0.0
 
     def test_constant_integrand_single_node(self, make_scalar):
