@@ -3,7 +3,10 @@
 One step computes the stage values U_i as the fixed point of
   Phi(x)_i = e^{c_i h A} u_n + int_0^{c_i h} e^{(c_i h - tau)A}
              sum_j ell_j(tau) g(t_n + c_j h, x_j) dtau
-by plain iteration from x_i = e^{c_i h A} u_n, then advances
+by plain iteration from the anchor x_i = e^{c_i h A} u_n plus the previous
+step's converged correction U_i - e^{c_i h A} u_{n-1} (the anchor alone on a
+run's first step; Phi contracts on the whole ball, so the start changes the
+iteration count, not the stopping rule), then advances
   u_{n+1} = e^{hA} u_n + int_0^h e^{(h-tau)A} sum_j ell_j(tau) g(., U_j) dtau.
 The s stages travel as one (s, *grid) array: each iteration makes one
 g.eval, one stage convolution and one v_norm call on the whole stack.
@@ -98,6 +101,7 @@ class StageInfo:
     increments: list = field(default_factory=list)
     contraction_ratios: list = field(default_factory=list)
     residual_bound: float = float("nan")
+    correction: object = None  # final stages minus their anchor
 
 
 @dataclass
@@ -142,6 +146,8 @@ class TrajectoryRecord:
             "steps": len(self.stage_iterations),
             "kappa": self.kappa,
             "max_stage_iterations": max(self.stage_iterations, default=0),
+            "mean_stage_iterations":
+                sum(self.stage_iterations) / max(len(self.stage_iterations), 1),
             "max_contraction_ratio": max(self.contraction_ratios, default=0.0),
             "wall_per_step": self.wall_per_step,
             "failure_step": self.failure_step,
@@ -169,12 +175,13 @@ def plan_step(h: float, scheme: SchemeSpec, propagator: Propagator,
         kappa=kappa, tol=guards.tolerance(h))
 
 
-def internal_stages(u_n, t_n: float, g, plan: StepPlan):
-    """Solve the stage equations; returns ((s, *grid) stages, StageInfo)."""
+def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
+    """Solve the stage equations from the anchor plus start (an (s, *grid)
+    correction, or None); returns ((s, *grid) stages, StageInfo)."""
     propagator, kappa, tol = plan.propagator, plan.kappa, plan.tol
     times = t_n + plan.offsets
-    # linear-flow anchor, the same start the contraction argument uses
-    base = stages = propagator.apply_nodes(plan.node_flow, u_n)
+    base = propagator.apply_nodes(plan.node_flow, u_n)
+    stages = base if start is None else base + start
     info = StageInfo()
     # increments cannot drop below rounding in the stage scale; accept
     # machine-precision stagnation even when h^(s+1) asks for less
@@ -185,7 +192,8 @@ def internal_stages(u_n, t_n: float, g, plan: StepPlan):
     prev_inc = None
     for it in range(1, FP_MAX_ITER + 1):
         G = g.eval(times, stages)
-        new_stages = base + propagator.stage_convolve(plan.stage_rows, G)
+        info.correction = propagator.stage_convolve(plan.stage_rows, G)
+        new_stages = base + info.correction
         inc = float(np.max(propagator.v_norm(new_stages - stages)))
         stages = new_stages
         info.iterations = it
@@ -209,9 +217,9 @@ def internal_stages(u_n, t_n: float, g, plan: StepPlan):
     return stages, info
 
 
-def step(u_n, t_n: float, g, plan: StepPlan):
-    """One full step; returns (u_next, StageInfo)."""
-    stages, info = internal_stages(u_n, t_n, g, plan)
+def step(u_n, t_n: float, g, plan: StepPlan, start=None):
+    """One full step, started at the anchor plus start; returns (u_next, StageInfo)."""
+    stages, info = internal_stages(u_n, t_n, g, plan, start)
     G = g.eval(t_n + plan.offsets, stages)
     (conv,) = plan.propagator.stage_convolve(plan.update_row, G)
     (flow,) = plan.propagator.apply_nodes(plan.flow_h, u_n)
@@ -238,13 +246,15 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
         return record
     record.kappa = plan.kappa
     t_start = time.perf_counter()
+    correction = None  # each step starts from the previous step's correction
     for n in range(N):
         t_n = n * h
         try:
-            u, info = step(u, t_n, g, plan)
+            u, info = step(u, t_n, g, plan, correction)
         except FixedPointDivergenceError as exc:
             record.status, record.error, record.failure_step = "divergence", str(exc), n
             break
+        correction = info.correction
         record.stage_iterations.append(info.iterations)
         record.contraction_ratios.extend(info.contraction_ratios)
         t_next = (n + 1) * h

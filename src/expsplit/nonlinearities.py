@@ -97,10 +97,6 @@ class WaveCubic(Nonlinearity):
         force = -pr.alpha_w * w ** 3
         return 1j * pr._dst(force)
 
-    def eval_pair(self, t, pair):
-        w, _ = pair
-        return np.zeros_like(w), -self.problem.alpha_w * w ** 3
-
 
 def estimate_lipschitz(g, problem, center, radius, t_range=(0.0, 1.0),
                        n_samples: int = 200, rng=None,

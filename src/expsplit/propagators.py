@@ -638,16 +638,6 @@ class WaveProblem(DiagonalPropagator):
         wdot = self._idst(np.imag(z))
         return w, wdot
 
-    def apply_pair(self, t, pair):
-        """Block rotation cos/sin form on a physical pair (any real t)."""
-        w, wdot = pair
-        wh, vh = self._dst(w), self._dst(wdot)
-        c = np.cos(self.omega * t)
-        s = np.sin(self.omega * t)
-        wh2 = c * wh + s / self.omega * vh
-        vh2 = -self.omega * s * wh + c * vh
-        return self._idst(wh2), self._idst(vh2)
-
     def apply(self, t, z):
         # the wave flow is a group; allow negative t
         return super().apply(t, np.asarray(z, dtype=complex))

