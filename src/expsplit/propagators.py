@@ -4,7 +4,8 @@ Three concrete problems are shipped:
 
 * heat on the torus (Fourier-diagonal, 1D or 2D),
 * a 1D Ornstein-Uhlenbeck propagator (kernel convolution plus dilation),
-* a 1D Dirichlet wave system reduced to complex diagonal form per sine mode.
+* a 1D Dirichlet wave system reduced to complex diagonal form per sine mode;
+  its sine transform is one precomputed orthonormal DST-I matrix.
 
 Each problem owns its discrete X/V/W norms and a power-law smoothing
 profile rho(t) = c*t^(-alpha) bounding the X->V operator norm.  The
@@ -18,7 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, idst
+# numpy loads these on first use; load them with the package, not in a run
+import numpy.fft, numpy.ma, numpy.polynomial, numpy.random  # noqa: E401, F401
 
 from .errors import ValidationError
 from .lagrange import LagrangeData, eval_basis
@@ -444,6 +446,13 @@ class OUProblem(Propagator):
         self.dx = self.x[1] - self.x[0]
         self.cell = self.dx
         self.diagnostics: list[str] = []
+        # sample_in_ball's field: cos(k pi x/L)/k^2, sin(k pi x/L)/k^2 per k,
+        # under a Gaussian envelope that decays inside the box
+        kb = np.arange(1, 7)[:, None]
+        kx = kb * np.pi * self.x / self.box
+        waves = np.stack([np.cos(kx), np.sin(kx)], axis=1) / kb[:, None] ** 2
+        env = np.exp(-self.x ** 2 / (2.0 * (self.box / 3.0) ** 2))
+        self._ball_basis = waves.reshape(2 * len(kb), self.n) * env
         alpha = 0.5 * (ip - ir)
         if alpha == 0.0:
             c = self.bound_m
@@ -559,14 +568,7 @@ class OUProblem(Propagator):
         return self.x_norm(v) if self.w_choice == "X" else self.v_norm(v)
 
     def sample_in_ball(self, center, radius, rng):
-        # band-limited field under a Gaussian envelope: decays inside the box
-        env = np.exp(-self.x ** 2 / (2.0 * (self.box / 3.0) ** 2))
-        v = np.zeros(self.n)
-        for k in range(1, 7):
-            a, b2 = rng.standard_normal(2) / k ** 2
-            v += a * np.cos(k * np.pi * self.x / self.box) \
-                + b2 * np.sin(k * np.pi * self.x / self.box)
-        v *= env
+        v = rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
         nv = self.v_norm(v)
         if nv == 0.0:
             return np.asarray(center).copy()
@@ -596,6 +598,11 @@ class WaveProblem(DiagonalPropagator):
     diagonally with eigenvalue -i*omega_k, so the exact phi-weight
     machinery applies.  The V=X norm is the energy norm
     (||grad w||_2^2 + ||wdot||_2^2)^(1/2).
+
+    The sine transform is the orthonormal DST-I matrix S (symmetric, its
+    own inverse), built once: an O(n^2) product per state, a few times
+    faster than an FFT-based DST at the 16-64 modes of every preset and
+    still ahead at 256 modes, but slower from about 512 modes on.
     """
 
     def __init__(self, n_modes: int = 32, alpha_w: float = 1.0, t_max: float = 2.0):
@@ -604,8 +611,13 @@ class WaveProblem(DiagonalPropagator):
         self.n = int(n_modes)
         self.alpha_w = float(alpha_w)
         self.dx = math.pi / (self.n + 1)
-        self.x = np.arange(1, self.n + 1) * self.dx
-        self.omega = np.arange(1, self.n + 1).astype(float)
+        k = np.arange(1, self.n + 1)
+        self.x = k * self.dx
+        self.omega = k.astype(float)
+        # S[j, k] = sqrt(2/(n+1)) sin(pi j k/(n+1)), with j*k reduced modulo
+        # 2(n+1) so that every sine argument stays below 2 pi
+        jk = np.outer(k, k) % (2 * (self.n + 1))
+        self._sine = math.sqrt(2.0 / (self.n + 1)) * np.sin(math.pi * jk / (self.n + 1))
         self.eigenvalues = -1j * self.omega
         self.profile_x = SmoothingProfile(c=1.0, alpha=0.0, t_max=t_max)
         self.profile_w = self.profile_x
@@ -623,10 +635,10 @@ class WaveProblem(DiagonalPropagator):
 
     # physical <-> modal packing -------------------------------------
     def _dst(self, u):
-        return dst(u, type=1, norm="ortho")
+        # one matrix-vector product per row: a stacked row keeps its bits
+        return (self._sine @ np.asarray(u)[..., None])[..., 0]
 
-    def _idst(self, uh):
-        return idst(uh, type=1, norm="ortho")
+    _idst = _dst  # S is its own inverse
 
     def encode(self, w, wdot):
         """Pack a physical (w, wdot) pair into the complex modal state."""
@@ -648,17 +660,9 @@ class WaveProblem(DiagonalPropagator):
 
     def energy_norm(self, z):
         """Energy norm of one modal state (a float) or of each row of a stack."""
-        e = np.sqrt(self.dx * np.sum(np.abs(z) ** 2, axis=-1))
-        return e if np.ndim(e) else float(e)
+        return lp_norm(z, 2.0, self.dx, 1)
 
-    def x_norm(self, z):
-        return self.energy_norm(z)
-
-    def v_norm(self, z):
-        return self.energy_norm(z)
-
-    def w_norm(self, z):
-        return self.energy_norm(z)
+    x_norm = v_norm = w_norm = energy_norm
 
     def sample_in_ball(self, center, radius, rng):
         amp = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import expsplit
 from expsplit import config as cfgmod
 from expsplit.cli import main
 from expsplit.errors import ValidationError
@@ -267,3 +272,31 @@ class TestCliSelftest:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+
+# a fresh interpreter: import the package, then run a short wave run, the
+# heat-linear study and a shortened wave study (whose EOC takes a median)
+FOOTPRINT_SCRIPT = """
+import json, sys, tempfile
+import expsplit, expsplit.cli
+loaded = set(sys.modules)
+for argv in (["run", "--config", "wave-dirichlet-1d", "--t-final", "0.1"],
+             ["convergence", "--config", "heat-linear"],
+             ["convergence", "--config", "wave-cubic-s2", "--t-final", "0.1"]):
+    with tempfile.TemporaryDirectory() as out:
+        assert expsplit.cli.main(argv + ["--out", out]) == 0, argv
+new = sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "numpy")
+print(json.dumps({"scipy_at_import": "scipy" in loaded, "new_numpy": new}))
+"""
+
+
+class TestImportFootprint:
+    def test_no_scipy_and_no_numpy_module_loaded_while_running(self):
+        src = str(Path(expsplit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"scipy_at_import": False, "new_numpy": []}

@@ -221,6 +221,23 @@ class TestOU:
     def setup_method(self):
         self.ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=512, t_max=1.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 12345])
+    def test_sample_in_ball_matches_loop(self, seed):
+        ou = self.ou
+        center = np.exp(-ou.x ** 2)
+        rng = np.random.default_rng(seed)
+        got = ou.sample_in_ball(center, 0.3, rng)
+        # the per-mode loop: two draws per wave number, then the envelope
+        ref_rng = np.random.default_rng(seed)
+        v = np.zeros(ou.n)
+        for k in range(1, 7):
+            a, b = ref_rng.standard_normal(2) / k ** 2
+            v += a * np.cos(k * np.pi * ou.x / ou.box) + b * np.sin(k * np.pi * ou.x / ou.box)
+        v *= np.exp(-ou.x ** 2 / (2.0 * (ou.box / 3.0) ** 2))
+        ref = center + 0.3 * ref_rng.uniform(0.1, 1.0) / ou.v_norm(v) * v
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert rng.standard_normal() == ref_rng.standard_normal()  # same stream
+
     def test_identity_at_zero(self):
         v = np.exp(-self.ou.x ** 2)
         assert np.array_equal(self.ou.apply(0.0, v), v)
@@ -409,6 +426,33 @@ class TestWave:
         w2, wdot2 = wp.decode(wp.encode(w, wdot))
         assert np.allclose(w2, w, atol=1e-12)
         assert np.allclose(wdot2, wdot, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 31, 32, 64, 257])
+    def test_dst_matches_defining_sum(self, n):
+        u = np.random.default_rng(n).standard_normal(n)
+        got = WaveProblem(n_modes=n)._dst(u)
+        # sqrt(2/(n+1)) sum_j u_j sin(pi j k/(n+1)), each argument reduced
+        # exactly in integers to [0, 2 pi) and each sum taken exactly
+        ref = np.array([math.sqrt(2.0 / (n + 1)) * math.fsum(
+            u[j - 1] * math.sin(math.pi * ((j * k) % (2 * (n + 1))) / (n + 1))
+            for j in range(1, n + 1)) for k in range(1, n + 1)])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [2, 3, 32, 257])
+    def test_sine_matrix_is_a_symmetric_involution(self, n):
+        S = WaveProblem(n_modes=n)._sine
+        assert np.array_equal(S, S.T)
+        assert np.max(np.abs(S @ S - np.eye(n))) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (2, 3)])
+    def test_stacked_sine_transform_equals_rows(self, shape):
+        wp = self.wp
+        U = np.random.default_rng(3).standard_normal(shape + (wp.n,))
+        for transform in (wp._dst, wp._idst):
+            out = transform(U)
+            assert out.shape == U.shape
+            for idx in np.ndindex(shape):
+                assert np.array_equal(out[idx], transform(U[idx]))
 
     def test_apply_matches_block_rotation(self, rng):
         wp = self.wp
