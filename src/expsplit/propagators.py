@@ -602,7 +602,7 @@ class WaveProblem(DiagonalPropagator):
     The sine transform is the orthonormal DST-I matrix S (symmetric, its
     own inverse), built once: an O(n^2) product per state, a few times
     faster than an FFT-based DST at the 16-64 modes of every preset and
-    still ahead at 256 modes, but slower from about 512 modes on.
+    still ahead at 128 modes, but slower from a few hundred modes on.
     """
 
     def __init__(self, n_modes: int = 32, alpha_w: float = 1.0, t_max: float = 2.0):

@@ -431,8 +431,8 @@ class TestWave:
     def test_dst_matches_defining_sum(self, n):
         u = np.random.default_rng(n).standard_normal(n)
         got = WaveProblem(n_modes=n)._dst(u)
-        # sqrt(2/(n+1)) sum_j u_j sin(pi j k/(n+1)), each argument reduced
-        # exactly in integers to [0, 2 pi) and each sum taken exactly
+        # sqrt(2/(n+1)) sum_j u_j sin(pi j k/(n+1)) in scalar arithmetic,
+        # each argument reduced in integers to [0, 2 pi), each sum by fsum
         ref = np.array([math.sqrt(2.0 / (n + 1)) * math.fsum(
             u[j - 1] * math.sin(math.pi * ((j * k) % (2 * (n + 1))) / (n + 1))
             for j in range(1, n + 1)) for k in range(1, n + 1)])
