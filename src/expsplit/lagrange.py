@@ -86,9 +86,11 @@ def _refine_max(coeffs: np.ndarray) -> float:
     """Max of |p| over [0, 1] for p given by monomial coefficients.
 
     Dense sampling at 4096 points plus Newton refinement of the interior
-    critical points of p.
+    critical points of p; constant and linear p need only the end points.
     """
     p = np.polynomial.Polynomial(coeffs)
+    if p.degree() < 2:  # |p| is convex: its max is at an end point
+        return float(max(abs(p(0.0)), abs(p(1.0))))
     dp = p.deriv()
     ddp = dp.deriv()
     sigma = np.linspace(0.0, 1.0, 4096)

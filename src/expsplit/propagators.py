@@ -370,14 +370,18 @@ class HeatTorusProblem(DiagonalPropagator):
             v = rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
         else:
             kmax = min(self.n // 4, 16)
-            v = np.zeros(self.shape)
-            xx, yy = self.grid()
+            terms = []
             for _ in range(8):
                 kx = rng.integers(0, kmax + 1)
                 ky = rng.integers(0, kmax + 1)
                 a = rng.standard_normal() / (1.0 + kx ** 2 + ky ** 2)
-                ph = rng.uniform(0, 2 * np.pi)
-                v += a * np.cos(kx * xx + ky * yy + ph)
+                terms.append((kx, ky, a, rng.uniform(0, 2 * np.pi)))
+            kx, ky, a, ph = (np.array(c)[:, None] for c in zip(*terms))
+            # sum of a cos(kx x + ky y + ph), each wave split by the addition
+            # formula into cos(kx x) cos(ky y + ph) - sin(kx x) sin(ky y + ph)
+            x = np.arange(self.n) * self.dx
+            wx, wy = kx * x, ky * x + ph
+            v = (a * np.cos(wx)).T @ np.cos(wy) - (a * np.sin(wx)).T @ np.sin(wy)
         nv = self.v_norm(v)
         if nv == 0.0:
             return np.asarray(center).copy()

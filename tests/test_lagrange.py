@@ -83,6 +83,23 @@ class TestBasis:
         assert lag.c_ell == pytest.approx(1.0, abs=1e-10)
         assert lag.c_ell == pytest.approx(brute_force_c_ell(lag), rel=1e-9)
 
+    # exact values of the dense-sampling-plus-Newton search; constant and
+    # linear bases (s <= 2) take the end-point shortcut and must agree
+    @pytest.mark.parametrize("nodes,c_ell", [
+        (default_nodes(1), 1.0),
+        (default_nodes(2), 1.0),
+        (default_nodes(3), 1.0),
+        (default_nodes(4), 1.0563058954611915),
+        (default_nodes(5), 1.1523494647943753),
+        (default_nodes(6), 1.2566759225640012),
+        (NodeSet((0.5,)), 1.0),
+        (NodeSet((0.2, 0.7)), 1.6000000000000003),  # ell_2(1) = 1.6
+    ], ids=["s1", "s2", "s3", "s4", "s5", "s6", "mid", "off-grid-pair"])
+    def test_c_ell_pinned(self, nodes, c_ell):
+        lag = build_lagrange(nodes)
+        assert lag.c_ell == c_ell
+        assert lag.c_ell == pytest.approx(brute_force_c_ell(lag), rel=1e-9)
+
     @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
     def test_c_ell_matches_brute_force(self, s):
         lag = build_lagrange(default_nodes(s))

@@ -216,6 +216,27 @@ class TestHeat:
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert rng.standard_normal() == ref_rng.standard_normal()  # same stream
 
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 12345])
+    def test_sample_in_ball_2d_matches_loop(self, n, seed):
+        hp = HeatTorusProblem(dim=2, n=n)
+        xx, yy = hp.grid()
+        center = np.cos(xx) * np.sin(2 * yy)
+        rng = np.random.default_rng(seed)
+        got = hp.sample_in_ball(center, 0.3, rng)
+        # the per-wave loop: one full-grid cosine per drawn wave
+        ref_rng = np.random.default_rng(seed)
+        kmax, v = min(n // 4, 16), np.zeros((n, n))
+        for _ in range(8):
+            kx = ref_rng.integers(0, kmax + 1)
+            ky = ref_rng.integers(0, kmax + 1)
+            a = ref_rng.standard_normal() / (1.0 + kx ** 2 + ky ** 2)
+            ph = ref_rng.uniform(0, 2 * np.pi)
+            v += a * np.cos(kx * xx + ky * yy + ph)
+        ref = center + 0.3 * ref_rng.uniform(0.1, 1.0) / hp.v_norm(v) * v
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert rng.standard_normal() == ref_rng.standard_normal()  # same stream
+
 
 class TestOU:
     def setup_method(self):

@@ -1,7 +1,8 @@
-"""Micro-benchmarks of one integrator step per model problem.
+"""Micro-benchmarks of one integrator step per model problem, and of the
+sampled Lipschitz estimate that `expsplit run` makes before its steps.
 
-Each benchmark also checks that its timed step returns the same state,
-bit for bit, as an untimed step from the same inputs.  One case times a
+Each benchmark also checks that its timed call returns the same value,
+bit for bit, as an untimed call from the same inputs.  One case times a
 warm-started step, whose iteration starts from the previous correction.
 Run only these with ``pytest tests/test_step_bench.py``;
 ``--benchmark-skip`` leaves them out.
@@ -12,6 +13,7 @@ import pytest
 
 from expsplit import config as cfgmod
 from expsplit.integrator import SchemeSpec, StepGuards, plan_step, step
+from expsplit.nonlinearities import estimate_lipschitz
 
 # (preset, problem overrides, stages, h)
 STEP_CASES = {
@@ -61,3 +63,23 @@ def test_warm_started_step(benchmark):
     u1, first = step(u0, t0, g, plan)
     warm = _bench_step(benchmark, (u1, t0 + h, g, plan, first.correction))
     assert warm.iterations < step(u1, t0 + h, g, plan)[1].iterations
+
+
+def test_run_lipschitz_estimate(benchmark):
+    # the estimate of `expsplit run --config heat-torus-2d --grid 128`:
+    # cubic on a 128^2 heat grid, 120 sample pairs in the radius run uses
+    cfg = cfgmod.resolve_config("heat-torus-2d")
+    cfg["problem"]["n"] = 128
+    problem = cfgmod.build_problem(cfg)
+    g = cfgmod.build_nonlinearity(cfg, problem)
+    u0 = np.asarray(cfgmod.build_initial(cfg, problem))
+    radius = 0.25 * max(problem.v_norm(u0), 1.0)
+
+    def estimate():
+        return estimate_lipschitz(g, problem, u0, radius, (0.0, 0.25), n_samples=120,
+                                  rng=np.random.default_rng(0))
+
+    expected = estimate()
+    assert expected > 0.0
+    got = benchmark.pedantic(estimate, rounds=3, iterations=1, warmup_rounds=1)
+    assert got == expected
