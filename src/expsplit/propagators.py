@@ -377,8 +377,7 @@ class HeatTorusProblem(DiagonalPropagator):
                 a = rng.standard_normal() / (1.0 + kx ** 2 + ky ** 2)
                 terms.append((kx, ky, a, rng.uniform(0, 2 * np.pi)))
             kx, ky, a, ph = (np.array(c)[:, None] for c in zip(*terms))
-            # sum of a cos(kx x + ky y + ph), each wave split by the addition
-            # formula into cos(kx x) cos(ky y + ph) - sin(kx x) sin(ky y + ph)
+            # cos(kx x + ky y + ph) = cos(kx x) cos(ky y + ph) - sin(kx x) sin(ky y + ph)
             x = np.arange(self.n) * self.dx
             wx, wy = kx * x, ky * x + ph
             v = (a * np.cos(wx)).T @ np.cos(wy) - (a * np.sin(wx)).T @ np.sin(wy)

@@ -67,16 +67,17 @@ def test_warm_started_step(benchmark):
 
 def test_run_lipschitz_estimate(benchmark):
     # the estimate of `expsplit run --config heat-torus-2d --grid 128`:
-    # cubic on a 128^2 heat grid, 120 sample pairs in the radius run uses
+    # cubic on a 128^2 heat grid, with cmd_run's radius, times and 120 pairs
     cfg = cfgmod.resolve_config("heat-torus-2d")
     cfg["problem"]["n"] = 128
     problem = cfgmod.build_problem(cfg)
     g = cfgmod.build_nonlinearity(cfg, problem)
     u0 = np.asarray(cfgmod.build_initial(cfg, problem))
     radius = 0.25 * max(problem.v_norm(u0), 1.0)
+    times = (0.0, float(cfg["run"]["t_final"]))
 
     def estimate():
-        return estimate_lipschitz(g, problem, u0, radius, (0.0, 0.25), n_samples=120,
+        return estimate_lipschitz(g, problem, u0, radius, times, n_samples=120,
                                   rng=np.random.default_rng(0))
 
     expected = estimate()
