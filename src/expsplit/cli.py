@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ExpsplitError, ValidationError
-from .harness import convergence_study, order_prediction
+from .harness import convergence_study
 from .integrator import StepGuards, run
 from .nonlinearities import ZeroNonlinearity, estimate_lipschitz
 from .propagators import WaveProblem, measure_smoothing
@@ -134,13 +134,8 @@ def cmd_convergence(args) -> int:
     if report.passed:
         return 0
     print(f"study failed: {report.abort_reason}", file=sys.stderr)
-    if report.abort_reason.startswith("contraction"):
-        return 3
-    if report.abort_reason.startswith("strip"):
-        return 4
-    if report.abort_reason.startswith("divergence"):
-        return 5
-    return 6
+    # a run abort reads "<status>: <error>"; any other failure is a verdict
+    return _STATUS_CODES.get(report.abort_reason.partition(":")[0], 6)
 
 
 def cmd_smoothing(args) -> int:
@@ -148,8 +143,8 @@ def cmd_smoothing(args) -> int:
     out = Path(args.out)
     problem = cfgmod.build_problem(cfg)
     sc = cfg.get("smoothing", {})
-    p = float(sc.get("p", getattr(problem, "p", 2)))
-    r = float(sc.get("r", getattr(problem, "r", 2)))
+    p = float(sc.get("p", problem.p))
+    r = float(sc.get("r", problem.r))
     t_lo = float(sc.get("t_min", 1e-4))
     t_hi = float(sc.get("t_max", 1e-2))
     npts = int(sc.get("points", 7))

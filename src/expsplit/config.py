@@ -132,7 +132,6 @@ def build_plan(cfg: dict) -> StudyPlan:
         scheme=build_scheme(cfg),
         h_list=[float(h) for h in st.get("h_list", [])],
         horizon=float(rc.get("t_final", 1.0)),
-        w_choice=pc.get("w_choice", "V"),
         ref_factor=int(st.get("ref_factor", 64)),
         eoc_tol=float(st.get("eoc_tol", 0.3)),
         strip_radius_frac=float(st.get("strip_radius_frac", 0.25)),

@@ -49,7 +49,6 @@ class StudyPlan:
     scheme: SchemeSpec
     h_list: list
     horizon: float
-    w_choice: str = "V"
     ref_factor: int = 64
     eoc_tol: float = 0.3
     strip_radius_frac: float = 0.25
@@ -201,8 +200,7 @@ def _estimate_lipschitz_on_strip(g, problem, ref: ReferenceSolution,
 
 def _feed(digest, obj):
     """Hash obj by content: values, array dtype/shape/bytes, and for other
-    objects the class plus every attribute, recursively.  diagnostics is
-    skipped because it fills up with use."""
+    objects the class plus every attribute, recursively."""
     if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
         digest.update(f"{obj.dtype.str}{obj.shape}".encode())
         digest.update(np.ascontiguousarray(obj).tobytes())
@@ -218,9 +216,8 @@ def _feed(digest, obj):
         cls = type(obj)
         digest.update(f"{cls.__module__}.{cls.__qualname__}{{".encode())
         for name, value in sorted(vars(obj).items()):
-            if name != "diagnostics":
-                digest.update(f"{name}=".encode())
-                _feed(digest, value)
+            digest.update(f"{name}=".encode())
+            _feed(digest, value)
         digest.update(b"}")
     else:
         raise TypeError(f"cannot key a reference on a {type(obj).__name__}")
@@ -275,11 +272,10 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
     h_min = hs[-1]
     h_ref = h_min / plan.ref_factor
     report = ConvergenceReport(problem_id=plan.problem_id, s=plan.scheme.s,
-                               w_choice=plan.w_choice, h_list=hs,
+                               w_choice=problem.w_choice, h_list=hs,
                                n_list=[round(T / h) for h in hs])
     alpha = problem.profile_x.alpha
-    report.predicted_order = order_prediction(
-        plan.scheme.s, alpha if plan.w_choice == "X" else 0.0, plan.w_choice)
+    report.predicted_order = order_prediction(plan.scheme.s, alpha, problem.w_choice)
 
     if plan.check_smoothing and alpha > 0.0:
         sm = measure_smoothing(problem, problem.p, problem.r,

@@ -98,7 +98,7 @@ class StageInfo:
     """Diagnostics of one fixed-point solve."""
 
     iterations: int = 0
-    increments: list = field(default_factory=list)
+    increment: float = float("nan")  # V-norm of the last stage update
     contraction_ratios: list = field(default_factory=list)
     residual_bound: float = float("nan")
     correction: object = None  # final stages minus their anchor
@@ -197,7 +197,7 @@ def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
         inc = float(np.max(propagator.v_norm(new_stages - stages)))
         stages = new_stages
         info.iterations = it
-        info.increments.append(inc)
+        info.increment = inc
         if prev_inc is not None and prev_inc > ratio_floor:
             info.contraction_ratios.append(inc / prev_inc)
         prev_inc = inc

@@ -7,8 +7,9 @@ Three concrete problems are shipped:
 * a 1D Dirichlet wave system reduced to complex diagonal form per sine mode;
   its sine transform is one precomputed orthonormal DST-I matrix.
 
-Each problem owns its discrete X/V/W norms and a power-law smoothing
-profile rho(t) = c*t^(-alpha) bounding the X->V operator norm.  The
+Every problem sits on a couple of grid norms X (L^p) and V (L^r), p <= r,
+with W one of the two, and declares a power-law smoothing profile
+rho(t) = c*t^(-alpha) bounding the X->V operator norm.  The
 spatial discretization is chosen so that e^{tA} is exact (spectral) or
 near-exact (quadrature), so time-stepping error dominates in studies.
 """
@@ -81,6 +82,10 @@ class SmoothingProfile:
         return self.c * h ** (1.0 - self.alpha) / (1.0 - self.alpha)
 
 
+def _inverse(p: float) -> float:
+    return 0.0 if np.isinf(p) else 1.0 / p
+
+
 def gaussian_smoothing_constant(dim: int, p: float, r: float) -> tuple[float, float]:
     """(c, alpha) of the whole-space Gaussian L^p -> L^r bound.
 
@@ -88,8 +93,7 @@ def gaussian_smoothing_constant(dim: int, p: float, r: float) -> tuple[float, fl
     gives ||g_t||_q = (4 pi t)^(-alpha) * q^(-dim/(2q)),
     alpha = (dim/2)(1/p - 1/r).
     """
-    ip = 0.0 if np.isinf(p) else 1.0 / p
-    ir = 0.0 if np.isinf(r) else 1.0 / r
+    ip, ir = _inverse(p), _inverse(r)
     if ir > ip:
         raise ValidationError("need p <= r for smoothing")
     alpha = 0.5 * dim * (ip - ir)
@@ -116,14 +120,33 @@ class Propagator:
     interpolant of the stage values by Gauss-Legendre quadrature in tau;
     diagonal problems override it with exact phi-weights.
 
-    The norms reduce over the trailing grid axes: one state gives a float,
-    a stack (k, *grid) gives its k row norms in one call.  The stepper
-    takes each increment and stage-scale norm of a step that way.
+    The base class owns the norm couple: X is the grid L^p norm and V the
+    grid L^r norm (p <= r) over the `dim` trailing axes with cell volume
+    `cell`, and W is X or V by w_choice.  The norms reduce over the
+    trailing grid axes: one state gives a float, a stack (k, *grid) gives
+    its k row norms in one call.  The stepper takes each increment and
+    stage-scale norm of a step that way.
     """
 
     bound_m: float = 1.0
     profile_x: SmoothingProfile
     profile_w: SmoothingProfile
+
+    def __init__(self, p: float = 2.0, r: float = 2.0, w_choice: str = "V",
+                 cell: float = 1.0, dim: int = 1):
+        if w_choice not in ("X", "V"):
+            raise ValidationError("w_choice must be 'X' or 'V'")
+        if _inverse(r) > _inverse(p):
+            raise ValidationError("need p <= r")
+        self.p, self.r, self.w_choice = float(p), float(r), w_choice
+        self.cell, self.dim = cell, dim
+
+    def _set_profiles(self, c: float, alpha: float, t_max: float):
+        """profile_x is rho(t) = c*t^(-alpha); profile_w is profile_x for
+        W = X and the uniform bound bound_m for W = V."""
+        self.profile_x = SmoothingProfile(c=c, alpha=alpha, t_max=t_max)
+        self.profile_w = (self.profile_x if self.w_choice == "X"
+                          else SmoothingProfile(c=self.bound_m, alpha=0.0, t_max=t_max))
 
     def flow_op(self, times):
         """The flows e^{t_m A} for the given times, ready for apply_nodes."""
@@ -137,25 +160,41 @@ class Propagator:
     def apply(self, t: float, v):
         return self.apply_nodes(self.flow_op((t,)), np.asarray(v)[None])[0]
 
-    def x_norm(self, v) -> float:
-        raise NotImplementedError
+    def lp(self, v, p):
+        return lp_norm(v, p, self.cell, self.dim)
 
-    def v_norm(self, v) -> float:
-        raise NotImplementedError
+    def x_norm(self, v):
+        return self.lp(v, self.p)
 
-    def w_norm(self, v) -> float:
-        raise NotImplementedError
+    def v_norm(self, v):
+        return self.lp(v, self.r)
+
+    def w_norm(self, v):
+        return self.x_norm(v) if self.w_choice == "X" else self.v_norm(v)
 
     def zeros(self):
         raise NotImplementedError
 
-    def sample_in_ball(self, center, radius: float, rng) -> object:
-        """A state v with v_norm(v - center) <= radius, smooth enough to
-        keep pointwise nonlinearities under control."""
+    def random_field(self, rng):
+        """A random state, smooth enough to keep pointwise nonlinearities
+        under control; sample_in_ball scales it into a V-ball."""
         raise NotImplementedError
+
+    def sample_in_ball(self, center, radius: float, rng) -> object:
+        """A state v with v_norm(v - center) <= radius, at least a tenth of
+        the radius away from the center unless the field is zero."""
+        v = self.random_field(rng)
+        nv = self.v_norm(v)
+        if nv == 0.0:
+            return np.asarray(center).copy()
+        return center + radius * rng.uniform(0.1, 1.0) / nv * v
 
     def random_state(self, rng):
         return self.sample_in_ball(self.zeros(), 1.0, rng)
+
+    def smoothing_probes(self, rng):
+        """Probe states for measure_smoothing's operator-norm proxy."""
+        raise ValidationError(f"{type(self).__name__} has no smoothing probes")
 
     quad_extra_nodes: int = 2  # q_tau = s + quad_extra_nodes
 
@@ -241,8 +280,12 @@ class DiagonalPropagator(Propagator):
         return self.from_modes(op * self.to_modes(V))
 
     def apply(self, t: float, v):
+        zero = self.zeros()
+        v = np.asarray(v, dtype=zero.dtype)
+        if v.shape[v.ndim - zero.ndim:] != zero.shape:
+            raise ValidationError(f"state shape {v.shape} != grid {zero.shape}")
         if t == 0.0:
-            return v.copy() if hasattr(v, "copy") else v
+            return v.copy()
         return self.from_modes(np.exp(t * self.eigenvalues) * self.to_modes(v))
 
     def convolve_op(self, h, lag, ends, q_nodes=None):
@@ -267,17 +310,9 @@ class HeatTorusProblem(DiagonalPropagator):
             raise ValidationError("dim must be 1 or 2")
         if n < 4 or n & (n - 1):
             raise ValidationError("grid size must be a power of two >= 4")
-        if w_choice not in ("X", "V"):
-            raise ValidationError("w_choice must be 'X' or 'V'")
-        ip = 0.0 if np.isinf(p) else 1.0 / p
-        ir = 0.0 if np.isinf(r) else 1.0 / r
-        if ir > ip:
-            raise ValidationError("need p <= r")
-        self.dim, self.n, self.p, self.r = dim, n, float(p), float(r)
-        self.w_choice = w_choice
-        self.sobolev_v = sobolev_v
+        self.n, self.sobolev_v = n, sobolev_v
         self.dx = 2.0 * math.pi / n
-        self.cell = self.dx ** dim
+        super().__init__(p, r, w_choice, cell=self.dx ** dim, dim=dim)
         # real fields: the modes are the rfft half spectrum of the last axis
         k = np.fft.fftfreq(n, d=1.0 / n)
         k_half = np.fft.rfftfreq(n, d=1.0 / n)
@@ -302,11 +337,7 @@ class HeatTorusProblem(DiagonalPropagator):
         c, alpha = gaussian_smoothing_constant(dim, p, r)
         if p == r:
             c, alpha = self.bound_m, 0.0
-        self.profile_x = SmoothingProfile(c=c, alpha=alpha, t_max=t_max)
-        if w_choice == "V":
-            self.profile_w = SmoothingProfile(c=self.bound_m, alpha=0.0, t_max=t_max)
-        else:
-            self.profile_w = self.profile_x
+        self._set_profiles(c, alpha, t_max)
 
     bound_m = 1.0  # kernel has unit mass, Young on every L^p
 
@@ -324,10 +355,6 @@ class HeatTorusProblem(DiagonalPropagator):
         if self.dim == 1:
             return np.fft.irfft(vh, self.n)
         return np.fft.irfft2(vh, self.shape)
-
-    def apply(self, t, v):
-        self._check(v)
-        return super().apply(t, v)
 
     def zeros(self):
         return np.zeros(self.shape)
@@ -348,44 +375,29 @@ class HeatTorusProblem(DiagonalPropagator):
         gy = self.from_modes(1j * ky * vh)
         return np.sqrt(gx ** 2 + gy ** 2)
 
-    def lp(self, v, p):
-        return lp_norm(v, p, self.cell, self.dim)
-
-    def x_norm(self, v):
-        return self.lp(v, self.p)
-
     def v_norm(self, v):
         base = self.lp(v, self.r)
         if self.sobolev_v:
             base += self.lp(self.gradient(v), self.r)
         return base
 
-    def w_norm(self, v):
-        return self.x_norm(v) if self.w_choice == "X" else self.v_norm(v)
-
-    def sample_in_ball(self, center, radius, rng):
+    def random_field(self, rng):
         # random band-limited field: |k|^-2 spectral decay keeps pointwise
         # values and Lipschitz ratios bounded on V-balls
         if self.dim == 1:
-            v = rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
-        else:
-            kmax = min(self.n // 4, 16)
-            terms = []
-            for _ in range(8):
-                kx = rng.integers(0, kmax + 1)
-                ky = rng.integers(0, kmax + 1)
-                a = rng.standard_normal() / (1.0 + kx ** 2 + ky ** 2)
-                terms.append((kx, ky, a, rng.uniform(0, 2 * np.pi)))
-            kx, ky, a, ph = (np.array(c)[:, None] for c in zip(*terms))
-            # cos(kx x + ky y + ph) = cos(kx x) cos(ky y + ph) - sin(kx x) sin(ky y + ph)
-            x = np.arange(self.n) * self.dx
-            wx, wy = kx * x, ky * x + ph
-            v = (a * np.cos(wx)).T @ np.cos(wy) - (a * np.sin(wx)).T @ np.sin(wy)
-        nv = self.v_norm(v)
-        if nv == 0.0:
-            return np.asarray(center).copy()
-        scale = radius * rng.uniform(0.1, 1.0) / nv
-        return center + scale * v
+            return rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
+        kmax = min(self.n // 4, 16)
+        terms = []
+        for _ in range(8):
+            kx = rng.integers(0, kmax + 1)
+            ky = rng.integers(0, kmax + 1)
+            a = rng.standard_normal() / (1.0 + kx ** 2 + ky ** 2)
+            terms.append((kx, ky, a, rng.uniform(0, 2 * np.pi)))
+        kx, ky, a, ph = (np.array(c)[:, None] for c in zip(*terms))
+        # cos(kx x + ky y + ph) = cos(kx x) cos(ky y + ph) - sin(kx x) sin(ky y + ph)
+        x = np.arange(self.n) * self.dx
+        wx, wy = kx * x, ky * x + ph
+        return (a * np.cos(wx)).T @ np.cos(wy) - (a * np.sin(wx)).T @ np.sin(wy)
 
     def kernel_width(self, t):
         return math.sqrt(2.0 * t)
@@ -435,20 +447,12 @@ class OUProblem(Propagator):
             raise ValidationError("drift b must be negative")
         if q <= 0.0:
             raise ValidationError("diffusion q must be positive")
-        if w_choice not in ("X", "V"):
-            raise ValidationError("w_choice must be 'X' or 'V'")
-        ip = 0.0 if np.isinf(p) else 1.0 / p
-        ir = 0.0 if np.isinf(r) else 1.0 / r
-        if ir > ip:
-            raise ValidationError("need p <= r")
         self.b, self.q = float(b), float(q)
         self.gamma = -float(b)
         self.box, self.n = float(box), int(n)
-        self.p, self.r, self.w_choice = float(p), float(r), w_choice
         self.x = np.linspace(-box, box, n, endpoint=False) + box / n
         self.dx = self.x[1] - self.x[0]
-        self.cell = self.dx
-        self.diagnostics: list[str] = []
+        super().__init__(p, r, w_choice, cell=self.dx)
         # sample_in_ball's field: cos(k pi x/L)/k^2, sin(k pi x/L)/k^2 per k,
         # under a Gaussian envelope that decays inside the box
         kb = np.arange(1, 7)[:, None]
@@ -456,6 +460,7 @@ class OUProblem(Propagator):
         waves = np.stack([np.cos(kx), np.sin(kx)], axis=1) / kb[:, None] ** 2
         env = np.exp(-self.x ** 2 / (2.0 * (self.box / 3.0) ** 2))
         self._ball_basis = waves.reshape(2 * len(kb), self.n) * env
+        ip, ir = _inverse(self.p), _inverse(self.r)
         alpha = 0.5 * (ip - ir)
         if alpha == 0.0:
             c = self.bound_m
@@ -464,11 +469,7 @@ class OUProblem(Propagator):
             iq = 1.0 - ip + ir
             qh = 1.0 / iq
             c = (4.0 * math.pi * self.q) ** (-alpha) * qh ** (-1.0 / (2.0 * qh))
-        self.profile_x = SmoothingProfile(c=c, alpha=alpha, t_max=t_max)
-        if w_choice == "V":
-            self.profile_w = SmoothingProfile(c=self.bound_m, alpha=0.0, t_max=t_max)
-        else:
-            self.profile_w = self.profile_x
+        self._set_profiles(c, alpha, t_max)
 
     bound_m = 1.05  # contraction up to quadrature/interpolation error
 
@@ -493,12 +494,9 @@ class OUProblem(Propagator):
         for r, m in enumerate(live):
             t = times[m]
             q_t = self.q_t(t)
-            if q_t < 1e-14:
-                # kernel is a near-delta; the symbol is 1 to rounding
-                self.diagnostics.append(
-                    f"t={t:.3e}: kernel variance {2.0 * q_t:.3e} below cutoff, "
-                    f"pure dilation")
-            else:
+            # below the cutoff the kernel is a near-delta whose symbol is 1
+            # to rounding: the row is pure dilation
+            if q_t >= 1e-14:
                 # Gaussian kernel applied through its exact Fourier symbol on
                 # the periodic box; for widths above ~3 dx this matches the
                 # grid-sampled kernel to rounding, and it stays exact (-> 1)
@@ -558,24 +556,8 @@ class OUProblem(Propagator):
     def zeros(self):
         return np.zeros(self.n)
 
-    def lp(self, v, p):
-        return lp_norm(v, p, self.cell, 1)
-
-    def x_norm(self, v):
-        return self.lp(v, self.p)
-
-    def v_norm(self, v):
-        return self.lp(v, self.r)
-
-    def w_norm(self, v):
-        return self.x_norm(v) if self.w_choice == "X" else self.v_norm(v)
-
-    def sample_in_ball(self, center, radius, rng):
-        v = rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
-        nv = self.v_norm(v)
-        if nv == 0.0:
-            return np.asarray(center).copy()
-        return center + radius * rng.uniform(0.1, 1.0) / nv * v
+    def random_field(self, rng):
+        return rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
 
     def smoothing_probes(self, rng):
         probes = []
@@ -614,6 +596,7 @@ class WaveProblem(DiagonalPropagator):
         self.n = int(n_modes)
         self.alpha_w = float(alpha_w)
         self.dx = math.pi / (self.n + 1)
+        super().__init__(cell=self.dx)
         k = np.arange(1, self.n + 1)
         self.x = k * self.dx
         self.omega = k.astype(float)
@@ -622,8 +605,7 @@ class WaveProblem(DiagonalPropagator):
         jk = np.outer(k, k) % (2 * (self.n + 1))
         self._sine = math.sqrt(2.0 / (self.n + 1)) * np.sin(math.pi * jk / (self.n + 1))
         self.eigenvalues = -1j * self.omega
-        self.profile_x = SmoothingProfile(c=1.0, alpha=0.0, t_max=t_max)
-        self.profile_w = self.profile_x
+        self._set_profiles(self.bound_m, 0.0, t_max)
 
     bound_m = 1.0  # exact rotation in the energy pairing
 
@@ -653,25 +635,20 @@ class WaveProblem(DiagonalPropagator):
         wdot = self._idst(np.imag(z))
         return w, wdot
 
-    def apply(self, t, z):
-        # the wave flow is a group; allow negative t
-        return super().apply(t, np.asarray(z, dtype=complex))
-
     def modal_energy(self, z):
         """Per-mode invariant omega^2 w_k^2 + wdot_k^2 of the linear flow."""
         return np.abs(z) ** 2
 
     def energy_norm(self, z):
         """Energy norm of one modal state (a float) or of each row of a stack."""
-        return lp_norm(z, 2.0, self.dx, 1)
+        return self.lp(z, 2.0)
 
+    # X = V = W is the energy norm, so w_norm need not dispatch to v_norm
     x_norm = v_norm = w_norm = energy_norm
 
-    def sample_in_ball(self, center, radius, rng):
+    def random_field(self, rng):
         amp = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
-        amp /= (1.0 + self.omega) ** 2
-        nv = self.energy_norm(amp)
-        return center + radius * rng.uniform(0.1, 1.0) / nv * amp
+        return amp / (1.0 + self.omega) ** 2
 
 
 @dataclass

@@ -10,10 +10,11 @@ import pytest
 import yaml
 
 import expsplit
+from expsplit import cli
 from expsplit import config as cfgmod
 from expsplit.cli import main
 from expsplit.errors import ValidationError
-from expsplit.harness import StudyPlan
+from expsplit.harness import ConvergenceReport, StudyPlan
 from expsplit.integrator import SchemeSpec
 from expsplit.nonlinearities import PowerNonlinearity, ZeroNonlinearity
 from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
@@ -241,6 +242,24 @@ class TestCliConvergence:
         assert "divide" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("reason,code", [
+        ("contraction: kappa(h)=1.2 >= 1", 3),
+        ("strip: left the tube at t=0.1", 4),
+        ("divergence: stage iteration diverged", 5),
+        ("median EOC 1.200 outside 2.000+-0.3", 6),
+    ])
+    def test_failed_study_exit_code(self, tmp_path, capsys, monkeypatch,
+                                    reason, code):
+        def failed(plan, problem, g, u0):
+            return ConvergenceReport(problem_id=plan.problem_id, passed=False,
+                                     abort_reason=reason)
+
+        monkeypatch.setattr(cli, "convergence_study", failed)
+        assert main(["convergence", "--config", "heat-linear",
+                     "--out", str(tmp_path / "out")]) == code
+        assert f"study failed: {reason}" in capsys.readouterr().err
+
+
 class TestCliSmoothing:
     def test_heat_smoothing_flat_for_matching_exponents(self, tmp_path, capsys):
         cfg = cfgmod.resolve_config("heat-torus-1d")
@@ -253,6 +272,14 @@ class TestCliSmoothing:
         data = json.loads((out / "smoothing.json").read_text())
         assert abs(data["slope"]) < 0.1
         assert "slope" in capsys.readouterr().out
+
+    def test_wave_has_no_probes(self, tmp_path, capsys):
+        code = main(["smoothing", "--config", "wave-dirichlet-1d",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "WaveProblem" in err
+        assert "Traceback" not in err
 
     def test_fractional_pair_recovers_quarter_slope(self, tmp_path):
         cfg = cfgmod.resolve_config("heat-torus-1d")

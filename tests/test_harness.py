@@ -140,6 +140,20 @@ class TestConvergenceStudy:
             convergence_study(plan, hp, g, 0.1 * np.sin(hp.grid()))
 
 
+    def test_plan_built_in_code_takes_w_from_problem(self):
+        # heat-frac-s2 is a W = X problem: its order is s - alpha = 2 - 1/4
+        cfg = cfgmod._merge(cfgmod.resolve_config("heat-frac-s2"),
+                            {"run": {"t_final": 0.05}})
+        pr = cfgmod.build_problem(cfg)
+        plan = StudyPlan(problem_id="heat-frac-s2", scheme=SchemeSpec.with_stages(2),
+                         h_list=[1 / 40, 1 / 80], horizon=0.05)
+        report = convergence_study(plan, pr, cfgmod.build_nonlinearity(cfg, pr),
+                                   cfgmod.build_initial(cfg, pr))
+        assert report.w_choice == "X"
+        assert report.predicted_order == 1.75
+        assert report.summary()["w_choice"] == "X"
+
+
 class TestReport:
     def test_require_passed_raises_on_failure(self):
         report = ConvergenceReport(problem_id="x", passed=False,
