@@ -460,15 +460,12 @@ class OUProblem(Propagator):
         waves = np.stack([np.cos(kx), np.sin(kx)], axis=1) / kb[:, None] ** 2
         env = np.exp(-self.x ** 2 / (2.0 * (self.box / 3.0) ** 2))
         self._ball_basis = waves.reshape(2 * len(kb), self.n) * env
-        ip, ir = _inverse(self.p), _inverse(self.r)
-        alpha = 0.5 * (ip - ir)
+        c, alpha = gaussian_smoothing_constant(1, self.p, self.r)
         if alpha == 0.0:
             c = self.bound_m
         else:
-            # ||k_t||_holder-q with kernel variance 2 Q_t >= 2 q t
-            iq = 1.0 - ip + ir
-            qh = 1.0 / iq
-            c = (4.0 * math.pi * self.q) ** (-alpha) * qh ** (-1.0 / (2.0 * qh))
+            # k_t is the heat kernel at time Q_t >= q t
+            c *= self.q ** (-alpha)
         self._set_profiles(c, alpha, t_max)
 
     bound_m = 1.05  # contraction up to quadrature/interpolation error
