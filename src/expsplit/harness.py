@@ -78,7 +78,7 @@ class ReferenceSolution:
     states: list
     h_ref: float
     # terminal V-norm diff between the h_ref run and a 2 h_ref rerun; for
-    # order q it over-estimates the stored states' error by about 2^q
+    # order q it over-estimates the stored reference's error by about 2^q
     self_check_diff: float
 
     def at_time(self, t: float):

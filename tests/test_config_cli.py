@@ -292,6 +292,21 @@ class TestCliSmoothing:
         assert data["slope"] == pytest.approx(-0.25, abs=0.05)
         assert data["alpha_declared"] == pytest.approx(0.25)
 
+    def test_ou_l1_to_linf_runs_without_traceback(self, tmp_path, capsys):
+        cfg = cfgmod.resolve_config("ou-1d")
+        cfg["problem"].update(p=1, r=float("inf"))
+        cfg["smoothing"] = {"t_min": 1e-2, "t_max": 1e-1}  # widths above 2 dx
+        text = cfgmod.dump_config(cfg)
+        assert "r: .inf" in text
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["smoothing", "--config", str(path), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        data = json.loads((out / "smoothing.json").read_text())
+        assert data["alpha_declared"] == 0.5
+        assert data["slope"] == pytest.approx(-0.5, abs=0.05)
+
 
 class TestCliSelftest:
     def test_all_checks_pass(self, capsys):

@@ -11,7 +11,7 @@ from expsplit.errors import ContractionError, StudyFailedError, ValidationError
 from expsplit.harness import (ConvergenceReport, StudyPlan, convergence_study,
                               order_prediction, reference_solution,
                               require_passed)
-from expsplit.integrator import SchemeSpec
+from expsplit.integrator import SchemeSpec, run
 from expsplit.nonlinearities import PowerNonlinearity, ZeroNonlinearity
 from expsplit.propagators import HeatTorusProblem, SmoothingProfile
 
@@ -85,6 +85,25 @@ class TestReferenceSolution:
         mid = ref.at_time(0.5)
         assert abs(mid[0] - logistic_exact(0.1, 0.5)) < 1e-10
         assert ref.self_check_diff < 1e-10
+
+    def test_odd_step_count_checks_against_a_coarser_run(self, make_scalar):
+        # a validated sweep makes T / h_min even, so an odd N only reaches
+        # reference_solution directly: T / h_min = 3 with ref_factor 65
+        pr = make_scalar(lam=-1.0)
+        g = PowerNonlinearity(alpha=2.0, coeff=1.0)
+        u0, T, h_min = np.array([0.1]), 3 / 8, 1 / 8
+        h_ref = h_min / 65
+        n = round(T / h_ref)
+        assert n % 2 == 1
+        ref = reference_solution(pr, g, u0, T, h_ref, h_min, 1.0)
+        scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
+        guards = harness._make_guards(pr, scheme, 1.0)
+        stored = run(u0, T, n, scheme, pr, g, guards)
+        coarse = run(u0, T, n // 2, scheme, pr, g, guards)  # step > 2 h_ref
+        assert np.array_equal(ref.terminal, stored.states[-1])
+        assert ref.self_check_diff == pr.v_norm(ref.terminal - coarse.states[-1])
+        assert math.isfinite(ref.self_check_diff) and ref.self_check_diff < 1e-10
+        assert abs(ref.terminal[0] - logistic_exact(0.1, T)) < 1e-10
 
     def test_sample_spacing_must_be_multiple(self, make_scalar):
         pr = make_scalar()
@@ -308,3 +327,36 @@ class TestReferenceMemo:
                 convergence_study(plan, pr, g, u0)
         assert len(ref_builds) == 2
         assert not harness._REFERENCE_MEMO
+
+
+def preset_study(preset, n_h=3):
+    """A shipped study preset with its sweep cut to the n_h coarsest h."""
+    cfg = cfgmod.resolve_config(preset)
+    cfg["study"]["h_list"] = cfg["study"]["h_list"][:n_h]
+    problem = cfgmod.build_problem(cfg)
+    return (cfgmod.build_plan(cfg), problem, cfgmod.build_nonlinearity(cfg, problem),
+            cfgmod.build_initial(cfg, problem))
+
+
+class TestReferenceSelfCheck:
+    def test_under_resolved_reference_is_rejected(self, ref_builds, monkeypatch):
+        monkeypatch.setattr(harness, "REFERENCE_STAGES", 1)
+        with pytest.raises(ValidationError, match="reference rejected"):
+            convergence_study(*preset_study("heat-cubic-s2"))
+        assert len(ref_builds) == 1
+
+    def test_coarse_diff_bounds_the_fine_diff(self, ref_builds):
+        plan, problem, g, u0 = preset_study("ou-cubic-s1")
+        report = convergence_study(plan, problem, g, u0)
+        ((_, _, _, T, h_ref, _, lipschitz),) = ref_builds
+        ((ref, _, _),) = harness._REFERENCE_MEMO.values()
+        # the fine check: a rerun at h_ref/2
+        scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
+        n_fine = 2 * round(T / h_ref)
+        fine = run(u0, T, n_fine, scheme, problem, g,
+                   harness._make_guards(problem, scheme, lipschitz),
+                   store_stride=n_fine)
+        fine_diff = problem.v_norm(ref.terminal - fine.states[-1])
+        # below 1e-11 both diffs are rounding and their order says nothing
+        assert fine_diff > 1e-11
+        assert report.reference_check >= fine_diff

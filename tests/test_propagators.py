@@ -384,6 +384,18 @@ class TestOU:
         out = ou.apply(1e-16, v)
         assert np.max(np.abs(out - v)) < 1e-10
 
+    def test_l1_to_linf_constant_is_the_kernel_sup(self):
+        # 1/q = 1 - 1/p + 1/r = 0: ||k_t||_inf = (4 pi Q_t)^(-1/2), Q_t >= q t
+        ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=128, p=1, r=np.inf)
+        prof = ou.profile_x
+        assert prof.alpha == 0.5
+        for t in (1e-6, 0.01, 0.1, 1.0):
+            sup = 1.0 / math.sqrt(4.0 * math.pi * ou.q_t(t))
+            assert prof.c * t ** -prof.alpha >= sup
+        t = 1e-6  # Q_t = q t (1 + O(gamma t))
+        assert prof.c * t ** -prof.alpha == pytest.approx(
+            1.0 / math.sqrt(4.0 * math.pi * ou.q_t(t)), rel=1e-5)
+
     def test_positive_drift_rejected(self):
         with pytest.raises(ValidationError):
             OUProblem(b=0.5, q=1.0)
