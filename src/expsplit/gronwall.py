@@ -18,8 +18,8 @@ from .errors import ValidationError
 from .lagrange import NodeSet
 from .propagators import SmoothingProfile
 
-__all__ = ["gronwall_bound", "gronwall_hypothesis_holds", "taylor_kernel_bound",
-           "AprioriConstants", "apriori_error_bound", "derivative_l1_norm"]
+__all__ = ["gronwall_bound", "taylor_kernel_bound", "AprioriConstants",
+           "apriori_error_bound", "derivative_l1_norm"]
 
 
 def gronwall_bound(a, b) -> np.ndarray:
@@ -33,19 +33,6 @@ def gronwall_bound(a, b) -> np.ndarray:
     running_max = np.maximum.accumulate(a)
     prods = np.concatenate(([1.0], np.cumprod(1.0 + b[:-1])))
     return running_max * prods
-
-
-def gronwall_hypothesis_holds(a, b, z, slack: float = 0.0) -> bool:
-    """Check z_n <= a_n + sum_{j<n} b_j z_j for all n >= 1."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    z = np.asarray(z, dtype=float)
-    acc = 0.0
-    for n in range(1, len(z)):
-        acc += b[n - 1] * z[n - 1]
-        if z[n] > a[n] + acc + slack:
-            return False
-    return True
 
 
 def taylor_kernel_bound(nodes: NodeSet) -> float:

@@ -189,9 +189,6 @@ class Propagator:
             return np.asarray(center).copy()
         return center + radius * rng.uniform(0.1, 1.0) / nv * v
 
-    def random_state(self, rng):
-        return self.sample_in_ball(self.zeros(), 1.0, rng)
-
     def smoothing_probes(self, rng):
         """Probe states for measure_smoothing's operator-norm proxy."""
         raise ValidationError(f"{type(self).__name__} has no smoothing probes")
@@ -625,12 +622,6 @@ class WaveProblem(DiagonalPropagator):
     def encode(self, w, wdot):
         """Pack a physical (w, wdot) pair into the complex modal state."""
         return self.omega * self._dst(w) + 1j * self._dst(wdot)
-
-    def decode(self, z):
-        """Unpack the complex modal state into physical (w, wdot)."""
-        w = self._idst(np.real(z) / self.omega)
-        wdot = self._idst(np.imag(z))
-        return w, wdot
 
     def modal_energy(self, z):
         """Per-mode invariant omega^2 w_k^2 + wdot_k^2 of the linear flow."""

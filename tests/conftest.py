@@ -38,6 +38,31 @@ class ScalarProblem(DiagonalPropagator):
         return np.asarray(center) + radius * rng.uniform(-1.0, 1.0, size=1)
 
 
+def random_state(problem, rng):
+    """A state in the unit V-ball of problem, at least 0.1 from zero."""
+    return problem.sample_in_ball(problem.zeros(), 1.0, rng)
+
+
+def decode(wave, z):
+    """Unpack a WaveProblem's complex modal state into physical (w, wdot)."""
+    w = wave._idst(np.real(z) / wave.omega)
+    wdot = wave._idst(np.imag(z))
+    return w, wdot
+
+
+def gronwall_hypothesis_holds(a, b, z, slack: float = 0.0) -> bool:
+    """Check z_n <= a_n + sum_{j<n} b_j z_j for all n >= 1."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    z = np.asarray(z, dtype=float)
+    acc = 0.0
+    for n in range(1, len(z)):
+        acc += b[n - 1] * z[n - 1]
+        if z[n] > a[n] + acc + slack:
+            return False
+    return True
+
+
 @pytest.fixture
 def scalar_problem():
     return ScalarProblem()

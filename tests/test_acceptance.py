@@ -12,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import decode, gronwall_hypothesis_holds, random_state
 from expsplit import config as cfgmod
 from expsplit.cli import main as cli_main
-from expsplit.gronwall import gronwall_bound, gronwall_hypothesis_holds
+from expsplit.gronwall import gronwall_bound
 from expsplit.harness import convergence_study
 from expsplit.lagrange import build_lagrange, default_nodes, eval_basis, \
     moment_residual
@@ -199,7 +200,7 @@ def test_criterion_04_semigroup_laws(announce):
     failures = []
     heat = HeatTorusProblem(dim=1, n=64)
     for _ in range(100):
-        u = heat.random_state(rng)
+        u = random_state(heat, rng)
         t1, t2 = rng.uniform(0.01, 0.4, 2)
         d = heat.v_norm(heat.apply(t1 + t2, u) - heat.apply(t1, heat.apply(t2, u)))
         if d > 1e-11:
@@ -356,7 +357,7 @@ def test_criterion_11_wave_example(announce, study_wave):
                         omega=problem.profile_x)
     rec = run(z0, 1.0, 100, scheme, problem, ZeroNonlinearity(), guards)
     rec.raise_if_failed()
-    w_num, wdot_num = wave.decode(rec.states[-1])
+    w_num, wdot_num = decode(wave, rec.states[-1])
     # closed form: w = sum a_k cos(k t) sin(k x), wdot = -sum a_k k sin(k t) sin(k x)
     T = 1.0
     w_ex = sum(a * math.cos(k * T) * np.sin(k * wave.x)

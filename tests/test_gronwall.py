@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gronwall_hypothesis_holds
 from expsplit.errors import ValidationError
 from expsplit.gronwall import (AprioriConstants, apriori_error_bound,
                                derivative_l1_norm, gronwall_bound,
-                               gronwall_hypothesis_holds, taylor_kernel_bound)
+                               taylor_kernel_bound)
 from expsplit.lagrange import NodeSet, default_nodes
 from expsplit.propagators import SmoothingProfile
 

@@ -1,8 +1,12 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_state
 from expsplit.errors import (ContractionError, FixedPointDivergenceError,
                              StripViolationError, ValidationError)
 from expsplit.integrator import (SchemeSpec, StepGuards, internal_stages, plan_step,
@@ -24,7 +28,7 @@ class TestInternalStages:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(3)
         guards = make_guards(hp, scheme, 1e-12)
-        u = hp.random_state(rng)
+        u = random_state(hp, rng)
         stages, info = internal_stages(u, 0.0, ZeroNonlinearity(),
                                        plan_step(0.01, scheme, hp, guards))
         assert info.iterations == 1
@@ -36,7 +40,7 @@ class TestInternalStages:
         scheme = SchemeSpec.with_stages(1)  # single node c_1 = 0
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
         guards = make_guards(hp, scheme, 3.0)
-        u = 0.3 * hp.random_state(rng)
+        u = 0.3 * random_state(hp, rng)
         stages, info = internal_stages(u, 0.0, g, plan_step(0.01, scheme, hp, guards))
         # the c = 0 anchor is u_n up to an FFT round trip
         assert hp.v_norm(stages[0] - u) < 1e-15
@@ -81,7 +85,7 @@ class TestStep:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
         guards = make_guards(hp, scheme, 1e-12)
-        u = hp.random_state(rng)
+        u = random_state(hp, rng)
         u1, _ = step(u, 0.0, ZeroNonlinearity(), plan_step(0.05, scheme, hp, guards))
         assert hp.v_norm(u1 - hp.apply(0.05, u)) < 1e-13
 
@@ -138,7 +142,7 @@ class TestRun:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
         guards = make_guards(hp, scheme, 1e-12)
-        u = hp.random_state(rng)
+        u = random_state(hp, rng)
         rec = run(u, 0.5, 100, scheme, hp, ZeroNonlinearity(), guards)
         rec.raise_if_failed()
         assert hp.v_norm(rec.states[-1] - hp.apply(0.5, u)) < 1e-11
@@ -187,7 +191,7 @@ class TestRun:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(1)
         guards = make_guards(hp, scheme, 1e-12)
-        u = hp.random_state(rng)
+        u = random_state(hp, rng)
         rec = run(u, 1.0, 10, scheme, hp, ZeroNonlinearity(), guards,
                   store_stride=4)
         assert rec.times[0] == 0.0
@@ -248,7 +252,7 @@ class TestRun:
 
         before = footprint()
         scheme = SchemeSpec.with_stages(2)
-        u = 0.3 * problem.random_state(rng)
+        u = 0.3 * random_state(problem, rng)
         rec = run(u, 0.5, 50, scheme, problem, g, make_guards(problem, scheme, 3.0))
         rec.raise_if_failed()
         assert len(rec.stage_iterations) == 50
@@ -265,8 +269,18 @@ WARM_CASES = {
 }
 
 
+# name -> problem of the arbitrary-start property test
+START_PROBLEMS = {
+    "heat-1d": HeatTorusProblem(dim=1, n=64),
+    "ou": OUProblem(n=128),
+    "wave": WaveProblem(n_modes=16),
+}
+
+
 class TestWarmStart:
-    """run starts each stage iteration from the previous step's correction."""
+    """run starts each stage iteration from the linear extrapolation of the
+    last two corrections: the anchor on step 1, c_1 on step 2, then
+    2 c_n - c_{n-1}."""
 
     @staticmethod
     def make_case(name, rng):
@@ -276,7 +290,7 @@ class TestWarmStart:
             else PowerNonlinearity(3.0, -1.0)
         scheme = SchemeSpec.with_stages(s)
         guards = make_guards(problem, scheme, 3.0)
-        u = 0.3 * problem.random_state(rng)
+        u = 0.3 * random_state(problem, rng)
         return problem, g, scheme, guards, u, T, N
 
     @staticmethod
@@ -307,6 +321,54 @@ class TestWarmStart:
         rec = run(u, T, N, scheme, problem, g, guards)
         _, iterations = self.cold_steps(u, T, N, scheme, problem, g, guards)
         assert sum(rec.stage_iterations) < sum(iterations)
+
+    @staticmethod
+    def one_point_iterations(u, T, N, scheme, problem, g, guards):
+        """Iteration counts of N steps, each started from the previous
+        step's correction alone."""
+        plan = plan_step(T / N, scheme, problem, guards)
+        correction, iterations = None, []
+        for n in range(N):
+            u, info = step(u, n * (T / N), g, plan, correction)
+            correction = info.correction
+            iterations.append(info.iterations)
+        return iterations
+
+    @pytest.mark.parametrize("name", sorted(WARM_CASES))
+    def test_extrapolated_start_saves_iterations(self, name, rng):
+        # 2 c_n - c_{n-1} is closer to the next step's correction than c_n;
+        # on the heat cases that saves iterations, on the others both
+        # starts stop after the same count
+        problem, g, scheme, guards, u, T, N = self.make_case(name, rng)
+        rec = run(u, T, N, scheme, problem, g, guards)
+        rec.raise_if_failed()
+        one_point = self.one_point_iterations(u, T, N, scheme, problem, g, guards)
+        assert rec.stage_iterations[:2] == one_point[:2]
+        if name in ("heat-1d-s4", "heat-2d-s2"):
+            assert sum(rec.stage_iterations) < sum(one_point)
+        else:
+            assert sum(rec.stage_iterations) <= sum(one_point)
+
+    @given(st.sampled_from(sorted(START_PROBLEMS)), st.integers(1, 4),
+           st.floats(-16.0, math.log2(1 / 20)), st.floats(-50.0, 50.0),
+           st.floats(-50.0, 50.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_any_start_reaches_cold_stages(self, name, s, log2_h, a, b, seed):
+        # h spans the presets' steps, from 1/20 down past the reference
+        # step 1/640 / 64; the start a c + b c' mixes
+        # the cold corrections of two consecutive steps
+        problem = START_PROBLEMS[name]
+        g = WaveCubic(problem) if name == "wave" else PowerNonlinearity(3.0, -1.0)
+        scheme = SchemeSpec.with_stages(s)
+        h = 2.0 ** log2_h
+        plan = plan_step(h, scheme, problem, make_guards(problem, scheme, 3.0))
+        u = 0.3 * random_state(problem, np.random.default_rng(seed))
+        u1, first = step(u, 0.0, g, plan)
+        cold, cold_info = internal_stages(u1, h, g, plan)
+        start = a * cold_info.correction + b * first.correction
+        warm, info = internal_stages(u1, h, g, plan, start)
+        gap = np.max(problem.v_norm(warm - cold))
+        assert gap <= cold_info.residual_bound + info.residual_bound
 
     @pytest.mark.parametrize("scale", [-1.0, 5.0, 50.0])
     def test_poor_start_reaches_same_stages(self, scale, rng):

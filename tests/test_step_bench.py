@@ -2,8 +2,10 @@
 sampled Lipschitz estimate that `expsplit run` makes before its steps.
 
 Each benchmark also checks that its timed call returns the same value,
-bit for bit, as an untimed call from the same inputs.  One case times a
-warm-started step, whose iteration starts from the previous correction.
+bit for bit, as an untimed call from the same inputs.  Two cases time a
+warm-started step: the second step of a run, whose iteration starts from
+the first correction, and the third, which starts from the extrapolation
+of the first two.
 Run only these with ``pytest tests/test_step_bench.py``;
 ``--benchmark-skip`` leaves them out.
 """
@@ -63,6 +65,19 @@ def test_warm_started_step(benchmark):
     u1, first = step(u0, t0, g, plan)
     warm = _bench_step(benchmark, (u1, t0 + h, g, plan, first.correction))
     assert warm.iterations < step(u1, t0 + h, g, plan)[1].iterations
+
+
+def test_extrapolated_step(benchmark):
+    # the third step of a run: started from 2 c_2 - c_1, the linear
+    # extrapolation of the first two corrections
+    preset, over, stages, h = STEP_CASES["heat1d-n64-s4"]
+    u0, t0, g, plan = _step_args(preset, over, stages, h)
+    u1, first = step(u0, t0, g, plan)
+    u2, second = step(u1, t0 + h, g, plan, first.correction)
+    start = 2.0 * second.correction - first.correction
+    warm = _bench_step(benchmark, (u2, t0 + 2 * h, g, plan, start))
+    one_point = step(u2, t0 + 2 * h, g, plan, second.correction)[1]
+    assert warm.iterations < one_point.iterations
 
 
 def test_run_lipschitz_estimate(benchmark):
