@@ -9,9 +9,12 @@ c_n = U - e^{c_i h A} u_{n-1} of the last two steps: 2 c_n - c_{n-1}, with
 the anchor alone on a run's first step and c_1 alone on its second (Phi
 contracts on the whole ball, so the start changes the iteration count,
 not the stopping rule). The step then advances
-  u_{n+1} = e^{hA} u_n + int_0^h e^{(h-tau)A} sum_j ell_j(tau) g(., U_j) dtau.
-The s stages travel as one (s, *grid) array: each iteration makes one
-g.eval, one stage convolution and one v_norm call on the whole stack.
+  u_{n+1} = e^{hA} u_n + int_0^h e^{(h-tau)A} sum_j ell_j(tau) g(., U_j) dtau,
+with e^{hA} u_n the last row of the anchor's flow: stage s's when c_s = 1,
+an extra row at h otherwise.  The s stages travel as one (s, *grid) array:
+each iteration makes one g.eval, one stage convolution and one v_norm call
+on the whole stack; the anchor is normed only when the stage-scale floor
+of the tolerance decides a test.
 Every operator a step of size h applies is built once, into a StepPlan,
 and only while the contraction certificate
 kappa(h) = Omega(h) * C_ell * s * L is below one.
@@ -79,9 +82,10 @@ class StepGuards:
 class StepPlan:
     """The operators of a step of size h with one scheme, built once.
 
-    offsets are the node times c_i h; node_flow and flow_h are flow ops of
-    the offsets and of h; stage_rows and update_row are convolve ops with
-    the nodes and with (1.0,) as end points.
+    offsets are the node times c_i h; node_flow is the flow op of the
+    offsets, followed by h when the last node is not 1, so its last row is
+    always e^{hA}; stage_rows and update_row are convolve ops with the nodes
+    and with (1.0,) as end points.
     """
 
     propagator: Propagator
@@ -89,7 +93,6 @@ class StepPlan:
     offsets: np.ndarray
     node_flow: object
     stage_rows: object
-    flow_h: object
     update_row: object
     kappa: float
     tol: float
@@ -104,6 +107,7 @@ class StageInfo:
     contraction_ratios: list = field(default_factory=list)
     residual_bound: float = float("nan")
     correction: object = None  # final stages minus their anchor
+    flow_end: object = None  # e^{hA} u_n, the last row of the anchor flow
 
 
 @dataclass
@@ -170,47 +174,64 @@ def plan_step(h: float, scheme: SchemeSpec, propagator: Propagator,
     offsets = h * np.asarray(nodes)
     return StepPlan(
         propagator=propagator, s=scheme.s, offsets=offsets,
-        node_flow=propagator.flow_op(offsets),
+        node_flow=propagator.flow_op(offsets if nodes[-1] == 1.0
+                                     else np.append(offsets, h)),
         stage_rows=propagator.convolve_op(h, scheme.lag, nodes),
-        flow_h=propagator.flow_op((h,)),
         update_row=propagator.convolve_op(h, scheme.lag, (1.0,)),
         kappa=kappa, tol=guards.tolerance(h))
+
+
+def _floors(tol: float, scale: float):
+    """The stopping tolerance and the contraction-ratio floor for stages of
+    V-norm scale >= 1: increments cannot drop below rounding in the stage
+    scale, and ratios measured below the floor are rounding noise."""
+    tol = max(tol, 1e-14 * scale)
+    return tol, max(1e3 * tol, 1e-11 * scale)
+
+
+def _stops(inc: float, tol: float, kappa: float) -> bool:
+    """The a-posteriori distance bound kappa/(1-kappa)*inc is below tol;
+    plain inc <= tol covers kappa near 1."""
+    return inc <= tol or inc * kappa <= tol * (1.0 - kappa)
 
 
 def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
     """Solve the stage equations from the anchor plus start (an (s, *grid)
     correction, or None); returns ((s, *grid) stages, StageInfo)."""
-    propagator, kappa, tol = plan.propagator, plan.kappa, plan.tol
+    propagator, kappa = plan.propagator, plan.kappa
     times = t_n + plan.offsets
-    base = propagator.apply_nodes(plan.node_flow, u_n)
+    anchor = propagator.apply_nodes(plan.node_flow, u_n)
+    base = anchor[:plan.s]
     stages = base if start is None else base + start
-    info = StageInfo()
-    # increments cannot drop below rounding in the stage scale; accept
-    # machine-precision stagnation even when h^(s+1) asks for less
-    scale = max(float(np.max(propagator.v_norm(base))), 1.0)
-    tol = max(tol, 1e-14 * scale)
-    # ratios measured below this floor are rounding noise, not contraction
-    ratio_floor = max(1e3 * tol, 1e-11 * scale)
-    prev_inc = None
+    info = StageInfo(flow_end=anchor[-1])
+    # the floors at scale 1 are lower bounds of the true ones (scale >= 1):
+    # a stop or an unrecorded ratio there is one at the true floors too, so
+    # the stage stack is normed only when a test stays open
+    scale = None
+    tol, ratio_floor = _floors(plan.tol, 1.0)
+    prev_inc = 0.0  # no ratio on the first iteration
     for it in range(1, FP_MAX_ITER + 1):
         G = g.eval(times, stages)
         info.correction = propagator.stage_convolve(plan.stage_rows, G)
         new_stages = base + info.correction
         inc = float(np.max(propagator.v_norm(new_stages - stages)))
-        stages = new_stages
-        info.iterations = it
-        info.increment = inc
-        if prev_inc is not None and prev_inc > ratio_floor:
-            info.contraction_ratios.append(inc / prev_inc)
-        prev_inc = inc
         if not np.isfinite(inc):
             raise FixedPointDivergenceError(
                 f"stage iteration diverged at t={t_n:.6g} (non-finite increment)")
-        # stop once the a-posteriori distance bound kappa/(1-kappa)*inc
-        # is below the tolerance; plain inc <= tol covers kappa near 1
-        if inc <= tol or inc * kappa <= tol * (1.0 - kappa):
+        stages = new_stages
+        info.iterations = it
+        info.increment = inc
+        if scale is None and (prev_inc > ratio_floor or not _stops(inc, tol, kappa)):
+            scale = max(float(np.max(propagator.v_norm(base))), 1.0)
+            tol, ratio_floor = _floors(plan.tol, scale)
+        if prev_inc > ratio_floor:
+            info.contraction_ratios.append(inc / prev_inc)
+        prev_inc = inc
+        if _stops(inc, tol, kappa):
             break
     else:
+        # the last iteration did not stop at the floor of scale 1, so tol
+        # is the scaled one
         raise FixedPointDivergenceError(
             f"stage iteration did not reach tol={tol:.1e} in "
             f"{FP_MAX_ITER} iterations at t={t_n:.6g} "
@@ -224,8 +245,7 @@ def step(u_n, t_n: float, g, plan: StepPlan, start=None):
     stages, info = internal_stages(u_n, t_n, g, plan, start)
     G = g.eval(t_n + plan.offsets, stages)
     (conv,) = plan.propagator.stage_convolve(plan.update_row, G)
-    (flow,) = plan.propagator.apply_nodes(plan.flow_h, u_n)
-    return flow + conv, info
+    return info.flow_end + conv, info
 
 
 def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,

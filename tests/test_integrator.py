@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import random_state
 from expsplit.errors import (ContractionError, FixedPointDivergenceError,
                              StripViolationError, ValidationError)
-from expsplit.integrator import (SchemeSpec, StepGuards, internal_stages, plan_step,
-                                 run, step)
+from expsplit.integrator import (FP_MAX_ITER, SchemeSpec, StageInfo, StepGuards,
+                                 internal_stages, plan_step, run, step)
 from expsplit.lagrange import NodeSet
 from expsplit.nonlinearities import (PowerNonlinearity, StripMonitor, WaveCubic,
                                      ZeroNonlinearity)
@@ -21,6 +21,59 @@ from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
 def make_guards(problem, scheme, lipschitz):
     return StepGuards(lipschitz=lipschitz, c_ell=scheme.lag.c_ell, s=scheme.s,
                       omega=problem.profile_x)
+
+
+def eager_stages(u_n, t_n, g, plan, start=None):
+    """Reference copy of the stage solve that norms the stage stack up front
+    on every call: the stage-scale floors are set before the first
+    iteration, from a flow op of the node offsets alone."""
+    propagator, kappa, tol = plan.propagator, plan.kappa, plan.tol
+    times = t_n + plan.offsets
+    base = propagator.apply_nodes(propagator.flow_op(plan.offsets), u_n)
+    stages = base if start is None else base + start
+    info = StageInfo()
+    scale = max(float(np.max(propagator.v_norm(base))), 1.0)
+    tol = max(tol, 1e-14 * scale)
+    ratio_floor = max(1e3 * tol, 1e-11 * scale)
+    prev_inc = None
+    for it in range(1, FP_MAX_ITER + 1):
+        G = g.eval(times, stages)
+        info.correction = propagator.stage_convolve(plan.stage_rows, G)
+        new_stages = base + info.correction
+        inc = float(np.max(propagator.v_norm(new_stages - stages)))
+        stages = new_stages
+        info.iterations = it
+        info.increment = inc
+        if prev_inc is not None and prev_inc > ratio_floor:
+            info.contraction_ratios.append(inc / prev_inc)
+        prev_inc = inc
+        if not np.isfinite(inc):
+            raise FixedPointDivergenceError("non-finite increment")
+        if inc <= tol or inc * kappa <= tol * (1.0 - kappa):
+            break
+    else:
+        raise FixedPointDivergenceError(f"did not reach tol={tol:.1e}")
+    info.residual_bound = inc * kappa / (1.0 - kappa)
+    return stages, info
+
+
+GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+# name -> problem factory of the end-row and stage-scale tests
+STEP_PROBLEMS = {
+    "heat-1d": lambda: HeatTorusProblem(dim=1, n=64),
+    "heat-2d": lambda: HeatTorusProblem(dim=2, n=16),
+    "ou": lambda: OUProblem(n=128),
+    "wave": lambda: WaveProblem(n_modes=16),
+}
+
+# name -> scheme: the shipped node sets, whose last node is 1 for s >= 2,
+# and two user node sets, without 1 (Gauss-Legendre) and with it
+END_ROW_SCHEMES = {
+    **{f"s{s}": SchemeSpec.with_stages(s) for s in range(1, 5)},
+    "gauss2": SchemeSpec.with_nodes(GAUSS2),
+    "third-one": SchemeSpec.with_nodes((1 / 3, 1.0)),
+}
 
 
 class TestInternalStages:
@@ -88,6 +141,19 @@ class TestStep:
         u = random_state(hp, rng)
         u1, _ = step(u, 0.0, ZeroNonlinearity(), plan_step(0.05, scheme, hp, guards))
         assert hp.v_norm(u1 - hp.apply(0.05, u)) < 1e-13
+
+    @pytest.mark.parametrize("scheme_name", sorted(END_ROW_SCHEMES))
+    @pytest.mark.parametrize("name", sorted(STEP_PROBLEMS))
+    def test_linear_step_is_the_flow_bit_for_bit(self, name, scheme_name, rng):
+        # e^{hA} u_n is the last row of the anchor flow: the anchor of stage
+        # s when c_s = 1, an extra row at h otherwise
+        problem = STEP_PROBLEMS[name]()
+        scheme = END_ROW_SCHEMES[scheme_name]
+        h = 0.01
+        plan = plan_step(h, scheme, problem, make_guards(problem, scheme, 1e-12))
+        u = random_state(problem, rng)
+        u1, _ = step(u, 0.0, ZeroNonlinearity(), plan)
+        assert np.array_equal(u1, problem.apply(h, u))
 
     def test_s1_equals_independent_exponential_euler(self, rng):
         # independent oracle: u1 = e^{hA} u + h phi_1(hA) g(t, u) per mode
@@ -384,6 +450,104 @@ class TestWarmStart:
         assert info.iterations >= cold_info.iterations
         gap = np.max(hp.v_norm(poor - cold))
         assert gap <= cold_info.residual_bound + info.residual_bound
+
+
+class TestStageScale:
+    """The stopping tolerance and the ratio floor grow with the stage scale
+    max(v_norm(anchor), 1).  internal_stages tries both tests at scale 1,
+    where the floors are lowest, and norms the anchor only when a test is
+    left open there, so it decides as if it had normed it up front."""
+
+    def test_stack_is_normed_only_when_a_test_stays_open(self, rng):
+        # a warm heat run at about the reference step of the heat presets;
+        # the anchor's V-norm stays below 1, so the scaled floors are those
+        # of scale 1: a solve that stops in one iteration makes one v_norm
+        # call, its increment's, and a longer solve norms the anchor once
+        problem, g, scheme, guards, u, _, _ = TestWarmStart.make_case("heat-1d-s4", rng)
+        assert problem.v_norm(u) <= 1.0
+        calls = []
+        v_norm = problem.v_norm
+
+        def counted(v):
+            calls.append(len(v))
+            return v_norm(v)
+
+        problem.v_norm = counted
+        rec = run(u, 0.002, 40, scheme, problem, g, guards)
+        rec.raise_if_failed()
+        iterations = rec.stage_iterations
+        longer = sum(1 for it in iterations if it > 1)
+        assert len(calls) == sum(iterations) + longer
+        # most solves stop in one iteration; an eager norm would add 40
+        assert longer < len(iterations) // 2
+
+    def test_large_stages_stop_at_the_scaled_floor(self, rng):
+        # at V-norm 1e3 and h = 1e-5, h^(s+1) and the floor of scale 1 lie
+        # below the rounding of the stages: only the scaled tolerance stops
+        hp = HeatTorusProblem(dim=1, n=64)
+        scheme = SchemeSpec.with_stages(2)
+        g = PowerNonlinearity(alpha=3.0, coeff=-1e-6)
+        plan = plan_step(1e-5, scheme, hp, make_guards(hp, scheme, 3.0))
+        v = random_state(hp, rng)
+        u = 1e3 / hp.v_norm(v) * v
+        stages, info = internal_stages(u, 0.0, g, plan)
+        ref, ref_info = eager_stages(u, 0.0, g, plan)
+        assert np.array_equal(stages, ref)
+        assert info.iterations == ref_info.iterations
+        assert info.increment == ref_info.increment
+        # the last increment passes the scaled tolerance only
+        floor = max(plan.tol, 1e-14)
+        assert info.increment * plan.kappa > floor * (1.0 - plan.kappa)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_anchor_diverges_on_the_first_iteration(self, bad, rng):
+        hp = HeatTorusProblem(dim=1, n=64)
+        scheme = SchemeSpec.with_stages(2)
+        plan = plan_step(0.01, scheme, hp, make_guards(hp, scheme, 3.0))
+        u = random_state(hp, rng)
+        u[5] = bad
+        evals = []
+
+        class Counted(PowerNonlinearity):
+            def eval(self, t, v):
+                evals.append(t)
+                return super().eval(t, v)
+
+        for solve in (internal_stages, eager_stages):
+            with np.errstate(invalid="ignore", over="ignore"), \
+                    pytest.raises(FixedPointDivergenceError, match="non-finite"):
+                solve(u, 0.0, Counted(3.0, -1.0), plan)
+        assert len(evals) == 2
+
+    @given(st.sampled_from(sorted(START_PROBLEMS)),
+           st.sampled_from(["s1", "s2", "s3", "s4", "gauss2"]),
+           st.floats(-16.0, math.log2(1 / 20)), st.floats(-3.0, 4.0),
+           st.sampled_from([None, -1.0, 1.0, 2.0]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_floors_decide_as_eager_ones(self, name, scheme_name, log2_h,
+                                              log10_amp, warm, seed):
+        # h spans the presets' steps; the amplitude puts the stage scale
+        # below 1 and far above it, with the cubic rescaled to keep its
+        # Lipschitz constant; a warm solve starts from a multiple of the
+        # previous step's correction
+        problem = START_PROBLEMS[name]
+        scheme = END_ROW_SCHEMES[scheme_name]
+        amp = 10.0 ** log10_amp
+        g = PowerNonlinearity(3.0, -1.0 / amp ** 2)
+        h = 2.0 ** log2_h
+        plan = plan_step(h, scheme, problem, make_guards(problem, scheme, 3.0))
+        u = 0.3 * amp * random_state(problem, np.random.default_rng(seed))
+        start = None
+        if warm is not None:
+            u, first = step(u, 0.0, g, plan)
+            start = warm * first.correction
+        stages, info = internal_stages(u, h, g, plan, start)
+        ref, ref_info = eager_stages(u, h, g, plan, start)
+        assert np.array_equal(stages, ref)
+        assert info.iterations == ref_info.iterations
+        assert info.increment == ref_info.increment
+        assert info.contraction_ratios == ref_info.contraction_ratios
+        assert info.residual_bound == ref_info.residual_bound
 
 
 class TestSchemeSpec:

@@ -2,13 +2,17 @@
 sampled Lipschitz estimate that `expsplit run` makes before its steps.
 
 Each benchmark also checks that its timed call returns the same value,
-bit for bit, as an untimed call from the same inputs.  Two cases time a
+bit for bit, as an untimed call from the same inputs.  The Gauss-Legendre
+case has neither 0 nor 1 among its nodes, so its anchor flow carries an
+extra row at h for e^{hA} u_n.  Two cases time a
 warm-started step: the second step of a run, whose iteration starts from
 the first correction, and the third, which starts from the extrapolation
 of the first two.
 Run only these with ``pytest tests/test_step_bench.py``;
 ``--benchmark-skip`` leaves them out.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,9 +21,12 @@ from expsplit import config as cfgmod
 from expsplit.integrator import SchemeSpec, StepGuards, plan_step, step
 from expsplit.nonlinearities import estimate_lipschitz
 
-# (preset, problem overrides, stages, h)
+GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+# (preset, problem overrides, stage count or node tuple, h)
 STEP_CASES = {
     "heat1d-n64-s1": ("heat-torus-1d", {"n": 64}, 1, 1 / 640),
+    "heat1d-n64-gauss2": ("heat-torus-1d", {"n": 64}, GAUSS2, 1 / 640),
     "heat1d-n64-s3": ("heat-torus-1d", {"n": 64}, 3, 1 / 640),
     "heat1d-n64-s4": ("heat-torus-1d", {"n": 64}, 4, 1 / 640),
     "heat1d-n128-s2": ("heat-frac-s2", {"n": 128}, 2, 1 / 640),
@@ -37,7 +44,8 @@ def _step_args(preset, problem_over, stages, h):
     problem = cfgmod.build_problem(cfg)
     g = cfgmod.build_nonlinearity(cfg, problem)
     u0 = cfgmod.build_initial(cfg, problem)
-    scheme = SchemeSpec.with_stages(stages)
+    scheme = (SchemeSpec.with_nodes(stages) if isinstance(stages, tuple)
+              else SchemeSpec.with_stages(stages))
     guards = StepGuards(lipschitz=3.0, c_ell=scheme.lag.c_ell, s=scheme.s,
                         omega=problem.profile_x)
     return (u0, 0.0, g, plan_step(h, scheme, problem, guards))
