@@ -2,7 +2,7 @@
 
 The package provides the stage-weight machinery (Lagrange bases and phi
 functions), diagonalizable model propagators with Lp smoothing bounds,
-the fixed-point stepper with its contraction guards, the discrete
+the fixed-point stepper with its contraction certificate, the discrete
 Gronwall chain of a-priori constants, and a convergence-study harness
 plus CLI on top.
 """
@@ -15,7 +15,7 @@ from .gronwall import (AprioriConstants, apriori_error_bound,
                        taylor_kernel_bound)
 from .harness import (ConvergenceReport, StudyPlan, convergence_study,
                       order_prediction, reference_solution, require_passed)
-from .integrator import (SchemeSpec, StepGuards, StepPlan, TrajectoryRecord,
+from .integrator import (SchemeSpec, StepPlan, TrajectoryRecord,
                          internal_stages, plan_step, run, step)
 from .lagrange import LagrangeData, NodeSet, build_lagrange, default_nodes
 from .nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
@@ -32,9 +32,8 @@ __all__ = [
     "AdvectionNonlinearity", "AprioriConstants", "ContractionError",
     "ConvergenceReport", "ExpsplitError", "FixedPointDivergenceError",
     "HeatTorusProblem", "LagrangeData", "NodeSet", "OUProblem",
-    "PowerNonlinearity", "SchemeSpec", "SmoothingProfile", "StepGuards",
-    "StepPlan", "StripMonitor", "StripViolationError", "StudyFailedError",
-    "StudyPlan",
+    "PowerNonlinearity", "SchemeSpec", "SmoothingProfile", "StepPlan",
+    "StripMonitor", "StripViolationError", "StudyFailedError", "StudyPlan",
     "TrajectoryRecord", "ValidationError", "WaveCubic", "WaveProblem",
     "ZeroNonlinearity", "apriori_error_bound", "build_lagrange",
     "convergence_study", "default_nodes", "derivative_l1_norm",

@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from .errors import ExpsplitError, ValidationError
 from .harness import convergence_study
-from .integrator import StepGuards, run
+from .integrator import run
 from .nonlinearities import ZeroNonlinearity, estimate_lipschitz
 from .propagators import WaveProblem, measure_smoothing
 
@@ -94,9 +94,7 @@ def cmd_run(args) -> int:
         radius = 0.25 * max(problem.v_norm(np.asarray(u0)), 1.0)
         lip = estimate_lipschitz(g, problem, np.asarray(u0), radius, (0.0, T),
                                  n_samples=120, rng=rng)
-    guards = StepGuards(lipschitz=max(lip, 1e-12), c_ell=scheme.lag.c_ell,
-                        s=scheme.s, omega=problem.profile_x)
-    record = run(u0, T, n_steps, scheme, problem, g, guards)
+    record = run(u0, T, n_steps, scheme, problem, g, lip)
     summary = record.summary()
     summary["config"] = cfg.get("name", "custom")
     summary["seed"] = int(cfg.get("seed", 0))

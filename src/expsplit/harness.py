@@ -17,7 +17,7 @@ import numpy as np
 from .errors import StudyFailedError, ValidationError
 from .gronwall import AprioriConstants, apriori_error_bound, derivative_l1_norm, \
     taylor_kernel_bound
-from .integrator import SchemeSpec, StepGuards, run
+from .integrator import SchemeSpec, run
 from .nonlinearities import StripMonitor, ZeroNonlinearity, estimate_lipschitz
 from .propagators import measure_smoothing
 
@@ -59,6 +59,8 @@ class StudyPlan:
         hs = sorted(float(h) for h in self.h_list)
         if len(hs) < 2:
             raise ValidationError("need at least two step sizes")
+        if not all(0.0 < x < math.inf for x in (*hs, self.horizon)):
+            raise ValidationError("step sizes and horizon must be positive and finite")
         for h in hs:
             n = self.horizon / h
             if abs(n - round(n)) > 1e-9:
@@ -153,11 +155,6 @@ class ConvergenceReport:
         }
 
 
-def _make_guards(problem, scheme, lipschitz):
-    return StepGuards(lipschitz=lipschitz, c_ell=scheme.lag.c_ell, s=scheme.s,
-                      omega=problem.profile_x)
-
-
 def reference_solution(problem, g, u_0, T: float, h_ref: float,
                        sample_dt: float, lipschitz: float) -> ReferenceSolution:
     """High-order reference trajectory sampled every sample_dt.
@@ -180,12 +177,11 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
         return ReferenceSolution(times=times, states=states, h_ref=h_ref,
                                  self_check_diff=0.0)
     scheme = SchemeSpec.with_stages(REFERENCE_STAGES)
-    guards = _make_guards(problem, scheme, lipschitz)
     n = round(T / h_ref)
-    rec = run(u_0, T, n, scheme, problem, g, guards, store_stride=round(stride))
+    rec = run(u_0, T, n, scheme, problem, g, lipschitz, store_stride=round(stride))
     rec.raise_if_failed()
     n2 = n // 2  # only its terminal state is read
-    rec2 = run(u_0, T, n2, scheme, problem, g, guards, store_stride=n2)
+    rec2 = run(u_0, T, n2, scheme, problem, g, lipschitz, store_stride=n2)
     rec2.raise_if_failed()
     diff = problem.v_norm(rec.states[-1] - rec2.states[-1])
     return ReferenceSolution(times=times, states=rec.states, h_ref=h_ref,
@@ -253,8 +249,8 @@ def _reference_context(key, problem, g, u_0, T, h_min, h_ref,
     # bootstrap Lipschitz guess around the initial state for the reference run
     rng = np.random.default_rng(seed)
     r0 = max(problem.v_norm(u_0), 1.0)
-    lip0 = max(estimate_lipschitz(g, problem, np.asarray(u_0), 0.5 * r0,
-                                  (0.0, T), n_samples=120, rng=rng), 1e-12)
+    lip0 = estimate_lipschitz(g, problem, np.asarray(u_0), 0.5 * r0, (0.0, T),
+                              n_samples=120, rng=rng)
     ref = reference_solution(problem, g, u_0, T, h_ref, h_min, lip0)
     radius = strip_radius_frac * max(problem.v_norm(st) for st in ref.states)
     if isinstance(g, ZeroNonlinearity):
@@ -301,7 +297,6 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
     report.lipschitz = lipschitz
 
     linear = isinstance(g, ZeroNonlinearity)
-    guards = _make_guards(problem, plan.scheme, max(lipschitz, 1e-12))
 
     if not linear:
         f_states = [g.eval(float(t), st) for t, st in zip(ref.times, ref.states)]
@@ -320,7 +315,7 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
         monitor = None if linear else StripMonitor(
             radius=radius, times=ref.times, states=ref.states,
             v_norm=problem.v_norm)
-        rec = run(u_0, T, round(T / h), plan.scheme, problem, g, guards,
+        rec = run(u_0, T, round(T / h), plan.scheme, problem, g, lipschitz,
                   monitor=monitor)
         if rec.status != "ok":
             report.abort_reason = f"{rec.status}: {rec.error}"

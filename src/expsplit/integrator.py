@@ -17,7 +17,9 @@ on the whole stack; the anchor is normed only when the stage-scale floor
 of the tolerance decides a test.
 Every operator a step of size h applies is built once, into a StepPlan,
 and only while the contraction certificate
-kappa(h) = Omega(h) * C_ell * s * L is below one.
+kappa(h) = Omega(h) * C_ell * s * L is below one; plan_step derives it
+from the propagator's X smoothing profile (Omega), the scheme (C_ell, s)
+and the Lipschitz constant L of g, the one factor the caller passes.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import numpy as np
 from .errors import (ContractionError, FixedPointDivergenceError,
                      StripViolationError, ValidationError)
 from .lagrange import LagrangeData, NodeSet, build_lagrange, default_nodes
-from .propagators import Propagator, SmoothingProfile
+from .propagators import Propagator
 
-__all__ = ["SchemeSpec", "StepGuards", "StepPlan", "StageInfo",
-           "TrajectoryRecord", "plan_step", "internal_stages", "step", "run"]
+__all__ = ["SchemeSpec", "StepPlan", "StageInfo", "TrajectoryRecord",
+           "plan_step", "internal_stages", "step", "run"]
 
 FP_MAX_ITER = 60  # fixed-point iterations before a step counts as divergent
 
@@ -59,23 +61,6 @@ class SchemeSpec:
     @classmethod
     def with_nodes(cls, nodes) -> "SchemeSpec":
         return cls(lag=build_lagrange(NodeSet(tuple(nodes))))
-
-
-@dataclass
-class StepGuards:
-    """Runtime safeguards from the internal-stage solvability lemma."""
-
-    lipschitz: float
-    c_ell: float
-    s: int
-    omega: SmoothingProfile  # Omega for rho_X
-
-    def kappa(self, h: float) -> float:
-        """Contraction certificate Omega(h) * C_ell * s * L."""
-        return self.omega.omega(h) * self.c_ell * self.s * self.lipschitz
-
-    def tolerance(self, h: float) -> float:
-        return min(1e-12, h ** (self.s + 1))
 
 
 @dataclass(frozen=True)
@@ -123,7 +108,6 @@ class TrajectoryRecord:
     steps: list = field(default_factory=list)
     stage_iterations: list = field(default_factory=list)
     contraction_ratios: list = field(default_factory=list)
-    strip_distances: list = field(default_factory=list)
     kappa: float = float("nan")
     wall_per_step: float = float("nan")
     status: str = "ok"
@@ -161,24 +145,27 @@ class TrajectoryRecord:
 
 
 def plan_step(h: float, scheme: SchemeSpec, propagator: Propagator,
-              guards: StepGuards) -> StepPlan:
+              lipschitz: float) -> StepPlan:
     """Build the operators of a step of size h; raises ContractionError
-    when the certificate kappa(h) is not below one."""
-    kappa = guards.kappa(h)
+    when the certificate kappa(h) = Omega(h) * C_ell * s * L, with Omega
+    the propagator's X smoothing profile and L floored at 1e-12, is not
+    below one."""
+    omega, s, lip = propagator.profile_x.omega(h), scheme.s, max(lipschitz, 1e-12)
+    kappa = omega * scheme.lag.c_ell * s * lip
     if kappa >= 1.0:
         raise ContractionError(
             f"contraction certificate kappa(h)={kappa:.3f} >= 1 for h={h:.3g} "
-            f"(Omega(h)={guards.omega.omega(h):.3g}, C_ell={guards.c_ell:.3g}, "
-            f"s={guards.s}, L={guards.lipschitz:.3g}); reduce h")
+            f"(Omega(h)={omega:.3g}, C_ell={scheme.lag.c_ell:.3g}, s={s}, "
+            f"L={lip:.3g}); reduce h")
     nodes = scheme.nodes.nodes
     offsets = h * np.asarray(nodes)
     return StepPlan(
-        propagator=propagator, s=scheme.s, offsets=offsets,
+        propagator=propagator, s=s, offsets=offsets,
         node_flow=propagator.flow_op(offsets if nodes[-1] == 1.0
                                      else np.append(offsets, h)),
         stage_rows=propagator.convolve_op(h, scheme.lag, nodes),
         update_row=propagator.convolve_op(h, scheme.lag, (1.0,)),
-        kappa=kappa, tol=guards.tolerance(h))
+        kappa=kappa, tol=min(1e-12, h ** (s + 1)))
 
 
 def _floors(tol: float, scale: float):
@@ -249,7 +236,7 @@ def step(u_n, t_n: float, g, plan: StepPlan, start=None):
 
 
 def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
-        g, guards: StepGuards, monitor=None, store_stride: int = 1) -> TrajectoryRecord:
+        g, lipschitz: float, monitor=None, store_stride: int = 1) -> TrajectoryRecord:
     """N uniform steps of size h = T/N; returns the record even on abort."""
     if N < 0:
         raise ValidationError("step count must be >= 0")
@@ -262,7 +249,7 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
         return record
     h = T / N
     try:
-        plan = plan_step(h, scheme, propagator, guards)
+        plan = plan_step(h, scheme, propagator, lipschitz)
     except ContractionError as exc:
         record.status, record.error, record.failure_step = "contraction", str(exc), 0
         return record
@@ -286,7 +273,7 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
         t_next = (n + 1) * h
         if monitor is not None:
             try:
-                record.strip_distances.append(monitor.check(t_next, u))
+                monitor.check(t_next, u)
             except StripViolationError as exc:
                 record.status, record.error, record.failure_step = "strip", str(exc), n
                 break

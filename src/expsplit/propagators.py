@@ -440,10 +440,13 @@ class OUProblem(Propagator):
     def __init__(self, b: float = -1.0, q: float = 2.0, box: float = 12.0,
                  n: int = 512, p: float = 2.0, r: float = 2.0,
                  w_choice: str = "V", t_max: float = 1.0):
-        if b >= 0.0:
-            raise ValidationError("drift b must be negative")
-        if q <= 0.0:
-            raise ValidationError("diffusion q must be positive")
+        if not -math.inf < b < 0.0:
+            raise ValidationError("drift b must be negative and finite")
+        if not 0.0 < q < math.inf:
+            raise ValidationError("diffusion q must be positive and finite")
+        if not 0.0 < box < math.inf or n < 4:
+            raise ValidationError("box must be positive and finite, and n >= 4 "
+                                  "(4-point dilation stencil)")
         self.b, self.q = float(b), float(q)
         self.gamma = -float(b)
         self.box, self.n = float(box), int(n)

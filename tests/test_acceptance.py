@@ -350,12 +350,10 @@ def test_criterion_11_wave_example(announce, study_wave):
     cfg = cfgmod.resolve_config("wave-dirichlet-1d")
     cfg["nonlinearity"] = {"kind": "none"}
     problem = cfgmod.build_problem(cfg)
-    from expsplit.integrator import SchemeSpec, StepGuards, run
+    from expsplit.integrator import SchemeSpec, run
     from expsplit.nonlinearities import ZeroNonlinearity
     scheme = SchemeSpec.with_stages(2)
-    guards = StepGuards(lipschitz=1e-12, c_ell=scheme.lag.c_ell, s=2,
-                        omega=problem.profile_x)
-    rec = run(z0, 1.0, 100, scheme, problem, ZeroNonlinearity(), guards)
+    rec = run(z0, 1.0, 100, scheme, problem, ZeroNonlinearity(), 1e-12)
     rec.raise_if_failed()
     w_num, wdot_num = decode(wave, rec.states[-1])
     # closed form: w = sum a_k cos(k t) sin(k x), wdot = -sum a_k k sin(k t) sin(k x)

@@ -20,6 +20,13 @@ from expsplit.nonlinearities import PowerNonlinearity, ZeroNonlinearity
 from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
 
 
+def src_env():
+    """The environment of a subprocess that imports this expsplit."""
+    src = str(Path(expsplit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestResolveConfig:
     def test_problem_preset_is_copied(self):
         cfg = cfgmod.resolve_config("heat-torus-1d")
@@ -100,6 +107,14 @@ class TestBuilders:
         assert plan.problem_id == "heat-cubic-s2"
         cfg["study"]["h_list"] = [0.3, 0.15]
         with pytest.raises(ValidationError):
+            cfgmod.build_plan(cfg)
+        for h_list in ([0.0, 0.1], [float("nan"), 0.1], [float("inf")] * 2):
+            cfg["study"]["h_list"] = h_list
+            with pytest.raises(ValidationError, match="positive"):
+                cfgmod.build_plan(cfg)
+        cfg["study"]["h_list"] = [0.1, 0.05]
+        cfg["run"]["t_final"] = 0.0
+        with pytest.raises(ValidationError, match="positive"):
             cfgmod.build_plan(cfg)
 
     def test_rough_initial_is_normalized(self):
@@ -193,6 +208,15 @@ class TestCliRun:
                   *flag])
         assert exc.value.code == 2
 
+    def test_too_small_ou_grid_exits_two_without_traceback(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "expsplit.cli", "run", "--config", "ou-1d",
+             "--grid", "2", "--out", str(tmp_path / "out")],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "n >= 4" in proc.stderr
+
     def test_bad_config_path_exits_two(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "missing.yaml"),
                      "--out", str(tmp_path / "out")])
@@ -240,6 +264,15 @@ class TestCliConvergence:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "divide" in capsys.readouterr().err
+        for section, key, value in (("study", "h_list", [0.0, 0.1]),
+                                    ("run", "t_final", 0.0)):
+            bad = cfgmod.resolve_config("heat-linear")
+            bad[section][key] = value
+            path.write_text(cfgmod.dump_config(bad))
+            code = main(["convergence", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert "must be positive" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("reason,code", [
@@ -334,10 +367,7 @@ print(json.dumps({"scipy_at_import": "scipy" in loaded, "new_numpy": new}))
 
 class TestImportFootprint:
     def test_no_scipy_and_no_numpy_module_loaded_while_running(self):
-        src = str(Path(expsplit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=env,
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])

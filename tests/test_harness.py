@@ -97,9 +97,8 @@ class TestReferenceSolution:
         assert n % 2 == 1
         ref = reference_solution(pr, g, u0, T, h_ref, h_min, 1.0)
         scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
-        guards = harness._make_guards(pr, scheme, 1.0)
-        stored = run(u0, T, n, scheme, pr, g, guards)
-        coarse = run(u0, T, n // 2, scheme, pr, g, guards)  # step > 2 h_ref
+        stored = run(u0, T, n, scheme, pr, g, 1.0)
+        coarse = run(u0, T, n // 2, scheme, pr, g, 1.0)  # step > 2 h_ref
         assert np.array_equal(ref.terminal, stored.states[-1])
         assert ref.self_check_diff == pr.v_norm(ref.terminal - coarse.states[-1])
         assert math.isfinite(ref.self_check_diff) and ref.self_check_diff < 1e-10
@@ -353,8 +352,7 @@ class TestReferenceSelfCheck:
         # the fine check: a rerun at h_ref/2
         scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
         n_fine = 2 * round(T / h_ref)
-        fine = run(u0, T, n_fine, scheme, problem, g,
-                   harness._make_guards(problem, scheme, lipschitz),
+        fine = run(u0, T, n_fine, scheme, problem, g, lipschitz,
                    store_stride=n_fine)
         fine_diff = problem.v_norm(ref.terminal - fine.states[-1])
         # below 1e-11 both diffs are rounding and their order says nothing

@@ -9,18 +9,13 @@ from hypothesis import strategies as st
 from conftest import random_state
 from expsplit.errors import (ContractionError, FixedPointDivergenceError,
                              StripViolationError, ValidationError)
-from expsplit.integrator import (FP_MAX_ITER, SchemeSpec, StageInfo, StepGuards,
+from expsplit.integrator import (FP_MAX_ITER, SchemeSpec, StageInfo,
                                  internal_stages, plan_step, run, step)
 from expsplit.lagrange import NodeSet
 from expsplit.nonlinearities import (PowerNonlinearity, StripMonitor, WaveCubic,
                                      ZeroNonlinearity)
 from expsplit.phi import phi
 from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
-
-
-def make_guards(problem, scheme, lipschitz):
-    return StepGuards(lipschitz=lipschitz, c_ell=scheme.lag.c_ell, s=scheme.s,
-                      omega=problem.profile_x)
 
 
 def eager_stages(u_n, t_n, g, plan, start=None):
@@ -57,6 +52,12 @@ def eager_stages(u_n, t_n, g, plan, start=None):
     return stages, info
 
 
+def certificate(problem, scheme, lipschitz, h):
+    """kappa(h) = Omega(h) * C_ell * s * L with L floored at 1e-12."""
+    return (problem.profile_x.omega(h) * scheme.lag.c_ell * scheme.s
+            * max(lipschitz, 1e-12))
+
+
 GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 # name -> problem factory of the end-row and stage-scale tests
@@ -80,10 +81,9 @@ class TestInternalStages:
     def test_zero_nonlinearity_fixed_in_one_iteration(self, rng):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(3)
-        guards = make_guards(hp, scheme, 1e-12)
         u = random_state(hp, rng)
         stages, info = internal_stages(u, 0.0, ZeroNonlinearity(),
-                                       plan_step(0.01, scheme, hp, guards))
+                                       plan_step(0.01, scheme, hp, 1e-12))
         assert info.iterations == 1
         for c, st in zip(scheme.nodes.nodes, stages):
             assert hp.v_norm(st - hp.apply(c * 0.01, u)) < 1e-14
@@ -92,9 +92,8 @@ class TestInternalStages:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(1)  # single node c_1 = 0
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        guards = make_guards(hp, scheme, 3.0)
         u = 0.3 * random_state(hp, rng)
-        stages, info = internal_stages(u, 0.0, g, plan_step(0.01, scheme, hp, guards))
+        stages, info = internal_stages(u, 0.0, g, plan_step(0.01, scheme, hp, 3.0))
         # the c = 0 anchor is u_n up to an FFT round trip
         assert hp.v_norm(stages[0] - u) < 1e-15
 
@@ -102,22 +101,22 @@ class TestInternalStages:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        guards = make_guards(hp, scheme, 3.0)
+        lip = 3.0
         u = 0.5 * np.sin(hp.grid())
         h = 1e-3
-        plan = replace(plan_step(h, scheme, hp, guards), tol=1e-15)
+        plan = replace(plan_step(h, scheme, hp, lip), tol=1e-15)
         _, info = internal_stages(u, 0.0, g, plan)
-        kappa = guards.kappa(h)
+        kappa = certificate(hp, scheme, lip, h)
+        assert plan.kappa == kappa
         for r in info.contraction_ratios:
             assert r <= kappa
 
     def test_kappa_at_least_one_aborts(self):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
-        guards = make_guards(hp, scheme, 50.0)
         with pytest.raises(ContractionError):
             internal_stages(np.zeros(64), 0.0, ZeroNonlinearity(),
-                            plan_step(0.5, scheme, hp, guards))
+                            plan_step(0.5, scheme, hp, 50.0))
 
     def test_divergence_detected(self):
         hp = HeatTorusProblem(dim=1, n=64)
@@ -127,19 +126,17 @@ class TestInternalStages:
             def eval(self, t, v):
                 return np.full_like(np.asarray(v), np.nan)
 
-        guards = make_guards(hp, scheme, 0.5)
         with pytest.raises(FixedPointDivergenceError):
             internal_stages(np.ones(64), 0.0, Exploder(),
-                            plan_step(0.1, scheme, hp, guards))
+                            plan_step(0.1, scheme, hp, 0.5))
 
 
 class TestStep:
     def test_linear_step_is_pure_flow(self, rng):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
-        guards = make_guards(hp, scheme, 1e-12)
         u = random_state(hp, rng)
-        u1, _ = step(u, 0.0, ZeroNonlinearity(), plan_step(0.05, scheme, hp, guards))
+        u1, _ = step(u, 0.0, ZeroNonlinearity(), plan_step(0.05, scheme, hp, 1e-12))
         assert hp.v_norm(u1 - hp.apply(0.05, u)) < 1e-13
 
     @pytest.mark.parametrize("scheme_name", sorted(END_ROW_SCHEMES))
@@ -150,7 +147,7 @@ class TestStep:
         problem = STEP_PROBLEMS[name]()
         scheme = END_ROW_SCHEMES[scheme_name]
         h = 0.01
-        plan = plan_step(h, scheme, problem, make_guards(problem, scheme, 1e-12))
+        plan = plan_step(h, scheme, problem, 1e-12)
         u = random_state(problem, rng)
         u1, _ = step(u, 0.0, ZeroNonlinearity(), plan)
         assert np.array_equal(u1, problem.apply(h, u))
@@ -160,10 +157,9 @@ class TestStep:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(1)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        guards = make_guards(hp, scheme, 3.0)
         u = 0.4 * np.sin(hp.grid()) + 0.1
         h = 0.02
-        u1, _ = step(u, 0.0, g, plan_step(h, scheme, hp, guards))
+        u1, _ = step(u, 0.0, g, plan_step(h, scheme, hp, 3.0))
         lam = -np.fft.fftfreq(64, d=1.0 / 64) ** 2  # heat eigenvalues, full spectrum
         gh = np.fft.fft(g.eval(0.0, u))
         uh = np.fft.fft(u)
@@ -176,10 +172,9 @@ class TestStep:
         pr = make_scalar(lam=-1.0)
         g = PowerNonlinearity(alpha=2.0, coeff=1.0)
         scheme = SchemeSpec.with_stages(1)
-        guards = make_guards(pr, scheme, 1.0)
         u0 = np.array([0.1])
         h = 1e-3
-        u1, _ = step(u0, 0.0, g, plan_step(h, scheme, pr, guards))
+        u1, _ = step(u0, 0.0, g, plan_step(h, scheme, pr, 1.0))
         n_fine = 10 ** 6
         dt = h / n_fine
         u = 0.1
@@ -192,24 +187,21 @@ class TestRun:
     def test_zero_steps_returns_initial_only(self):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(1)
-        guards = make_guards(hp, scheme, 1e-12)
-        rec = run(np.ones(64), 1.0, 0, scheme, hp, ZeroNonlinearity(), guards)
+        rec = run(np.ones(64), 1.0, 0, scheme, hp, ZeroNonlinearity(), 1e-12)
         assert len(rec.states) == 1
         assert rec.times == [0.0]
 
     def test_negative_steps_rejected(self):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(1)
-        guards = make_guards(hp, scheme, 1e-12)
         with pytest.raises(ValidationError):
-            run(np.ones(64), 1.0, -1, scheme, hp, ZeroNonlinearity(), guards)
+            run(np.ones(64), 1.0, -1, scheme, hp, ZeroNonlinearity(), 1e-12)
 
     def test_linear_run_matches_single_apply(self, rng):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
-        guards = make_guards(hp, scheme, 1e-12)
         u = random_state(hp, rng)
-        rec = run(u, 0.5, 100, scheme, hp, ZeroNonlinearity(), guards)
+        rec = run(u, 0.5, 100, scheme, hp, ZeroNonlinearity(), 1e-12)
         rec.raise_if_failed()
         assert hp.v_norm(rec.states[-1] - hp.apply(0.5, u)) < 1e-11
 
@@ -217,13 +209,13 @@ class TestRun:
         hp = HeatTorusProblem(dim=1, n=32)
         scheme = SchemeSpec.with_stages(2)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        guards = make_guards(hp, scheme, 3.0)
+        lip = 3.0
         u = 0.5 * np.sin(hp.grid())
-        ref = run(u, 0.25, 3200, scheme, hp, g, guards)
+        ref = run(u, 0.25, 3200, scheme, hp, g, lip)
         ref.raise_if_failed()
         errs = []
         for n in (25, 50, 100, 200, 400):
-            rec = run(u, 0.25, n, scheme, hp, g, guards)
+            rec = run(u, 0.25, n, scheme, hp, g, lip)
             rec.raise_if_failed()
             errs.append(hp.v_norm(rec.states[-1] - ref.states[-1]))
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -231,8 +223,7 @@ class TestRun:
     def test_contraction_abort_recorded_not_raised(self):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
-        guards = make_guards(hp, scheme, 50.0)
-        rec = run(np.ones(64), 1.0, 1, scheme, hp, ZeroNonlinearity(), guards)
+        rec = run(np.ones(64), 1.0, 1, scheme, hp, ZeroNonlinearity(), 50.0)
         assert rec.status == "contraction"
         assert "kappa" in rec.error
         with pytest.raises(ContractionError):
@@ -241,13 +232,12 @@ class TestRun:
     def test_strip_violation_aborts_run(self):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(1)
-        guards = make_guards(hp, scheme, 1e-12)
         u = np.ones(64)
         times = np.linspace(0.0, 1.0, 11)
         # reference pinned far away from the trajectory
         mon = StripMonitor(radius=1e-6, times=times,
                            states=[5.0 * np.ones(64)] * 11, v_norm=hp.v_norm)
-        rec = run(u, 1.0, 10, scheme, hp, ZeroNonlinearity(), guards,
+        rec = run(u, 1.0, 10, scheme, hp, ZeroNonlinearity(), 1e-12,
                   monitor=mon)
         assert rec.status == "strip"
         with pytest.raises(StripViolationError):
@@ -256,9 +246,8 @@ class TestRun:
     def test_store_stride_keeps_endpoints(self, rng):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(1)
-        guards = make_guards(hp, scheme, 1e-12)
         u = random_state(hp, rng)
-        rec = run(u, 1.0, 10, scheme, hp, ZeroNonlinearity(), guards,
+        rec = run(u, 1.0, 10, scheme, hp, ZeroNonlinearity(), 1e-12,
                   store_stride=4)
         assert rec.times[0] == 0.0
         assert rec.times[-1] == pytest.approx(1.0)
@@ -268,8 +257,7 @@ class TestRun:
         hp = HeatTorusProblem(dim=1, n=32)
         scheme = SchemeSpec.with_stages(2)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        guards = make_guards(hp, scheme, 3.0)
-        rec = run(0.5 * np.sin(hp.grid()), 0.25, 10, scheme, hp, g, guards,
+        rec = run(0.5 * np.sin(hp.grid()), 0.25, 10, scheme, hp, g, 3.0,
                   store_stride=4)
         rows = [line.split() for line in rec.text_lines()][1:]
         assert [int(r[0]) for r in rows] == [0, 4, 8, 10]
@@ -282,24 +270,24 @@ class TestRun:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        guards = make_guards(hp, scheme, 3.0)
-        rec = run(0.3 * np.sin(hp.grid()), 0.1, 10, scheme, hp, g, guards)
+        lip = 3.0
+        rec = run(0.3 * np.sin(hp.grid()), 0.1, 10, scheme, hp, g, lip)
         s = rec.summary()
         assert s["status"] == "ok"
         assert s["steps"] == 10
-        assert s["kappa"] == pytest.approx(guards.kappa(0.01))
+        assert s["kappa"] == pytest.approx(certificate(hp, scheme, lip, 0.01))
 
     def test_summary_mean_stage_iterations(self, rng):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        guards = make_guards(hp, scheme, 3.0)
-        rec = run(0.3 * np.sin(hp.grid()), 0.1, 10, scheme, hp, g, guards)
+        lip = 3.0
+        rec = run(0.3 * np.sin(hp.grid()), 0.1, 10, scheme, hp, g, lip)
         s = rec.summary()
         assert s["mean_stage_iterations"] == pytest.approx(
             np.mean(rec.stage_iterations))
         assert 1.0 <= s["mean_stage_iterations"] <= s["max_stage_iterations"]
-        empty = run(np.ones(64), 1.0, 0, scheme, hp, g, guards).summary()
+        empty = run(np.ones(64), 1.0, 0, scheme, hp, g, lip).summary()
         assert empty["mean_stage_iterations"] == 0.0
 
     @pytest.mark.parametrize("name", ["heat-1d", "heat-2d", "ou", "wave"])
@@ -319,7 +307,7 @@ class TestRun:
         before = footprint()
         scheme = SchemeSpec.with_stages(2)
         u = 0.3 * random_state(problem, rng)
-        rec = run(u, 0.5, 50, scheme, problem, g, make_guards(problem, scheme, 3.0))
+        rec = run(u, 0.5, 50, scheme, problem, g, 3.0)
         rec.raise_if_failed()
         assert len(rec.stage_iterations) == 50
         assert footprint() == before
@@ -355,14 +343,14 @@ class TestWarmStart:
         g = WaveCubic(problem) if name.startswith("wave") \
             else PowerNonlinearity(3.0, -1.0)
         scheme = SchemeSpec.with_stages(s)
-        guards = make_guards(problem, scheme, 3.0)
+        lip = 3.0
         u = 0.3 * random_state(problem, rng)
-        return problem, g, scheme, guards, u, T, N
+        return problem, g, scheme, lip, u, T, N
 
     @staticmethod
-    def cold_steps(u, T, N, scheme, problem, g, guards):
+    def cold_steps(u, T, N, scheme, problem, g, lip):
         """States and iteration counts of N steps, each started cold."""
-        plan = plan_step(T / N, scheme, problem, guards)
+        plan = plan_step(T / N, scheme, problem, lip)
         states, iterations = [u], []
         for n in range(N):
             u, info = step(u, n * (T / N), g, plan)
@@ -372,10 +360,10 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("name", sorted(WARM_CASES))
     def test_warm_run_matches_cold_steps(self, name, rng):
-        problem, g, scheme, guards, u, T, N = self.make_case(name, rng)
-        rec = run(u, T, N, scheme, problem, g, guards)
+        problem, g, scheme, lip, u, T, N = self.make_case(name, rng)
+        rec = run(u, T, N, scheme, problem, g, lip)
         rec.raise_if_failed()
-        cold, iterations = self.cold_steps(u, T, N, scheme, problem, g, guards)
+        cold, iterations = self.cold_steps(u, T, N, scheme, problem, g, lip)
         for n, state in zip(rec.steps, rec.states):
             assert problem.v_norm(state - cold[n]) <= 1e-12
         assert rec.stage_iterations[0] == iterations[0]
@@ -383,16 +371,16 @@ class TestWarmStart:
 
     def test_warm_start_saves_iterations(self, rng):
         # on a fine step the previous correction is a close start
-        problem, g, scheme, guards, u, T, N = self.make_case("heat-1d-s4", rng)
-        rec = run(u, T, N, scheme, problem, g, guards)
-        _, iterations = self.cold_steps(u, T, N, scheme, problem, g, guards)
+        problem, g, scheme, lip, u, T, N = self.make_case("heat-1d-s4", rng)
+        rec = run(u, T, N, scheme, problem, g, lip)
+        _, iterations = self.cold_steps(u, T, N, scheme, problem, g, lip)
         assert sum(rec.stage_iterations) < sum(iterations)
 
     @staticmethod
-    def one_point_iterations(u, T, N, scheme, problem, g, guards):
+    def one_point_iterations(u, T, N, scheme, problem, g, lip):
         """Iteration counts of N steps, each started from the previous
         step's correction alone."""
-        plan = plan_step(T / N, scheme, problem, guards)
+        plan = plan_step(T / N, scheme, problem, lip)
         correction, iterations = None, []
         for n in range(N):
             u, info = step(u, n * (T / N), g, plan, correction)
@@ -405,10 +393,10 @@ class TestWarmStart:
         # 2 c_n - c_{n-1} is closer to the next step's correction than c_n;
         # on the heat cases that saves iterations, on the others both
         # starts stop after the same count
-        problem, g, scheme, guards, u, T, N = self.make_case(name, rng)
-        rec = run(u, T, N, scheme, problem, g, guards)
+        problem, g, scheme, lip, u, T, N = self.make_case(name, rng)
+        rec = run(u, T, N, scheme, problem, g, lip)
         rec.raise_if_failed()
-        one_point = self.one_point_iterations(u, T, N, scheme, problem, g, guards)
+        one_point = self.one_point_iterations(u, T, N, scheme, problem, g, lip)
         assert rec.stage_iterations[:2] == one_point[:2]
         if name in ("heat-1d-s4", "heat-2d-s2"):
             assert sum(rec.stage_iterations) < sum(one_point)
@@ -427,7 +415,7 @@ class TestWarmStart:
         g = WaveCubic(problem) if name == "wave" else PowerNonlinearity(3.0, -1.0)
         scheme = SchemeSpec.with_stages(s)
         h = 2.0 ** log2_h
-        plan = plan_step(h, scheme, problem, make_guards(problem, scheme, 3.0))
+        plan = plan_step(h, scheme, problem, 3.0)
         u = 0.3 * random_state(problem, np.random.default_rng(seed))
         u1, first = step(u, 0.0, g, plan)
         cold, cold_info = internal_stages(u1, h, g, plan)
@@ -443,7 +431,7 @@ class TestWarmStart:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        plan = plan_step(0.01, scheme, hp, make_guards(hp, scheme, 3.0))
+        plan = plan_step(0.01, scheme, hp, 3.0)
         u = 0.5 * np.sin(hp.grid())
         cold, cold_info = internal_stages(u, 0.0, g, plan)
         poor, info = internal_stages(u, 0.0, g, plan, scale * cold_info.correction)
@@ -463,7 +451,7 @@ class TestStageScale:
         # the anchor's V-norm stays below 1, so the scaled floors are those
         # of scale 1: a solve that stops in one iteration makes one v_norm
         # call, its increment's, and a longer solve norms the anchor once
-        problem, g, scheme, guards, u, _, _ = TestWarmStart.make_case("heat-1d-s4", rng)
+        problem, g, scheme, lip, u, _, _ = TestWarmStart.make_case("heat-1d-s4", rng)
         assert problem.v_norm(u) <= 1.0
         calls = []
         v_norm = problem.v_norm
@@ -473,7 +461,7 @@ class TestStageScale:
             return v_norm(v)
 
         problem.v_norm = counted
-        rec = run(u, 0.002, 40, scheme, problem, g, guards)
+        rec = run(u, 0.002, 40, scheme, problem, g, lip)
         rec.raise_if_failed()
         iterations = rec.stage_iterations
         longer = sum(1 for it in iterations if it > 1)
@@ -487,7 +475,7 @@ class TestStageScale:
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
         g = PowerNonlinearity(alpha=3.0, coeff=-1e-6)
-        plan = plan_step(1e-5, scheme, hp, make_guards(hp, scheme, 3.0))
+        plan = plan_step(1e-5, scheme, hp, 3.0)
         v = random_state(hp, rng)
         u = 1e3 / hp.v_norm(v) * v
         stages, info = internal_stages(u, 0.0, g, plan)
@@ -503,7 +491,7 @@ class TestStageScale:
     def test_non_finite_anchor_diverges_on_the_first_iteration(self, bad, rng):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
-        plan = plan_step(0.01, scheme, hp, make_guards(hp, scheme, 3.0))
+        plan = plan_step(0.01, scheme, hp, 3.0)
         u = random_state(hp, rng)
         u[5] = bad
         evals = []
@@ -535,7 +523,7 @@ class TestStageScale:
         amp = 10.0 ** log10_amp
         g = PowerNonlinearity(3.0, -1.0 / amp ** 2)
         h = 2.0 ** log2_h
-        plan = plan_step(h, scheme, problem, make_guards(problem, scheme, 3.0))
+        plan = plan_step(h, scheme, problem, 3.0)
         u = 0.3 * amp * random_state(problem, np.random.default_rng(seed))
         start = None
         if warm is not None:
@@ -559,6 +547,35 @@ class TestSchemeSpec:
     def test_guard_tolerance_default(self):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(2)
-        guards = make_guards(hp, scheme, 1.0)
-        assert guards.tolerance(0.5) == pytest.approx(min(1e-12, 0.5 ** 3))
-        assert guards.tolerance(1e-2) == pytest.approx(1e-12)
+        assert plan_step(0.5, scheme, hp, 0.5).tol == pytest.approx(min(1e-12, 0.5 ** 3))
+        assert plan_step(1e-2, scheme, hp, 0.5).tol == pytest.approx(1e-12)
+
+
+# small grids: plan_step's certificate does not depend on the grid
+CERTIFICATE_PROBLEMS = {
+    "heat-1d": HeatTorusProblem(dim=1, n=16),
+    "heat-frac": HeatTorusProblem(dim=1, n=16, p=1, r=2),  # alpha = 1/4
+    "ou": OUProblem(n=16),
+    "wave": WaveProblem(n_modes=8),
+}
+
+
+class TestCertificate:
+    @settings(max_examples=120, deadline=None)
+    @given(h=st.floats(1e-4, 1.0), lip=st.sampled_from([0.0, 1e-12, 0.5, 3.0]),
+           name=st.sampled_from(sorted(END_ROW_SCHEMES)),
+           problem=st.sampled_from(sorted(CERTIFICATE_PROBLEMS)))
+    def test_plan_derives_certificate(self, h, lip, name, problem):
+        pr, scheme = CERTIFICATE_PROBLEMS[problem], END_ROW_SCHEMES[name]
+        kappa = certificate(pr, scheme, lip, h)
+        if kappa >= 1.0:
+            with pytest.raises(ContractionError) as exc:
+                plan_step(h, scheme, pr, lip)
+            for factor in (f"Omega(h)={pr.profile_x.omega(h):.3g}",
+                           f"C_ell={scheme.lag.c_ell:.3g}", f"s={scheme.s}",
+                           f"L={max(lip, 1e-12):.3g}"):
+                assert factor in str(exc.value)
+        else:
+            plan = plan_step(h, scheme, pr, lip)
+            assert plan.kappa == kappa
+            assert plan.tol == min(1e-12, h ** (scheme.s + 1))

@@ -401,6 +401,14 @@ class TestOU:
         with pytest.raises(ValidationError):
             OUProblem(b=0.5, q=1.0)
 
+    @pytest.mark.parametrize("kw", [{"n": 2}, {"n": 3}, {"box": 0.0},
+                                    {"box": -1.0}, {"box": math.nan},
+                                    {"b": math.nan}, {"b": -math.inf},
+                                    {"q": math.nan}])
+    def test_bad_parameters_rejected(self, kw):
+        with pytest.raises(ValidationError):
+            OUProblem(**kw)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
             self.ou.apply(-0.1, np.zeros(self.ou.n))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from expsplit import config as cfgmod
-from expsplit.integrator import SchemeSpec, StepGuards, plan_step, step
+from expsplit.integrator import SchemeSpec, plan_step, step
 from expsplit.nonlinearities import estimate_lipschitz
 
 GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -46,9 +46,7 @@ def _step_args(preset, problem_over, stages, h):
     u0 = cfgmod.build_initial(cfg, problem)
     scheme = (SchemeSpec.with_nodes(stages) if isinstance(stages, tuple)
               else SchemeSpec.with_stages(stages))
-    guards = StepGuards(lipschitz=3.0, c_ell=scheme.lag.c_ell, s=scheme.s,
-                        omega=problem.profile_x)
-    return (u0, 0.0, g, plan_step(h, scheme, problem, guards))
+    return (u0, 0.0, g, plan_step(h, scheme, problem, 3.0))
 
 
 def _bench_step(benchmark, args):
