@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,17 +38,39 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=float) + "\n"
 
 
+def _positive_finite(name: str, value) -> float:
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _run_steps(cfg: dict) -> tuple[float, int]:
+    """(t_final, n_steps) of the run section: a positive finite horizon and
+    at least one step, from the config file or the flags."""
+    rc = cfg.get("run", {})
+    T = _positive_finite("run t_final", rc.get("t_final", 1.0))
+    try:
+        n_steps = int(rc.get("n_steps", 10))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"run n_steps: {exc}") from exc
+    if n_steps < 1:
+        raise ValidationError(f"run needs at least 1 step, got n_steps={n_steps}")
+    return T, n_steps
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = int(args.seed)
     rc = cfg.setdefault("run", {})
     if getattr(args, "t_final", None) is not None:
-        rc["t_final"] = float(args.t_final)
+        rc["t_final"] = _positive_finite("--t-final", args.t_final)
     if getattr(args, "h", None) is not None:
-        h = float(args.h)
-        if h <= 0:
-            raise ValidationError("override h must be positive")
-        rc["n_steps"] = round(float(rc.get("t_final", 1.0)) / h)
+        h = _positive_finite("--h", args.h)
+        rc["n_steps"] = round(_positive_finite("run t_final", rc.get("t_final", 1.0)) / h)
         rc["h"] = h
     if getattr(args, "stages", None) is not None:
         cfg.setdefault("scheme", {})["stages"] = int(args.stages)
@@ -83,10 +106,8 @@ def cmd_list(args) -> int:
 def cmd_run(args) -> int:
     cfg = _apply_overrides(cfgmod.resolve_config(args.config), args)
     out = Path(args.out)
+    T, n_steps = _run_steps(cfg)
     problem, g, u0, scheme = _build_all(cfg)
-    rc = cfg.get("run", {})
-    T = float(rc.get("t_final", 1.0))
-    n_steps = int(rc.get("n_steps", 10))
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     if isinstance(g, ZeroNonlinearity):
         lip = 0.0
@@ -163,7 +184,6 @@ def cmd_smoothing(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    import math
     from .gronwall import gronwall_bound
     from .lagrange import build_lagrange, default_nodes, moment_residual
     from .phi import phi

@@ -217,6 +217,41 @@ class TestCliRun:
         assert "Traceback" not in proc.stderr
         assert "n >= 4" in proc.stderr
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--h", "nan"], "--h must be positive and finite"),
+        (["--h", "inf"], "--h must be positive and finite"),
+        (["--h", "0"], "--h must be positive and finite"),
+        (["--h", "10"], "at least 1 step, got n_steps=0"),
+        (["--t-final", "nan"], "--t-final must be positive and finite"),
+        (["--t-final", "inf"], "--t-final must be positive and finite"),
+        (["--t-final", "-0.5"], "--t-final must be positive and finite"),
+    ])
+    def test_bad_step_flags_exit_two(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        code = main(["run", "--config", "heat-torus-1d", "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run_section,message", [
+        ({"t_final": float("nan")}, "t_final must be positive and finite"),
+        ({"t_final": float("inf")}, "t_final must be positive and finite"),
+        ({"t_final": 0.0}, "t_final must be positive and finite"),
+        ({"n_steps": 0}, "at least 1 step, got n_steps=0"),
+        ({"n_steps": float("inf")}, "n_steps"),
+    ])
+    def test_bad_run_section_exits_two(self, tmp_path, capsys, run_section, message):
+        cfg = cfgmod.resolve_config("heat-torus-1d")
+        cfg["run"].update(run_section)
+        path = tmp_path / "bad.yaml"
+        path.write_text(cfgmod.dump_config(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_bad_config_path_exits_two(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "missing.yaml"),
                      "--out", str(tmp_path / "out")])

@@ -63,6 +63,7 @@ GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 # name -> problem factory of the end-row and stage-scale tests
 STEP_PROBLEMS = {
     "heat-1d": lambda: HeatTorusProblem(dim=1, n=64),
+    "heat-1d-n128": lambda: HeatTorusProblem(dim=1, n=128),
     "heat-2d": lambda: HeatTorusProblem(dim=2, n=16),
     "ou": lambda: OUProblem(n=128),
     "wave": lambda: WaveProblem(n_modes=16),

@@ -43,6 +43,22 @@ class TestPower:
         assert out[1] == pytest.approx(8.0)
         assert out[2] == pytest.approx(-8.0)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_eval_equals_guarded_formula(self, alpha, rng):
+        # the formula under errstate for every alpha, with 0 -> 0 patched in
+        # below 2; signed zeros included
+        g = PowerNonlinearity(alpha=alpha, coeff=-0.7)
+        X = rng.standard_normal((4, 64))
+        X[rng.uniform(size=X.shape) < 0.25] = 0.0
+        X[0, :3] = [0.0, -0.0, 0.0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = -0.7 * np.abs(X) ** (alpha - 1.0) * X
+        if alpha < 2.0:
+            ref = np.where(X == 0.0, 0.0, ref)
+        out = g.eval(np.zeros(4), X)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+
     def test_odd_symmetry(self, rng):
         g = PowerNonlinearity(alpha=3.0, coeff=2.0)
         v = rng.standard_normal(16)

@@ -251,7 +251,7 @@ class TestHeat:
         plain = HeatTorusProblem(dim=1, n=64).v_norm(v)
         assert hp.v_norm(v) == pytest.approx(2.0 * plain, rel=1e-12)
 
-    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 32)])
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (1, 128), (2, 16), (2, 32)])
     def test_real_transforms_match_complex_fft(self, dim, n):
         # the complex-FFT formulas on the full spectrum, Nyquist modes included
         hp = HeatTorusProblem(dim=dim, n=n)
@@ -267,6 +267,19 @@ class TestHeat:
         parts = [np.fft.ifftn(1j * kk * Xh, axes=axes).real for kk in ks]
         ref = parts[0] if dim == 1 else np.sqrt(parts[0] ** 2 + parts[1] ** 2)
         assert np.max(np.abs(hp.gradient(X) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [8, 64, 128])  # DFT matrices, then np.fft
+    def test_stacked_transforms_equal_rows_and_invert(self, n):
+        hp = HeatTorusProblem(dim=1, n=n)
+        X = np.random.default_rng(3).standard_normal((5, n))
+        modes = hp.to_modes(X)
+        back = hp.from_modes(modes)
+        for x, row, b in zip(X, modes, back):
+            assert np.array_equal(hp.to_modes(x), row)
+            assert np.array_equal(hp.from_modes(row), b)
+            assert np.max(np.abs(b - x)) <= 1e-14 * np.max(np.abs(x))
+        with pytest.raises((ValidationError, TypeError)):  # np.fft: TypeError
+            hp.to_modes(X + 1j)
 
     @pytest.mark.parametrize("n,sobolev", [(8, False), (64, False), (256, True)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 12345])
