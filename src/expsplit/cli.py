@@ -48,23 +48,37 @@ def _positive_finite(name: str, value) -> float:
     return value
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a ValidationError unless it is integral."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+    if as_int != value:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
 def _run_steps(cfg: dict) -> tuple[float, int]:
     """(t_final, n_steps) of the run section: a positive finite horizon and
     at least one step, from the config file or the flags."""
     rc = cfg.get("run", {})
     T = _positive_finite("run t_final", rc.get("t_final", 1.0))
-    try:
-        n_steps = int(rc.get("n_steps", 10))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"run n_steps: {exc}") from exc
+    n_steps = _integer("run n_steps", rc.get("n_steps", 10))
     if n_steps < 1:
         raise ValidationError(f"run needs at least 1 step, got n_steps={n_steps}")
     return T, n_steps
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
+    """cfg with the flags applied and its seed checked: every subcommand
+    that takes a config seeds a generator with it."""
     if getattr(args, "seed", None) is not None:
-        cfg["seed"] = int(args.seed)
+        cfg["seed"] = args.seed
+    seed = _integer("seed", cfg.get("seed", 0))
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    cfg["seed"] = seed
     rc = cfg.setdefault("run", {})
     if getattr(args, "t_final", None) is not None:
         rc["t_final"] = _positive_finite("--t-final", args.t_final)
@@ -108,7 +122,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     T, n_steps = _run_steps(cfg)
     problem, g, u0, scheme = _build_all(cfg)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(cfg["seed"])
     if isinstance(g, ZeroNonlinearity):
         lip = 0.0
     else:
@@ -118,7 +132,7 @@ def cmd_run(args) -> int:
     record = run(u0, T, n_steps, scheme, problem, g, lip)
     summary = record.summary()
     summary["config"] = cfg.get("name", "custom")
-    summary["seed"] = int(cfg.get("seed", 0))
+    summary["seed"] = cfg["seed"]
     summary["lipschitz"] = lip
     summary["terminal_v_norm"] = problem.v_norm(record.states[-1])
     if isinstance(g, ZeroNonlinearity) and record.status == "ok":
@@ -167,7 +181,7 @@ def cmd_smoothing(args) -> int:
     t_lo = float(sc.get("t_min", 1e-4))
     t_hi = float(sc.get("t_max", 1e-2))
     npts = int(sc.get("points", 7))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(cfg["seed"])
     report = measure_smoothing(problem, p, r, np.geomspace(t_lo, t_hi, npts), rng=rng)
     lines = ["t,proxy,resolved"]
     lines += [f"{t:.8g},{v:.8e},{int(ok)}" for t, v, ok in report.rows]

@@ -2,9 +2,9 @@
 
 Three concrete problems are shipped:
 
-* heat on the torus (Fourier-diagonal, 1D or 2D); a 1D grid of at most
-  DFT_MATRIX_MAX_N points takes its real-FFT half spectrum through two
-  precomputed real DFT matrices, larger and 2D grids through np.fft,
+* heat on the torus (Fourier-diagonal, 1D or 2D); on a 1D grid of at most
+  FOLD_MAX_N points every step operator is folded into a dense grid matrix
+  built once, larger and 2D grids apply theirs through np.fft,
 * a 1D Ornstein-Uhlenbeck propagator (kernel convolution plus dilation),
 * a 1D Dirichlet wave system reduced to complex diagonal form per sine mode;
   its sine transform is one precomputed orthonormal DST-I matrix.
@@ -36,13 +36,14 @@ __all__ = [
 ]
 
 
-# 1D heat grids of up to this many points transform by dense real DFT
-# matrices.  Forward plus inverse transform, matrices against np.fft, best
-# of 21 repeats with single-threaded OpenBLAS on a 2-vCPU Xeon: n = 64,
-# 8.9 / 20.2 us for 1 row and 15.2 / 25.1 us for 4 rows; n = 128, 13.1 /
-# 21.8 us and 22.9 / 18.7 us (a step's stacks have 4 rows and more);
-# n = 256, 26.7 / 14.7 us and 102.4 / 32.7 us.
-DFT_MATRIX_MAX_N = 64
+# 1D heat grids of up to this many points fold every step operator into a
+# dense grid matrix.  One heat-cubic step (h = 1/8192), folded against
+# np.fft, best of 21 interleaved runs of 300 steps with single-threaded
+# OpenBLAS on a 2-vCPU Xeon: n = 32, 80.0 / 166.9 us at s = 2 and 81.0 /
+# 162.3 us at s = 4; n = 64, 78.1 / 156.0 and 125.3 / 179.3 us; n = 128,
+# 125.7 / 170.0 and 452.6 / 208.2 us.  Every study's reference runs at
+# s = 4, where the n = 128 stage matrix is 512 x 512 doubles (2 MiB).
+FOLD_MAX_N = 64
 
 
 def _matvec_rows(M, v):
@@ -277,10 +278,20 @@ class DiagonalPropagator(Propagator):
     to_modes / from_modes on the trailing grid axes, so a stack of states
     transforms in one call.  A flow op is the multiplier stack
     exp(outer(times, eigenvalues)); a convolve op holds the exact
-    phi-function weights.
+    phi-function weights (E, s, modes).
+
+    A subclass on a 1D grid of n points sets `folded` when a dense n x n
+    product beats a transform pair.  Each op is then built once as dense
+    grid matrices, the unit vectors pushed through the modal operator:
+    the flow op is an (m, n, n) stack whose t = 0 rows are the exact
+    identity, the convolve op one (E*n, s*n) matrix on the flattened stage
+    stack.  A flow is one matrix-vector product per row and a stage
+    convolution one product in all, and the transforms run only while
+    the ops are built.
     """
 
     eigenvalues: np.ndarray
+    folded: bool = False
 
     def to_modes(self, v) -> np.ndarray:
         raise NotImplementedError
@@ -288,10 +299,28 @@ class DiagonalPropagator(Propagator):
     def from_modes(self, vh: np.ndarray):
         raise NotImplementedError
 
+    def _unit_modes(self):
+        """The identity of the grid and its rows' modes: the grid matrix of
+        a multiplier w is from_modes(w * modes), whose row c is the image
+        of unit vector c, transposed."""
+        eye = np.eye(self.zeros().size)
+        return eye, self.to_modes(eye)
+
     def flow_op(self, times):
-        return np.exp(np.multiply.outer(np.asarray(times, dtype=float), self.eigenvalues))
+        times = np.asarray(times, dtype=float)
+        mult = np.exp(np.multiply.outer(times, self.eigenvalues))
+        if not self.folded:
+            return mult
+        eye, unit = self._unit_modes()
+        op = np.empty((len(times),) + eye.shape, self.zeros().dtype)
+        for row, t, w in zip(op, times, mult):
+            # a t = 0 row is an exact copy, as apply(0, v) is
+            row[...] = eye if t == 0.0 else self.from_modes(w * unit).T
+        return op
 
     def apply_nodes(self, op, V):
+        if self.folded:
+            return _matvec_rows(op, V)
         return self.from_modes(op * self.to_modes(V))
 
     def apply(self, t: float, v):
@@ -301,12 +330,27 @@ class DiagonalPropagator(Propagator):
             raise ValidationError(f"state shape {v.shape} != grid {zero.shape}")
         if t == 0.0:
             return v.copy()
+        if self.folded:
+            return _matvec_rows(self.flow_op((t,))[0], v)
         return self.from_modes(np.exp(t * self.eigenvalues) * self.to_modes(v))
 
     def convolve_op(self, h, lag, ends, q_nodes=None):
-        return stage_weights_diagonal(self.eigenvalues, h, lag, tuple(ends))
+        W = stage_weights_diagonal(self.eigenvalues, h, lag, tuple(ends))
+        if not self.folded:
+            return W
+        eye, unit = self._unit_modes()
+        n, (n_ends, s) = len(eye), W.shape[:2]
+        # block (i, j) maps stage value j to end i; each is written into
+        # its place, so no (E, s, n, n) temporary is built
+        op = np.empty((n_ends, n, s, n), self.zeros().dtype)
+        for i, j in np.ndindex(n_ends, s):
+            op[i, :, j] = self.from_modes(W[i, j] * unit).T
+        return op.reshape(n_ends * n, s * n)
 
     def stage_convolve(self, op, G):
+        if self.folded:
+            G = _check_stages(G, op.shape[1] // self.zeros().size)
+            return (op @ G.reshape(-1)).reshape((-1,) + G.shape[1:])
         G = _check_stages(G, op.shape[1])
         return self.from_modes(np.einsum("ij...,j...->i...", op, self.to_modes(G)))
 
@@ -318,10 +362,11 @@ class HeatTorusProblem(DiagonalPropagator):
     with a spectral gradient).  The L^p-L^r smoothing exponent is
     alpha = (d/2)(1/p - 1/r).
 
-    The modes are the real-FFT half spectrum of the last axis.  A 1D grid
-    of n <= DFT_MATRIX_MAX_N points gets it from two real matrices built
-    once, n values <-> interleaved real and imaginary parts of the modes,
-    one matrix-vector product per row; larger and 2D grids use np.fft.
+    The modes are the real-FFT half spectrum of the last axis, through
+    np.fft.  A 1D grid of n <= FOLD_MAX_N points is folded: its flow and
+    stage-convolution ops are dense real grid matrices built once per step
+    size (see DiagonalPropagator), so a step transforms nothing; larger
+    and 2D grids apply their ops in modal form.
     """
 
     def __init__(self, dim: int = 1, n: int = 64, p: float = 2.0, r: float = 2.0,
@@ -346,13 +391,7 @@ class HeatTorusProblem(DiagonalPropagator):
             kx = kb * self.grid()
             waves = np.stack([np.cos(kx), np.sin(kx)], axis=1) / kb[:, None] ** 2
             self._ball_basis = np.vstack([waves.reshape(2 * kmax, n), np.full((1, n), 0.5)])
-            if n <= DFT_MATRIX_MAX_N:
-                # the FFT's own images of the unit vectors, so the inverse
-                # ignores the imaginary parts of the 0 and Nyquist modes as
-                # irfft does
-                self._dft = np.ascontiguousarray(np.fft.rfft(np.eye(n)).view(float).T)
-                self._idft = np.ascontiguousarray(
-                    np.fft.irfft(np.eye(2 * len(k_half)).view(complex), n).T)
+            self.folded = n <= FOLD_MAX_N
         else:
             self.shape = (n, n)
             kx, ky = np.meshgrid(k, k_half, indexing="ij")
@@ -372,23 +411,13 @@ class HeatTorusProblem(DiagonalPropagator):
         if np.shape(v)[-self.dim:] != self.shape:
             raise ValidationError(f"state shape {np.shape(v)} != grid {self.shape}")
 
-    _dft = _idft = None  # the DFT matrices of a small 1D grid
-
     def to_modes(self, v):
         self._check(v)
-        if self._dft is not None:
-            re_im = _matvec_rows(self._dft, v)
-            if re_im.dtype.kind == "c":  # np.fft.rfft refuses these too
-                raise ValidationError("heat states are real, got a complex array")
-            return re_im.view(complex)
         if self.dim == 1:
             return np.fft.rfft(v)
         return np.fft.rfft2(v)
 
     def from_modes(self, vh):
-        if self._idft is not None:
-            vh = np.ascontiguousarray(vh, dtype=complex)
-            return _matvec_rows(self._idft, vh.view(float))
         if self.dim == 1:
             return np.fft.irfft(vh, self.n)
         return np.fft.irfft2(vh, self.shape)

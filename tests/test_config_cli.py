@@ -252,6 +252,22 @@ class TestCliRun:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    def test_fractional_n_steps_exits_two(self, tmp_path, capsys):
+        cfg = cfgmod.resolve_config("heat-torus-1d")
+        cfg["run"].update(t_final=0.5, n_steps=2.7)
+        path = tmp_path / "bad.yaml"
+        path.write_text(cfgmod.dump_config(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_steps must be an integer" in err
+        assert not out.exists()
+        # an integral float is a step count
+        cfg["run"]["n_steps"] = 4.0
+        path.write_text(cfgmod.dump_config(cfg))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["steps"] == 4
+
     def test_bad_config_path_exits_two(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "missing.yaml"),
                      "--out", str(tmp_path / "out")])
@@ -374,6 +390,29 @@ class TestCliSmoothing:
         data = json.loads((out / "smoothing.json").read_text())
         assert data["alpha_declared"] == 0.5
         assert data["slope"] == pytest.approx(-0.5, abs=0.05)
+
+
+class TestCliSeed:
+    @pytest.mark.parametrize("command,preset", [
+        ("run", "heat-torus-1d"), ("convergence", "heat-linear"),
+        ("smoothing", "heat-torus-1d")])
+    @pytest.mark.parametrize("flag,config_seed,message", [
+        (["--seed", "-1"], 0, "seed must be a non-negative integer, got -1"),
+        ([], -3, "seed must be a non-negative integer, got -3"),
+        ([], 1.5, "seed must be an integer, got 1.5"),
+    ], ids=["negative-flag", "negative-config", "fractional-config"])
+    def test_bad_seed_exits_two(self, tmp_path, capsys, command, preset, flag,
+                                config_seed, message):
+        cfg = cfgmod.resolve_config(preset)
+        cfg["seed"] = config_seed
+        path = tmp_path / "cfg.yaml"
+        path.write_text(cfgmod.dump_config(cfg))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out), *flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 class TestCliSelftest:

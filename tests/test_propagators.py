@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import decode, random_state
 from expsplit.errors import ValidationError
-from expsplit.integrator import SchemeSpec
+from expsplit.integrator import SchemeSpec, plan_step
 from expsplit.lagrange import NodeSet, build_lagrange, eval_basis
+from expsplit.phi import stage_weights_diagonal
 from expsplit.propagators import (HeatTorusProblem, OUProblem, Propagator,
                                   SmoothingProfile, WaveProblem,
                                   gaussian_smoothing_constant, lp_norm,
@@ -268,7 +270,7 @@ class TestHeat:
         ref = parts[0] if dim == 1 else np.sqrt(parts[0] ** 2 + parts[1] ** 2)
         assert np.max(np.abs(hp.gradient(X) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n", [8, 64, 128])  # DFT matrices, then np.fft
+    @pytest.mark.parametrize("n", [8, 64, 128])  # folded grids, then an unfolded one
     def test_stacked_transforms_equal_rows_and_invert(self, n):
         hp = HeatTorusProblem(dim=1, n=n)
         X = np.random.default_rng(3).standard_normal((5, n))
@@ -681,6 +683,79 @@ class TestStageConvolve:
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         with pytest.raises(ValidationError):
             hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,)), [hp.zeros()])
+
+
+def gauss_scheme(s):
+    """s Gauss-Legendre nodes on (0, 1): c_s != 1, so a step's flow op has
+    an extra row at h."""
+    return SchemeSpec.with_nodes(0.5 * (np.polynomial.legendre.leggauss(s)[0] + 1.0))
+
+
+class TestFold:
+    @pytest.mark.parametrize("nodes", ["default", "gauss"])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_folded_ops_match_modal_fft(self, n, s, nodes):
+        hp = HeatTorusProblem(dim=1, n=n)
+        assert hp.folded
+        scheme = SchemeSpec.with_stages(s) if nodes == "default" else gauss_scheme(s)
+        rng = np.random.default_rng(100 * n + s)
+        for h in (1e-3, 1 / 40, 0.3):
+            plan = plan_step(h, scheme, hp, 1e-12)
+            times = np.append(plan.offsets, h) if scheme.nodes.nodes[-1] != 1.0 \
+                else plan.offsets
+            assert plan.node_flow.shape == (len(times), n, n)
+            V = rng.standard_normal((len(times), n))
+            flows = hp.apply_nodes(plan.node_flow, V)
+            ref = np.fft.irfft(np.exp(np.multiply.outer(times, hp.eigenvalues))
+                               * np.fft.rfft(V), n)
+            for t, v, row, r in zip(times, V, flows, ref):
+                if t == 0.0:
+                    assert np.array_equal(row, v)  # the exact identity
+                assert np.max(np.abs(row - r)) <= 1e-14 * np.max(np.abs(r))
+            G = rng.standard_normal((s, n))
+            for ends, op in ((scheme.nodes.nodes, plan.stage_rows), ((1.0,), plan.update_row)):
+                assert op.shape == (len(ends) * n, s * n)
+                out = hp.stage_convolve(op, G)
+                W = stage_weights_diagonal(hp.eigenvalues, h, scheme.lag, ends)
+                ref = np.fft.irfft(np.einsum("ij...,j...->i...", W, np.fft.rfft(G)), n)
+                for e, row, r in zip(ends, out, ref):
+                    if e == 0.0:
+                        assert np.all(row == 0.0)
+                    else:
+                        assert np.max(np.abs(row - r)) <= 1e-14 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_stacked_flow_rows_equal_rows_alone(self, n):
+        hp = HeatTorusProblem(dim=1, n=n)
+        times = (0.0, 1e-3, 0.05, 0.3, 1.0)
+        V = np.random.default_rng(5).standard_normal((len(times), n))
+        rows = hp.apply_nodes(hp.flow_op(times), V)
+        for t, v, row in zip(times, V, rows):
+            assert np.array_equal(hp.apply_nodes(hp.flow_op((t,)), v[None])[0], row)
+            assert np.array_equal(hp.apply(t, v), row)
+
+    def test_stage_matrix_build_peaks_near_its_size(self):
+        # the blocks are written into the matrix, with no (E, s, n, n)
+        # temporary beside it
+        hp = HeatTorusProblem(dim=1, n=64)
+        lag = SchemeSpec.with_stages(4).lag
+        tracemalloc.start()
+        try:
+            op = hp.convolve_op(0.01, lag, lag.node_set.nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.shape == (256, 256)
+        assert peak < 1.5 * op.nbytes
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+    def test_larger_and_2d_grids_stay_modal(self, dim, n):
+        hp = HeatTorusProblem(dim=dim, n=n)
+        assert not hp.folded
+        lag = build_lagrange(NodeSet((0.0, 1.0)))
+        assert hp.flow_op((0.0, 0.1)).shape == (2,) + hp.eigenvalues.shape
+        assert hp.convolve_op(0.1, lag, (0.0, 1.0)).shape == (2, 2) + hp.eigenvalues.shape
 
 
 class TestMeasureSmoothing:
