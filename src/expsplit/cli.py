@@ -22,11 +22,9 @@ import numpy as np
 from . import config as cfgmod
 from .errors import ExpsplitError, ValidationError
 from .harness import convergence_study
-from .integrator import run
+from .integrator import STATUS_ERRORS, run
 from .nonlinearities import ZeroNonlinearity, estimate_lipschitz
 from .propagators import WaveProblem, measure_smoothing
-
-_STATUS_CODES = {"ok": 0, "contraction": 3, "strip": 4, "divergence": 5}
 
 
 def _write(out_dir: Path, name: str, text: str):
@@ -145,9 +143,10 @@ def cmd_run(args) -> int:
     _write(out, "resolved_config.yaml", cfgmod.dump_config(cfg))
     _write(out, "trajectory.txt", "\n".join(record.text_lines()) + "\n")
     _write(out, "summary.json", _json(summary))
-    if record.status != "ok":
-        print(f"run failed ({record.status}): {record.error}", file=sys.stderr)
-    return _STATUS_CODES.get(record.status, 1)
+    if record.status == "ok":
+        return 0
+    print(f"run failed ({record.status}): {record.error}", file=sys.stderr)
+    return getattr(STATUS_ERRORS.get(record.status), "exit_code", 1)
 
 
 def cmd_convergence(args) -> int:
@@ -168,21 +167,15 @@ def cmd_convergence(args) -> int:
         return 0
     print(f"study failed: {report.abort_reason}", file=sys.stderr)
     # a run abort reads "<status>: <error>"; any other failure is a verdict
-    return _STATUS_CODES.get(report.abort_reason.partition(":")[0], 6)
+    status = report.abort_reason.partition(":")[0]
+    return getattr(STATUS_ERRORS.get(status), "exit_code", 6)
 
 
 def cmd_smoothing(args) -> int:
     cfg = _apply_overrides(cfgmod.resolve_config(args.config), args)
     out = Path(args.out)
     problem = cfgmod.build_problem(cfg)
-    sc = cfg.get("smoothing", {})
-    p = float(sc.get("p", problem.p))
-    r = float(sc.get("r", problem.r))
-    t_lo = float(sc.get("t_min", 1e-4))
-    t_hi = float(sc.get("t_max", 1e-2))
-    npts = int(sc.get("points", 7))
-    rng = np.random.default_rng(cfg["seed"])
-    report = measure_smoothing(problem, p, r, np.geomspace(t_lo, t_hi, npts), rng=rng)
+    report = measure_smoothing(problem, rng=np.random.default_rng(cfg["seed"]))
     lines = ["t,proxy,resolved"]
     lines += [f"{t:.8g},{v:.8e},{int(ok)}" for t, v, ok in report.rows]
     _write(out, "resolved_config.yaml", cfgmod.dump_config(cfg))

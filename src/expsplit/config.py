@@ -135,8 +135,7 @@ def build_plan(cfg: dict) -> StudyPlan:
         ref_factor=int(st.get("ref_factor", 64)),
         eoc_tol=float(st.get("eoc_tol", 0.3)),
         strip_radius_frac=float(st.get("strip_radius_frac", 0.25)),
-        seed=int(cfg.get("seed", 0)),
-        check_smoothing=bool(st.get("check_smoothing", False)))
+        seed=int(cfg.get("seed", 0)))
     plan.validate()
     return plan
 
@@ -206,7 +205,7 @@ STUDY_PRESETS: dict[str, dict] = {
         "initial": {"kind": "rough", "amplitude": 0.6, "decay": 1.5},
         "scheme": {"stages": 2},
         "study": {"h_list": [1 / 40, 1 / 80, 1 / 160, 1 / 320, 1 / 640],
-                  "eoc_tol": 0.3, "check_smoothing": True},
+                  "eoc_tol": 0.3},
     },
     "wave-cubic-s2": {
         "base": "wave-dirichlet-1d",

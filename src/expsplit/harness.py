@@ -18,7 +18,8 @@ from .errors import StudyFailedError, ValidationError
 from .gronwall import AprioriConstants, apriori_error_bound, derivative_l1_norm, \
     taylor_kernel_bound
 from .integrator import SchemeSpec, run
-from .nonlinearities import StripMonitor, ZeroNonlinearity, estimate_lipschitz
+from .nonlinearities import StripMonitor, ZeroNonlinearity, estimate_lipschitz, \
+    stored_state
 from .propagators import measure_smoothing
 
 __all__ = ["StudyPlan", "ConvergenceReport", "ReferenceSolution",
@@ -53,7 +54,6 @@ class StudyPlan:
     eoc_tol: float = 0.3
     strip_radius_frac: float = 0.25
     seed: int = 0
-    check_smoothing: bool = False
 
     def validate(self):
         hs = sorted(float(h) for h in self.h_list)
@@ -84,10 +84,7 @@ class ReferenceSolution:
     self_check_diff: float
 
     def at_time(self, t: float):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValidationError(f"reference not sampled at t={t}")
-        return self.states[i]
+        return stored_state(self.times, self.states, t)
 
     @property
     def terminal(self):
@@ -280,10 +277,8 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
     alpha = problem.profile_x.alpha
     report.predicted_order = order_prediction(plan.scheme.s, alpha, problem.w_choice)
 
-    if plan.check_smoothing and alpha > 0.0:
-        sm = measure_smoothing(problem, problem.p, problem.r,
-                               np.geomspace(1e-4, 1e-2, 7),
-                               rng=np.random.default_rng(plan.seed))
+    if alpha > 0.0:  # alpha sets the predicted order and kappa's Omega
+        sm = measure_smoothing(problem, rng=np.random.default_rng(plan.seed))
         if abs(-sm.slope - alpha) > 0.1:
             raise ValidationError(
                 f"declared smoothing alpha={alpha:.3f} but measured slope "

@@ -39,6 +39,10 @@ __all__ = ["SchemeSpec", "StepPlan", "StageInfo", "TrajectoryRecord",
 
 FP_MAX_ITER = 60  # fixed-point iterations before a step counts as divergent
 
+# the error, and with it the exit code, of each failed run status
+STATUS_ERRORS = {"contraction": ContractionError, "strip": StripViolationError,
+                 "divergence": FixedPointDivergenceError}
+
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -117,10 +121,7 @@ class TrajectoryRecord:
     def raise_if_failed(self):
         if self.status == "ok":
             return
-        exc = {"contraction": ContractionError,
-               "strip": StripViolationError,
-               "divergence": FixedPointDivergenceError}.get(self.status, ValidationError)
-        raise exc(self.error)
+        raise STATUS_ERRORS.get(self.status, ValidationError)(self.error)
 
     def text_lines(self):
         """Line-oriented record: one line per stored step."""

@@ -18,7 +18,7 @@ from .errors import StripViolationError, ValidationError
 
 __all__ = ["Nonlinearity", "PowerNonlinearity", "AdvectionNonlinearity",
            "WaveCubic", "ZeroNonlinearity", "estimate_lipschitz",
-           "StripMonitor", "LIPSCHITZ_SAFETY"]
+           "StripMonitor", "stored_state", "LIPSCHITZ_SAFETY"]
 
 LIPSCHITZ_SAFETY = 1.5
 
@@ -126,6 +126,15 @@ def estimate_lipschitz(g, problem, center, radius, t_range=(0.0, 1.0),
     return safety * best
 
 
+def stored_state(times, states, t: float):
+    """The state of `states` stored at the entry of `times` nearest t; a
+    ValidationError unless that entry is t to 1e-9 relative."""
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValidationError(f"no reference state stored at t={t}")
+    return states[i]
+
+
 @dataclass
 class StripMonitor:
     """Checks that a trajectory stays in the V-tube of radius `radius`
@@ -137,14 +146,8 @@ class StripMonitor:
     v_norm: object
     violations: list = field(default_factory=list)
 
-    def reference_at(self, t: float):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValidationError(f"no reference state stored at t={t}")
-        return self.states[i]
-
     def check(self, t: float, state) -> float:
-        dist = self.v_norm(state - self.reference_at(t))
+        dist = self.v_norm(state - stored_state(self.times, self.states, t))
         if dist > self.radius:
             self.violations.append((t, dist))
             raise StripViolationError(

@@ -19,7 +19,7 @@ near-exact (quadrature), so time-stepping error dominates in studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # numpy loads these on first use; load them with the package, not in a run
@@ -88,11 +88,6 @@ class SmoothingProfile:
             raise ValidationError(f"alpha must be in [0,1), got {self.alpha}")
         if self.c <= 0.0 or self.t_max <= 0.0:
             raise ValidationError("c and t_max must be positive")
-
-    def rho(self, t: float) -> float:
-        if self.alpha == 0.0:
-            return self.c
-        return self.c * t ** (-self.alpha)
 
     def omega(self, h: float) -> float:
         """Omega(h) = int_0^h rho = c*h^(1-alpha)/(1-alpha)."""
@@ -647,7 +642,8 @@ class WaveProblem(DiagonalPropagator):
     frequency omega_k = k.  Internally the pair is packed into the
     complex vector z_k = omega_k * w_k + i * wdot_k, which evolves
     diagonally with eigenvalue -i*omega_k, so the exact phi-weight
-    machinery applies.  The V=X norm is the energy norm
+    machinery applies.  With p = r = 2 and W = V, the grid L^2 norm of z
+    that serves as X, V and W is the energy norm
     (||grad w||_2^2 + ||wdot||_2^2)^(1/2).
 
     The sine transform is the orthonormal DST-I matrix S (symmetric, its
@@ -698,13 +694,6 @@ class WaveProblem(DiagonalPropagator):
         """Per-mode invariant omega^2 w_k^2 + wdot_k^2 of the linear flow."""
         return np.abs(z) ** 2
 
-    def energy_norm(self, z):
-        """Energy norm of one modal state (a float) or of each row of a stack."""
-        return self.lp(z, 2.0)
-
-    # X = V = W is the energy norm, so w_norm need not dispatch to v_norm
-    x_norm = v_norm = w_norm = energy_norm
-
     def random_field(self, rng):
         amp = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
         return amp / (1.0 + self.omega) ** 2
@@ -714,38 +703,54 @@ class WaveProblem(DiagonalPropagator):
 class SmoothingReport:
     """(t, proxy) rows, fitted log-log slope over the resolved rows."""
 
-    rows: list = field(default_factory=list)  # (t, proxy, resolved)
-    slope: float = float("nan")
-    alpha_declared: float = float("nan")
+    rows: list  # (t, proxy, resolved)
+    slope: float
+    alpha_declared: float
 
 
-def measure_smoothing(propagator, p, r, t_list, rng=None) -> SmoothingReport:
-    """Operator-norm proxy ||e^{tA}.||_{Lp -> Lr} over a probe set.
+def _first_resolved_time(propagator) -> float:
+    """The smallest t, to 1e-12 relative, whose kernel width is at least
+    2 dx; the width grows with t, so a bisection finds it."""
+    lo, hi, need = 0.0, 1.0, 2.0 * propagator.dx
+    while propagator.kernel_width(hi) < need:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if propagator.kernel_width(mid) >= need else (mid, hi)
+    return hi
 
-    The proxy is the max ratio over deltas, scaled Gaussians, rough sign
-    vectors and smooth fields; a log-log fit over the resolved t values
-    estimates -alpha.  Rows where the kernel width is below 2*dx are
-    flagged and excluded from the fit.
+
+def measure_smoothing(propagator, t_list=None, rng=None) -> SmoothingReport:
+    """Operator-norm proxy ||e^{tA}||_{X -> V} over a probe set.
+
+    The proxy is the max ratio v_norm(e^{tA} u) / x_norm(u) over deltas,
+    scaled Gaussians, rough sign vectors and smooth fields, so a log-log
+    fit over the resolved rows (kernel width >= 2 dx) estimates -alpha of
+    profile_x.  Without t_list the times are 7 geometric ones over the
+    decade from the first resolved t.  Fewer than two resolved rows raise.
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    probes = propagator.smoothing_probes(rng)
+    if t_list is None:
+        t_0 = _first_resolved_time(propagator)
+        t_list = np.geomspace(t_0, 10.0 * t_0, 7)
     t_list = sorted(float(t) for t in t_list)
     if any(t <= 0.0 for t in t_list):
         raise ValidationError("t values must be positive")
-    probes = propagator.smoothing_probes(rng)
-    report = SmoothingReport(alpha_declared=propagator.profile_x.alpha)
-    for t in t_list:
-        ratio = 0.0
-        for u in probes:
-            nx = propagator.lp(u, p)
-            if nx == 0.0:
-                continue
-            ratio = max(ratio, propagator.lp(propagator.apply(t, u), r) / nx)
-        resolved = propagator.kernel_width(t) >= 2.0 * propagator.dx
-        report.rows.append((t, ratio, resolved))
-    pts = [(t, v) for t, v, ok in report.rows if ok and v > 0.0]
-    if len(pts) >= 2:
-        lt = np.log([t for t, _ in pts])
-        lv = np.log([v for _, v in pts])
-        report.slope = float(np.polyfit(lt, lv, 1)[0])
-    return report
+    op = propagator.flow_op(t_list)
+    ratio = np.zeros(len(t_list))
+    for u in probes:
+        nx = propagator.x_norm(u)
+        if nx != 0.0:
+            ratio = np.maximum(ratio, propagator.v_norm(propagator.apply_nodes(op, u)) / nx)
+    rows = [(t, float(v), propagator.kernel_width(t) >= 2.0 * propagator.dx)
+            for t, v in zip(t_list, ratio)]
+    pts = [(t, v) for t, v, ok in rows if ok and v > 0.0]
+    if len(pts) < 2:
+        raise ValidationError(
+            f"smoothing fit needs two resolved rows (kernel width >= 2 dx), "
+            f"got {len(pts)} of {len(rows)}")
+    lt, lv = np.log(pts).T
+    return SmoothingReport(rows=rows, slope=float(np.polyfit(lt, lv, 1)[0]),
+                           alpha_declared=propagator.profile_x.alpha)

@@ -238,9 +238,9 @@ def test_criterion_05_smoothing_slopes(announce):
     rng = np.random.default_rng(SEED)
     ts = np.geomspace(1e-4, 1e-2, 7)
     rep12 = measure_smoothing(HeatTorusProblem(dim=1, n=1024, p=1, r=2),
-                              1, 2, ts, rng=rng)
+                              ts, rng=rng)
     rep22 = measure_smoothing(HeatTorusProblem(dim=1, n=1024, p=2, r=2),
-                              2, 2, ts, rng=rng)
+                              ts, rng=rng)
     elapsed = time.perf_counter() - t0
     ok = (abs(rep12.slope - (-0.25)) <= 0.05 and abs(rep22.slope) <= 0.05
           and elapsed < 10.0)

@@ -38,7 +38,6 @@ class TestResolveConfig:
         assert cfg["problem"]["p"] == 1
         assert cfg["problem"]["n"] == 128
         assert cfg["nonlinearity"]["kind"] == "power"  # inherited from base
-        assert cfg["study"]["check_smoothing"] is True
         assert cfg["name"] == "heat-frac-s2"
 
     def test_yaml_round_trip(self, tmp_path):
@@ -376,10 +375,19 @@ class TestCliSmoothing:
         assert data["slope"] == pytest.approx(-0.25, abs=0.05)
         assert data["alpha_declared"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("preset", ["heat-torus-1d", "ou-1d"])
+    def test_preset_fits_its_declared_alpha_on_seven_resolved_rows(self, tmp_path,
+                                                                   preset):
+        out = tmp_path / "out"
+        assert main(["smoothing", "--config", preset, "--out", str(out)]) == 0
+        data = json.loads((out / "smoothing.json").read_text())
+        assert data["slope"] == pytest.approx(-data["alpha_declared"], abs=0.05)
+        rows = (out / "smoothing.csv").read_text().splitlines()[1:]
+        assert len(rows) == 7 and all(row.endswith(",1") for row in rows)
+
     def test_ou_l1_to_linf_runs_without_traceback(self, tmp_path, capsys):
         cfg = cfgmod.resolve_config("ou-1d")
         cfg["problem"].update(p=1, r=float("inf"))
-        cfg["smoothing"] = {"t_min": 1e-2, "t_max": 1e-1}  # widths above 2 dx
         text = cfgmod.dump_config(cfg)
         assert "r: .inf" in text
         path = tmp_path / "cfg.yaml"

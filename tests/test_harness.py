@@ -151,12 +151,22 @@ class TestConvergenceStudy:
         hp.profile_x = SmoothingProfile(c=1.0, alpha=0.5, t_max=0.5)
         plan = StudyPlan(problem_id="bad-smoothing",
                          scheme=SchemeSpec.with_stages(2),
-                         h_list=[0.25, 0.125], horizon=0.5,
-                         check_smoothing=True)
+                         h_list=[0.25, 0.125], horizon=0.5)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
         with pytest.raises(ValidationError, match="smoothing"):
             convergence_study(plan, hp, g, 0.1 * np.sin(hp.grid()))
 
+    def test_heat_frac_grid_rejects_a_wrong_alpha(self):
+        # heat-frac-s2's n = 128 grid measures -1/4; a declared 1/2 would set
+        # the order to 1.5 and understate kappa's Omega, so setup must fail
+        cfg = cfgmod._merge(cfgmod.resolve_config("heat-frac-s2"),
+                            {"run": {"t_final": 0.05}})
+        pr = cfgmod.build_problem(cfg)
+        pr.profile_x = replace(pr.profile_x, alpha=0.5)
+        with pytest.raises(ValidationError, match="smoothing"):
+            convergence_study(cfgmod.build_plan(cfg), pr,
+                              cfgmod.build_nonlinearity(cfg, pr),
+                              cfgmod.build_initial(cfg, pr))
 
     def test_plan_built_in_code_takes_w_from_problem(self):
         # heat-frac-s2 is a W = X problem: its order is s - alpha = 2 - 1/4

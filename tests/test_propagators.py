@@ -761,24 +761,23 @@ class TestFold:
 class TestMeasureSmoothing:
     def test_heat_l1_l2_slope(self, rng):
         hp = HeatTorusProblem(dim=1, n=1024, p=1, r=2)
-        rep = measure_smoothing(hp, 1, 2, np.geomspace(1e-4, 1e-2, 7), rng=rng)
+        rep = measure_smoothing(hp, np.geomspace(1e-4, 1e-2, 7), rng=rng)
         assert rep.slope == pytest.approx(-0.25, abs=0.05)
 
     def test_heat_same_space_slope(self, rng):
         hp = HeatTorusProblem(dim=1, n=1024, p=2, r=2)
-        rep = measure_smoothing(hp, 2, 2, np.geomspace(1e-4, 1e-2, 7), rng=rng)
+        rep = measure_smoothing(hp, np.geomspace(1e-4, 1e-2, 7), rng=rng)
         assert abs(rep.slope) < 0.05
 
     def test_heat_2d_l2_linf_slope(self, rng):
         hp = HeatTorusProblem(dim=2, n=128, p=2, r=np.inf)
-        rep = measure_smoothing(hp, 2, np.inf,
-                                np.geomspace(3e-4, 1e-2, 6), rng=rng)
+        rep = measure_smoothing(hp, np.geomspace(3e-4, 1e-2, 6), rng=rng)
         assert rep.slope == pytest.approx(-0.5, abs=0.1)
 
     def test_under_resolved_rows_flagged(self, rng):
         hp = HeatTorusProblem(dim=1, n=256, p=1, r=2)
         t_list = np.geomspace(1e-6, 1e-2, 6)
-        rep = measure_smoothing(hp, 1, 2, t_list, rng=rng)
+        rep = measure_smoothing(hp, t_list, rng=rng)
         flags = [ok for _, _, ok in rep.rows]
         assert not flags[0]  # width sqrt(2e-6) well below 2*dx
         assert flags[-1]
@@ -786,4 +785,38 @@ class TestMeasureSmoothing:
     def test_nonpositive_times_rejected(self, rng):
         hp = HeatTorusProblem(dim=1, n=64)
         with pytest.raises(ValidationError):
-            measure_smoothing(hp, 2, 2, [0.0, 0.1], rng=rng)
+            measure_smoothing(hp, [0.0, 0.1], rng=rng)
+
+    @pytest.mark.parametrize("t_list", [np.geomspace(1e-6, 1e-4, 5), [1e-6, 1e-2]])
+    def test_fewer_than_two_resolved_rows_rejected(self, rng, t_list):
+        hp = HeatTorusProblem(dim=1, n=256, p=1, r=2)  # resolved from t = 2 dx^2
+        with pytest.raises(ValidationError, match="two resolved rows"):
+            measure_smoothing(hp, t_list, rng=rng)
+
+    SMOOTHING_PROBLEMS = {
+        "heat-folded": lambda: HeatTorusProblem(dim=1, n=64, p=1, r=2),
+        "heat-modal": lambda: HeatTorusProblem(dim=1, n=128, p=1, r=2),
+        "heat-2d": lambda: HeatTorusProblem(dim=2, n=32, p=1, r=2),
+        "ou": lambda: OUProblem(n=256, p=1, r=2),
+    }
+
+    @pytest.mark.parametrize("name", SMOOTHING_PROBLEMS)
+    def test_derived_range_starts_at_the_first_resolved_time(self, name):
+        pr = self.SMOOTHING_PROBLEMS[name]()
+        rep = measure_smoothing(pr, rng=np.random.default_rng(0))
+        ts = [t for t, _, _ in rep.rows]
+        assert len(ts) == 7 and all(ok for _, _, ok in rep.rows)
+        assert ts[-1] == pytest.approx(10.0 * ts[0])
+        assert pr.kernel_width(ts[0]) >= 2.0 * pr.dx
+        assert pr.kernel_width(ts[0] / 1.05) < 2.0 * pr.dx
+        assert rep.slope == pytest.approx(-pr.profile_x.alpha, abs=0.03)
+
+    @pytest.mark.parametrize("name", SMOOTHING_PROBLEMS)
+    def test_rows_equal_the_per_time_apply_loop(self, name):
+        pr = self.SMOOTHING_PROBLEMS[name]()
+        rep = measure_smoothing(pr, rng=np.random.default_rng(0))
+        probes = pr.smoothing_probes(np.random.default_rng(0))
+        for t, proxy, _ in rep.rows:
+            ratios = [pr.v_norm(pr.apply(t, u)) / pr.x_norm(u) for u in probes
+                      if pr.x_norm(u) != 0.0]
+            assert proxy == max(ratios)
