@@ -152,10 +152,8 @@ def cmd_run(args) -> int:
 def cmd_convergence(args) -> int:
     cfg = _apply_overrides(cfgmod.resolve_config(args.config), args)
     out = Path(args.out)
-    problem, g, u0, scheme = _build_all(cfg)
-    plan = cfgmod.build_plan(cfg)
-    plan.scheme = scheme
-    report = convergence_study(plan, problem, g, u0)
+    problem, g, u0, _ = _build_all(cfg)
+    report = convergence_study(cfgmod.build_plan(cfg), problem, g, u0)
     _write(out, "resolved_config.yaml", cfgmod.dump_config(cfg))
     _write(out, "study.csv", "\n".join(report.csv_lines()) + "\n")
     _write(out, "study.json", _json(report.summary()))

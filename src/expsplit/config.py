@@ -234,13 +234,49 @@ def _merge(base: dict, over: dict) -> dict:
     return out
 
 
+# the keys the builders and the CLI read, per section ("" is the top
+# level, and a problem's keys depend on its kind); run.h is the step that
+# --h writes and resolved_config.yaml echoes
+_KEYS = {
+    "": {"name", "seed", "problem", "nonlinearity", "initial", "scheme", "run",
+         "study"},
+    "problem": {"heat": {"kind", "dim", "n", "p", "r", "w_choice", "sobolev_v"},
+                "ou": {"kind", "b", "q", "box", "n", "p", "r", "w_choice"},
+                "wave": {"kind", "n_modes", "alpha_w"}},
+    "nonlinearity": {"kind", "alpha", "coeff"},
+    "initial": {"kind", "amplitude", "decay", "sigma"},
+    "scheme": {"stages", "nodes"},
+    "run": {"t_final", "n_steps", "h"},
+    "study": {"h_list", "ref_factor", "eoc_tol", "strip_radius_frac"},
+}
+
+
+def _check_keys(cfg: dict):
+    """A ValidationError naming the first key that nothing reads; the keys
+    of an unknown problem kind are left to build_problem's error."""
+    for name, known in _KEYS.items():
+        section = cfg.get(name) if name else cfg
+        if not isinstance(section, dict):
+            continue  # a missing or malformed section is its builder's error
+        if name == "problem":
+            known = known.get(section.get("kind"), section.keys())
+        for key in section:
+            if key not in known:
+                where = f"{name}.{key}" if name else key
+                raise ValidationError(f"unknown config key {where!r}")
+
+
 def resolve_config(name_or_path: str) -> dict:
-    """Resolve a preset name (problem or study) or load a config file."""
+    """Resolve a preset name (problem or study) or load a config file; a
+    key that nothing reads is a ValidationError."""
     if name_or_path in STUDY_PRESETS:
         preset = STUDY_PRESETS[name_or_path]
         base = PROBLEM_PRESETS[preset["base"]]
         over = {k: v for k, v in preset.items() if k != "base"}
-        return _merge(base, over)
-    if name_or_path in PROBLEM_PRESETS:
-        return copy.deepcopy(PROBLEM_PRESETS[name_or_path])
-    return load_config(name_or_path)
+        cfg = _merge(base, over)
+    elif name_or_path in PROBLEM_PRESETS:
+        cfg = copy.deepcopy(PROBLEM_PRESETS[name_or_path])
+    else:
+        cfg = load_config(name_or_path)
+    _check_keys(cfg)
+    return cfg

@@ -100,26 +100,26 @@ def apriori_error_bound(consts: AprioriConstants, h: float, n: int,
 def derivative_l1_norm(states, dt: float, order: int, norm) -> float:
     """||f^(order)||_{L1} of a sampled trajectory by central differences.
 
-    states are f(t_k) on a uniform grid of spacing dt; the order-th
-    difference quotient is normed pointwise and summed with trapezoid
-    weights over the interior where the stencil fits.
+    states are f(t_k), stacked (k, *grid), on a uniform grid of spacing
+    dt; the order-th difference quotients are normed by one call of the
+    row-wise norm and summed with trapezoid weights where the stencil fits.
     """
     if order < 1:
         raise ValidationError("derivative order must be >= 1")
-    n = len(states)
+    F = np.asarray(states)
+    n = len(F)
     if n < order + 1:
         raise ValidationError("trajectory too short for the requested order")
     coeffs = np.array([(-1.0) ** (order - k) * math.comb(order, k)
                        for k in range(order + 1)])
-    vals = []
-    for i in range(n - order):
-        acc = coeffs[0] * states[i]
-        for k in range(1, order + 1):
-            acc = acc + coeffs[k] * states[i + k]
-        vals.append(norm(acc) / dt ** order)
-    vals = np.asarray(vals)
-    if len(vals) == 1:
+    m = n - order
+    # c_0 F_i + c_1 F_{i+1} + ... summed in this order for every i at once
+    acc = coeffs[0] * F[:m]
+    for k in range(1, order + 1):
+        acc = acc + coeffs[k] * F[k:k + m]
+    vals = norm(acc) / dt ** order
+    if m == 1:
         return float(vals[0] * dt)
-    w = np.full(len(vals), dt)
+    w = np.full(m, dt)
     w[0] = w[-1] = 0.5 * dt
     return float(np.sum(w * vals))

@@ -74,16 +74,17 @@ class StudyPlan:
 
 @dataclass
 class ReferenceSolution:
-    """Reference trajectory sampled at spacing dt (the finest sweep h)."""
+    """Reference trajectory sampled at spacing dt (the finest sweep h), its
+    states one (len(times), *grid) array; at_time takes one t or an array."""
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     h_ref: float
     # terminal V-norm diff between the h_ref run and a 2 h_ref rerun; for
     # order q it over-estimates the stored reference's error by about 2^q
     self_check_diff: float
 
-    def at_time(self, t: float):
+    def at_time(self, t):
         return stored_state(self.times, self.states, t)
 
     @property
@@ -170,7 +171,7 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
         raise ValidationError("sample_dt must be a multiple of h_ref")
     times = np.round(np.arange(round(T / sample_dt) + 1) * sample_dt, 12)
     if isinstance(g, ZeroNonlinearity):
-        states = [problem.apply(float(t), u_0) for t in times]
+        states = np.stack([problem.apply(float(t), u_0) for t in times])
         return ReferenceSolution(times=times, states=states, h_ref=h_ref,
                                  self_check_diff=0.0)
     scheme = SchemeSpec.with_stages(REFERENCE_STAGES)
@@ -249,14 +250,13 @@ def _reference_context(key, problem, g, u_0, T, h_min, h_ref,
     lip0 = estimate_lipschitz(g, problem, np.asarray(u_0), 0.5 * r0, (0.0, T),
                               n_samples=120, rng=rng)
     ref = reference_solution(problem, g, u_0, T, h_ref, h_min, lip0)
-    radius = strip_radius_frac * max(problem.v_norm(st) for st in ref.states)
+    radius = strip_radius_frac * float(np.max(problem.v_norm(ref.states)))
     if isinstance(g, ZeroNonlinearity):
         lipschitz = 0.0
     else:
         lipschitz = _estimate_lipschitz_on_strip(g, problem, ref, radius, T, seed)
-    for arr in (ref.times, *ref.states):
-        if isinstance(arr, np.ndarray):  # shared by every study that hits the key
-            arr.flags.writeable = False
+    for arr in (ref.times, ref.states):  # shared by every study that hits the key
+        arr.flags.writeable = False
     ctx = (ref, radius, lipschitz)
     if key:
         _REFERENCE_MEMO.clear()
@@ -294,9 +294,8 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
     linear = isinstance(g, ZeroNonlinearity)
 
     if not linear:
-        f_states = [g.eval(float(t), st) for t, st in zip(ref.times, ref.states)]
-        report.f_norm = derivative_l1_norm(f_states, h_min, plan.scheme.s,
-                                           problem.w_norm)
+        report.f_norm = derivative_l1_norm(g.eval(ref.times, ref.states), h_min,
+                                           plan.scheme.s, problem.w_norm)
     else:
         report.f_norm = 0.0
 
@@ -322,9 +321,8 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
                                            report.max_ratio_per_h[-1])
         err = problem.v_norm(rec.states[-1] - ref.terminal)
         report.errors.append(err)
-        max_err = max(problem.v_norm(st - ref.at_time(t))
-                      for t, st in zip(rec.times, rec.states))
-        report.max_errors.append(max_err)
+        report.max_errors.append(float(np.max(
+            problem.v_norm(rec.states - ref.at_time(rec.times)))))
         report.bounds.append(apriori_error_bound(consts, h, round(T / h),
                                                  report.f_norm))
 

@@ -103,13 +103,14 @@ class StageInfo:
 class TrajectoryRecord:
     """Stored trajectory plus per-step diagnostics.
 
-    states/times/steps hold the state, time and step index of every
-    store_stride-th step, always including step 0 and, on success, the last.
+    steps, times and states hold the step index, time and state of every
+    store_stride-th step, always including step 0 and, on success, the
+    last; states is one (len(steps), *grid) array.
     """
 
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
+    steps: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
     stage_iterations: list = field(default_factory=list)
     contraction_ratios: list = field(default_factory=list)
     kappa: float = float("nan")
@@ -241,18 +242,21 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
     """N uniform steps of size h = T/N; returns the record even on abort."""
     if N < 0:
         raise ValidationError("step count must be >= 0")
-    record = TrajectoryRecord()
-    u = np.asarray(u_0).copy()
-    record.times.append(0.0)
-    record.states.append(u.copy())
-    record.steps.append(0)
+    steps = np.union1d(np.arange(0, N + 1, store_stride), N)  # and the last
+    h = T / max(N, 1)
+    u = np.asarray(u_0)
+    # filled row by row: a stack made at the end would hold every state twice
+    states = np.empty((len(steps),) + u.shape, np.result_type(u, propagator.zeros()))
+    states[0] = u
+    record = TrajectoryRecord(steps=steps, times=steps * h, states=states)
     if N == 0:
         return record
-    h = T / N
     try:
         plan = plan_step(h, scheme, propagator, lipschitz)
     except ContractionError as exc:
         record.status, record.error, record.failure_step = "contraction", str(exc), 0
+        record.steps, record.times, record.states = \
+            steps[:1], record.times[:1], states[:1]
         return record
     record.kappa = plan.kappa
     t_start = time.perf_counter()
@@ -260,6 +264,7 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
     # last two corrections (O(h^3) from the fixed point where c_n alone is
     # O(h^2)); step 1 starts from the anchor and step 2 from c_1
     previous = correction = None
+    stored = 1
     for n in range(N):
         t_n = n * h
         start = correction if previous is None else 2.0 * correction - previous
@@ -271,16 +276,17 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
         previous, correction = correction, info.correction
         record.stage_iterations.append(info.iterations)
         record.contraction_ratios.extend(info.contraction_ratios)
-        t_next = (n + 1) * h
         if monitor is not None:
             try:
-                monitor.check(t_next, u)
+                monitor.check((n + 1) * h, u)
             except StripViolationError as exc:
                 record.status, record.error, record.failure_step = "strip", str(exc), n
                 break
-        if (n + 1) % store_stride == 0 or n == N - 1:
-            record.times.append(t_next)
-            record.states.append(u.copy())
-            record.steps.append(n + 1)
+        if n + 1 == steps[stored]:
+            states[stored] = u
+            stored += 1
+    # an aborted run keeps the rows it reached
+    record.steps, record.times, record.states = \
+        steps[:stored], record.times[:stored], states[:stored]
     record.wall_per_step = (time.perf_counter() - t_start) / max(len(record.stage_iterations), 1)
     return record

@@ -35,9 +35,6 @@ class Nonlinearity:
     def eval(self, t, v):
         raise NotImplementedError
 
-    def __call__(self, t, v):
-        return self.eval(t, v)
-
 
 class ZeroNonlinearity(Nonlinearity):
     """g = 0: the purely linear problem."""
@@ -126,12 +123,15 @@ def estimate_lipschitz(g, problem, center, radius, t_range=(0.0, 1.0),
     return safety * best
 
 
-def stored_state(times, states, t: float):
-    """The state of `states` stored at the entry of `times` nearest t; a
-    ValidationError unless that entry is t to 1e-9 relative."""
-    i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValidationError(f"no reference state stored at t={t}")
+def stored_state(times, states, t):
+    """The rows of the (k, *grid) `states` stored at the entries of `times`
+    nearest t, one time or an array of them, in one lookup; a
+    ValidationError unless every entry is its t to 1e-9 relative."""
+    t = np.asarray(t, dtype=float)
+    i = np.abs(np.subtract.outer(t, times)).argmin(axis=-1)
+    missed = np.abs(times[i] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
+    if np.any(missed):
+        raise ValidationError(f"no reference state stored at t={t[missed][0]}")
     return states[i]
 
 
@@ -142,7 +142,7 @@ class StripMonitor:
 
     radius: float
     times: np.ndarray
-    states: list
+    states: np.ndarray  # (len(times), *grid)
     v_norm: object
     violations: list = field(default_factory=list)
 

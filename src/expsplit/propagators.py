@@ -128,11 +128,11 @@ class Propagator:
     Every operator splits into a build and an apply, so a stepper builds
     its operators once per step size and applies them at every step:
     flow_op(times) is applied by apply_nodes(op, V), and
-    convolve_op(h, lag, ends) by stage_convolve(op, G).  apply(t, v) is
-    the one-time case of the flow.  Stage values travel as one
-    (s, *grid) array.  The generic convolve_op integrates the Lagrange
-    interpolant of the stage values by Gauss-Legendre quadrature in tau;
-    diagonal problems override it with exact phi-weights.
+    convolve_op(h, lag, ends) by stage_convolve(op, G); apply(t, v), the
+    one-time flow of one state, is the same for every propagator.  Stages
+    travel as one (s, *grid) array.  The generic convolve_op integrates the
+    Lagrange interpolant of the stage values by Gauss-Legendre quadrature
+    in tau; diagonal problems override it with exact phi-weights.
 
     The base class owns the norm couple: X is the grid L^p norm and V the
     grid L^r norm (p <= r) over the `dim` trailing axes with cell volume
@@ -172,7 +172,15 @@ class Propagator:
         raise NotImplementedError
 
     def apply(self, t: float, v):
-        return self.apply_nodes(self.flow_op((t,)), np.asarray(v)[None])[0]
+        """e^{tA} v for one state v of the grid's shape, cast to the grid
+        dtype: an exact copy at t = 0, else row 0 of the one-time flow."""
+        zero = self.zeros()
+        v = np.asarray(v, dtype=zero.dtype)
+        if v.shape != zero.shape:
+            raise ValidationError(f"state shape {v.shape} != grid {zero.shape}")
+        if t == 0.0:
+            return v.copy()
+        return self.apply_nodes(self.flow_op((t,)), v[None])[0]
 
     def lp(self, v, p):
         return lp_norm(v, p, self.cell, self.dim)
@@ -317,17 +325,6 @@ class DiagonalPropagator(Propagator):
         if self.folded:
             return _matvec_rows(op, V)
         return self.from_modes(op * self.to_modes(V))
-
-    def apply(self, t: float, v):
-        zero = self.zeros()
-        v = np.asarray(v, dtype=zero.dtype)
-        if v.shape[v.ndim - zero.ndim:] != zero.shape:
-            raise ValidationError(f"state shape {v.shape} != grid {zero.shape}")
-        if t == 0.0:
-            return v.copy()
-        if self.folded:
-            return _matvec_rows(self.flow_op((t,))[0], v)
-        return self.from_modes(np.exp(t * self.eigenvalues) * self.to_modes(v))
 
     def convolve_op(self, h, lag, ends, q_nodes=None):
         W = stage_weights_diagonal(self.eigenvalues, h, lag, tuple(ends))

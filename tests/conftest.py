@@ -25,14 +25,15 @@ class ScalarProblem(DiagonalPropagator):
     def zeros(self):
         return np.zeros(1)
 
+    # row-wise, as the Propagator norms are: a stack gives its row norms
     def x_norm(self, v):
-        return float(np.max(np.abs(v)))
+        return np.max(np.abs(v), axis=-1)
 
     v_norm = x_norm
     w_norm = x_norm
 
     def lp(self, v, p):
-        return float(np.max(np.abs(v)))
+        return np.max(np.abs(v), axis=-1)
 
     def sample_in_ball(self, center, radius, rng):
         return np.asarray(center) + radius * rng.uniform(-1.0, 1.0, size=1)

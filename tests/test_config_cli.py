@@ -57,6 +57,45 @@ class TestResolveConfig:
             cfgmod.resolve_config(str(path))
 
 
+class TestConfigKeys:
+    @pytest.mark.parametrize("name", sorted({**cfgmod.PROBLEM_PRESETS,
+                                             **cfgmod.STUDY_PRESETS}))
+    def test_every_preset_resolves(self, name, tmp_path):
+        cfg = cfgmod.resolve_config(name)
+        # a shortened study, as the benchmark runs it, from a config file
+        cfg = cfgmod._merge(cfg, {"run": {"t_final": 0.05},
+                                  "study": {"h_list": [1 / 40, 1 / 80]}})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(cfgmod.dump_config(cfg))
+        assert cfgmod.resolve_config(str(path)) == cfg
+
+    def test_flag_overrides_resolve_again(self, tmp_path):
+        # --h writes run.h; the echoed resolved_config.yaml must load again
+        out = tmp_path / "out"
+        assert main(["run", "--config", "wave-dirichlet-1d", "--h", "0.25",
+                     "--grid", "8", "--stages", "2", "--out", str(out)]) == 0
+        cfg = cfgmod.resolve_config(str(out / "resolved_config.yaml"))
+        assert cfg["run"]["h"] == 0.25 and cfg["problem"]["n_modes"] == 8
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda cfg: cfg["problem"].update(sobolov_v=True), "problem.sobolov_v"),
+        (lambda cfg: cfg.update(smoothing={"p": 1, "t_min": 1e-4}), "smoothing"),
+        (lambda cfg: cfg.setdefault("study", {}).update(check_smoothing=True),
+         "study.check_smoothing"),
+        (lambda cfg: cfg["problem"].update(n_modes=16), "problem.n_modes"),
+    ])
+    def test_unread_key_exits_two(self, tmp_path, capsys, edit, key):
+        cfg = cfgmod.resolve_config("heat-torus-1d")
+        edit(cfg)
+        path = tmp_path / "dead.yaml"
+        path.write_text(cfgmod.dump_config(cfg))
+        out = tmp_path / "out"
+        assert main(["smoothing", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"unknown config key '{key}'" in err
+        assert not out.exists()
+
+
 class TestBuilders:
     def test_build_each_problem_kind(self):
         heat = cfgmod.build_problem(cfgmod.resolve_config("heat-torus-1d"))

@@ -11,7 +11,7 @@ from expsplit.gronwall import (AprioriConstants, apriori_error_bound,
                                derivative_l1_norm, gronwall_bound,
                                taylor_kernel_bound)
 from expsplit.lagrange import NodeSet, default_nodes
-from expsplit.propagators import SmoothingProfile
+from expsplit.propagators import HeatTorusProblem, SmoothingProfile, WaveProblem
 
 
 def greedy_extremal_z(a, b):
@@ -23,6 +23,25 @@ def greedy_extremal_z(a, b):
         acc += b[n - 1] * z[n - 1]
         z[n] = a[n] + acc
     return z
+
+
+def looped_derivative_l1_norm(states, dt, order, norm):
+    """derivative_l1_norm as a loop over stencil positions: one state sum
+    and one single-state norm call per position."""
+    coeffs = np.array([(-1.0) ** (order - k) * math.comb(order, k)
+                       for k in range(order + 1)])
+    vals = []
+    for i in range(len(states) - order):
+        acc = coeffs[0] * states[i]
+        for k in range(1, order + 1):
+            acc = acc + coeffs[k] * states[i + k]
+        vals.append(norm(acc) / dt ** order)
+    vals = np.asarray(vals)
+    if len(vals) == 1:
+        return float(vals[0] * dt)
+    w = np.full(len(vals), dt)
+    w[0] = w[-1] = 0.5 * dt
+    return float(np.sum(w * vals))
 
 
 class TestBound:
@@ -136,7 +155,7 @@ class TestAprioriChain:
 
 class TestDerivativeNorm:
     def norm(self, v):
-        return float(np.max(np.abs(v)))
+        return np.max(np.abs(v), axis=-1)  # row-wise on a stack
 
     def test_linear_trajectory_first_derivative(self):
         dt = 0.01
@@ -162,3 +181,23 @@ class TestDerivativeNorm:
     def test_order_zero_rejected(self):
         with pytest.raises(ValidationError):
             derivative_l1_norm([np.zeros(2)] * 5, 0.1, 0, self.norm)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    def test_stacked_equals_per_state_loop(self, kind, order):
+        # rows of a smooth trajectory, real heat and complex wave states,
+        # through every norm a study can pass (p = 1, 2 and inf)
+        rng = np.random.default_rng(order)
+        if kind == "heat":
+            pr = HeatTorusProblem(dim=1, n=64, p=1, r=2, w_choice="X")
+            norms = (pr.x_norm, pr.v_norm, lambda v: pr.lp(v, np.inf))
+        else:
+            pr = WaveProblem(n_modes=32)
+            norms = (pr.v_norm, lambda v: pr.lp(v, np.inf))
+        v = pr.random_field(rng)
+        dt = 1 / 160
+        F = np.stack([pr.apply(k * dt, v) ** 3 for k in range(41)])
+        for norm in norms:
+            for rows in (F, F[:order + 1]):  # many stencil positions, and one
+                stacked = derivative_l1_norm(rows, dt, order, norm)
+                assert stacked == looped_derivative_l1_norm(list(rows), dt, order, norm)

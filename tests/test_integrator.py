@@ -254,6 +254,46 @@ class TestRun:
         assert rec.times[-1] == pytest.approx(1.0)
         assert len(rec.times) == 4  # t = 0, 0.4, 0.8, 1.0
 
+    def test_states_are_one_array_of_the_stored_steps(self):
+        hp = HeatTorusProblem(dim=1, n=32)
+        g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
+        rec = run(0.5 * np.sin(hp.grid()), 0.25, 10, SchemeSpec.with_stages(2),
+                  hp, g, 3.0, store_stride=3)
+        assert np.array_equal(rec.steps, [0, 3, 6, 9, 10])
+        assert isinstance(rec.states, np.ndarray)
+        assert rec.states.shape == (5, 32)
+        assert np.array_equal(rec.times, rec.steps * 0.025)
+
+    @pytest.mark.parametrize("abort", ["divergence", "strip"])
+    def test_abort_keeps_exactly_the_rows_reached(self, abort):
+        # steps 1-7 run as in a clean run; step 8 (t = 0.2) fails
+        hp = HeatTorusProblem(dim=1, n=32)
+        scheme, u = SchemeSpec.with_stages(2), 0.5 * np.sin(hp.grid())
+        g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
+        clean = run(u, 0.25, 10, scheme, hp, g, 3.0, store_stride=3)
+
+        class NanLate(PowerNonlinearity):
+            def eval(self, t, v):
+                out = super().eval(t, v)
+                return np.full_like(out, np.nan) if np.max(t) > 0.18 else out
+
+        class LeaveLate:
+            def check(self, t, state):
+                if t > 0.19:
+                    raise StripViolationError(f"left at t={t}")
+
+        if abort == "divergence":
+            rec = run(u, 0.25, 10, scheme, hp, NanLate(3.0, coeff=-1.0), 3.0,
+                      store_stride=3)
+        else:
+            rec = run(u, 0.25, 10, scheme, hp, g, 3.0, monitor=LeaveLate(),
+                      store_stride=3)
+        assert (rec.status, rec.failure_step) == (abort, 7)
+        assert np.array_equal(rec.steps, [0, 3, 6])
+        assert np.array_equal(rec.times, clean.times[:3])
+        assert rec.states.shape == (3, 32)
+        assert np.array_equal(rec.states, clean.states[:3])
+
     def test_trace_rows_align_with_stored_steps(self):
         hp = HeatTorusProblem(dim=1, n=32)
         scheme = SchemeSpec.with_stages(2)

@@ -7,7 +7,7 @@ from conftest import decode
 from expsplit.errors import StripViolationError, ValidationError
 from expsplit.nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
                                      StripMonitor, WaveCubic, ZeroNonlinearity,
-                                     estimate_lipschitz)
+                                     estimate_lipschitz, stored_state)
 from expsplit.propagators import HeatTorusProblem, WaveProblem
 
 _HEAT_1D = HeatTorusProblem(dim=1, n=64)
@@ -212,6 +212,24 @@ class TestStackedEval:
         assert out.shape == X.shape
         assert out.dtype == rows.dtype
         assert np.array_equal(out, rows)
+
+
+class TestStoredState:
+    times = np.round(np.arange(6) * 0.1, 12)
+    states = np.arange(6 * 4, dtype=float).reshape(6, 4)
+
+    def test_array_of_times_returns_those_rows(self):
+        # sums of the steps land next to, not on, the stored times
+        t = np.array([0.5, 0.1 + 0.2, 0.0, 0.1 + 0.2])
+        rows = stored_state(self.times, self.states, t)
+        assert np.array_equal(rows, self.states[[5, 3, 0, 3]])
+        assert np.array_equal(stored_state(self.times, self.states, 0.4),
+                              self.states[4])
+
+    @pytest.mark.parametrize("t", [0.25, [0.1, 0.25], [0.0, 0.5, 0.5 + 1e-6]])
+    def test_any_unstored_time_rejected(self, t):
+        with pytest.raises(ValidationError, match="no reference state stored"):
+            stored_state(self.times, self.states, t)
 
 
 class TestStripMonitor:

@@ -117,6 +117,41 @@ BALL_PROBLEMS = {
 }
 
 
+# name -> problem; every apply path: a folded and a modal 1D heat grid,
+# 2D heat, OU and the complex wave states
+APPLY_PROBLEMS = {
+    "heat-1d-folded": lambda: HeatTorusProblem(dim=1, n=64),
+    "heat-1d": lambda: HeatTorusProblem(dim=1, n=128),
+    "heat-2d": lambda: HeatTorusProblem(dim=2, n=16),
+    "ou": lambda: OUProblem(n=128),
+    "wave": lambda: WaveProblem(n_modes=32),
+}
+
+
+class TestApply:
+    @pytest.mark.parametrize("case", sorted(APPLY_PROBLEMS))
+    def test_stack_rejected(self, case):
+        pr = APPLY_PROBLEMS[case]()
+        stack = np.zeros((2,) + pr.zeros().shape)
+        for t in (0.0, 0.1):
+            with pytest.raises(ValidationError):
+                pr.apply(t, stack)
+
+    @pytest.mark.parametrize("case", sorted(APPLY_PROBLEMS))
+    def test_rows_of_a_stacked_flow(self, case):
+        pr = APPLY_PROBLEMS[case]()
+        rng = np.random.default_rng(11)
+        times = (0.0, 1e-3, 0.05, 0.3)
+        V = np.stack([pr.random_field(rng) for _ in times])
+        rows = pr.apply_nodes(pr.flow_op(times), V)
+        for t, v, row in zip(times, V, rows):
+            out = pr.apply(t, v)
+            assert out.dtype == pr.zeros().dtype
+            # at t = 0 a modal grid's flow row is a transform round trip,
+            # apply an exact copy
+            assert np.array_equal(out, v if t == 0.0 else row)
+
+
 class TestNormCouple:
     @pytest.mark.parametrize("case", sorted(COUPLE_PROBLEMS))
     def test_bad_couple_rejected(self, case):
