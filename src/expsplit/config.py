@@ -51,8 +51,7 @@ def build_problem(cfg: dict):
         return HeatTorusProblem(
             dim=int(pc.get("dim", 1)), n=int(pc.get("n", 64)),
             p=float(pc.get("p", 2)), r=float(pc.get("r", 2)),
-            w_choice=pc.get("w_choice", "V"),
-            sobolev_v=bool(pc.get("sobolev_v", False)), t_max=t_max)
+            w_choice=pc.get("w_choice", "V"), t_max=t_max)
     if kind == "ou":
         return OUProblem(
             b=float(pc.get("b", -1.0)), q=float(pc.get("q", 2.0)),
@@ -240,7 +239,7 @@ def _merge(base: dict, over: dict) -> dict:
 _KEYS = {
     "": {"name", "seed", "problem", "nonlinearity", "initial", "scheme", "run",
          "study"},
-    "problem": {"heat": {"kind", "dim", "n", "p", "r", "w_choice", "sobolev_v"},
+    "problem": {"heat": {"kind", "dim", "n", "p", "r", "w_choice"},
                 "ou": {"kind", "b", "q", "box", "n", "p", "r", "w_choice"},
                 "wave": {"kind", "n_modes", "alpha_w"}},
     "nonlinearity": {"kind", "alpha", "coeff"},

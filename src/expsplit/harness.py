@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import statistics
 import types
 from dataclasses import dataclass, field
 
@@ -341,7 +342,7 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
 
     report.eoc = [math.log2(a / b) for a, b in zip(report.errors, report.errors[1:])]
     finest = report.eoc[-3:] if len(report.eoc) >= 3 else report.eoc
-    report.median_eoc = float(np.median(finest))
+    report.median_eoc = float(statistics.median(finest))
     decreasing = all(a > b for a, b in zip(report.errors, report.errors[1:]))
     dominated = all(b >= e for e, b in zip(report.errors, report.bounds))
     report.passed = (abs(report.median_eoc - report.predicted_order) <= plan.eoc_tol

@@ -242,7 +242,9 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
     """N uniform steps of size h = T/N; returns the record even on abort."""
     if N < 0:
         raise ValidationError("step count must be >= 0")
-    steps = np.union1d(np.arange(0, N + 1, store_stride), N)  # and the last
+    steps = np.arange(0, N + 1, store_stride)
+    if steps[-1] != N:
+        steps = np.append(steps, N)  # and the last
     h = T / max(N, 1)
     u = np.asarray(u_0)
     # filled row by row: a stack made at the end would hold every state twice

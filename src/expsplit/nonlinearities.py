@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StripViolationError, ValidationError
+from .propagators import HeatTorusProblem
 
 __all__ = ["Nonlinearity", "PowerNonlinearity", "AdvectionNonlinearity",
            "WaveCubic", "ZeroNonlinearity", "estimate_lipschitz",
@@ -72,15 +73,18 @@ class PowerNonlinearity(Nonlinearity):
 
 
 class AdvectionNonlinearity(Nonlinearity):
-    """1D analog of u . grad u on a periodic grid: v * (spectral d/dx v)."""
+    """1D analog of u . grad u on a periodic grid: v * (spectral d/dx v),
+    the derivative taken on the problem's rfft modes."""
 
     def __init__(self, problem):
-        if getattr(problem, "dim", None) != 1:
-            raise ValidationError("advection nonlinearity needs a 1D periodic grid")
+        if not (isinstance(problem, HeatTorusProblem) and problem.dim == 1):
+            raise ValidationError("advection nonlinearity needs the 1D heat torus")
         self.problem = problem
+        self.k = np.fft.rfftfreq(problem.n, d=1.0 / problem.n)
 
     def eval(self, t, v):
-        return np.asarray(v) * self.problem.gradient(v)
+        pr = self.problem
+        return np.asarray(v) * pr.from_modes(1j * self.k * pr.to_modes(v))
 
 
 class WaveCubic(Nonlinearity):

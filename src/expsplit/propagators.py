@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 # numpy loads these on first use; load them with the package, not in a run
-import numpy.fft, numpy.ma, numpy.polynomial, numpy.random  # noqa: E401, F401
+import numpy.fft, numpy.polynomial, numpy.random  # noqa: E401, F401
 
 from .errors import ValidationError
 from .lagrange import LagrangeData, eval_basis
@@ -350,9 +350,8 @@ class DiagonalPropagator(Propagator):
 class HeatTorusProblem(DiagonalPropagator):
     """Heat semigroup on the d-torus (d in {1,2}), Fourier-diagonal.
 
-    X is the grid L^p norm and V the grid L^r norm (optionally W^{1,r}
-    with a spectral gradient).  The L^p-L^r smoothing exponent is
-    alpha = (d/2)(1/p - 1/r).
+    X is the grid L^p norm and V the grid L^r norm.  The L^p-L^r
+    smoothing exponent is alpha = (d/2)(1/p - 1/r).
 
     The modes are the real-FFT half spectrum of the last axis, through
     np.fft.  A 1D grid of n <= FOLD_MAX_N points is folded: its flow and
@@ -362,21 +361,19 @@ class HeatTorusProblem(DiagonalPropagator):
     """
 
     def __init__(self, dim: int = 1, n: int = 64, p: float = 2.0, r: float = 2.0,
-                 w_choice: str = "V", sobolev_v: bool = False, t_max: float = 1.0):
+                 w_choice: str = "V", t_max: float = 1.0):
         if dim not in (1, 2):
             raise ValidationError("dim must be 1 or 2")
         if n < 4 or n & (n - 1):
             raise ValidationError("grid size must be a power of two >= 4")
-        self.n, self.sobolev_v = n, sobolev_v
+        self.n = n
         self.dx = 2.0 * math.pi / n
         super().__init__(p, r, w_choice, cell=self.dx ** dim, dim=dim)
         # real fields: the modes are the rfft half spectrum of the last axis
-        k = np.fft.fftfreq(n, d=1.0 / n)
         k_half = np.fft.rfftfreq(n, d=1.0 / n)
         if dim == 1:
             self.shape = (n,)
             self.ksq = k_half ** 2
-            self.kvec = k_half
             # sample_in_ball's field: cos(kx)/k^2, sin(kx)/k^2 per k, then 1/2
             kmax = min(n // 4, 16)
             kb = np.arange(1, kmax + 1)[:, None]
@@ -386,11 +383,8 @@ class HeatTorusProblem(DiagonalPropagator):
             self.folded = n <= FOLD_MAX_N
         else:
             self.shape = (n, n)
-            kx, ky = np.meshgrid(k, k_half, indexing="ij")
+            kx, ky = np.meshgrid(np.fft.fftfreq(n, d=1.0 / n), k_half, indexing="ij")
             self.ksq = kx ** 2 + ky ** 2
-            # i*k*vh on the x Nyquist row is imaginary in the full spectrum,
-            # so that row adds nothing to a real derivative
-            self.kvec = (np.where(kx == -(n // 2), 0.0, kx), ky)
         self.eigenvalues = -self.ksq
         c, alpha = gaussian_smoothing_constant(dim, p, r)
         if p == r:
@@ -422,22 +416,6 @@ class HeatTorusProblem(DiagonalPropagator):
         if self.dim == 1:
             return x
         return np.meshgrid(x, x, indexing="ij")
-
-    def gradient(self, v):
-        """Spectral gradient magnitude; transforms the trailing grid axes only."""
-        vh = self.to_modes(v)
-        if self.dim == 1:
-            return self.from_modes(1j * self.kvec * vh)
-        kx, ky = self.kvec
-        gx = self.from_modes(1j * kx * vh)
-        gy = self.from_modes(1j * ky * vh)
-        return np.sqrt(gx ** 2 + gy ** 2)
-
-    def v_norm(self, v):
-        base = self.lp(v, self.r)
-        if self.sobolev_v:
-            base += self.lp(self.gradient(v), self.r)
-        return base
 
     def random_field(self, rng):
         # random band-limited field: |k|^-2 spectral decay keeps pointwise

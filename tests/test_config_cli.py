@@ -83,6 +83,7 @@ class TestConfigKeys:
         (lambda cfg: cfg.setdefault("study", {}).update(check_smoothing=True),
          "study.check_smoothing"),
         (lambda cfg: cfg["problem"].update(n_modes=16), "problem.n_modes"),
+        (lambda cfg: cfg["problem"].update(sobolev_v=True), "problem.sobolev_v"),
     ])
     def test_unread_key_exits_two(self, tmp_path, capsys, edit, key):
         cfg = cfgmod.resolve_config("heat-torus-1d")
@@ -245,6 +246,18 @@ class TestCliRun:
             main(["run", "--config", "heat-linear", "--out", str(tmp_path / "out"),
                   *flag])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("preset", ["ou-1d", "wave-dirichlet-1d"])
+    def test_advection_off_the_heat_torus_exits_two(self, tmp_path, capsys, preset):
+        cfg = cfgmod.resolve_config(preset)
+        cfg["nonlinearity"] = {"kind": "advection"}
+        path = tmp_path / "adv.yaml"
+        path.write_text(cfgmod.dump_config(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "advection" in err
+        assert not out.exists()
 
     def test_too_small_ou_grid_exits_two_without_traceback(self, tmp_path):
         proc = subprocess.run(
@@ -482,14 +495,40 @@ for argv in (["run", "--config", "wave-dirichlet-1d", "--t-final", "0.1"],
     with tempfile.TemporaryDirectory() as out:
         assert expsplit.cli.main(argv + ["--out", out]) == 0, argv
 new = sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "numpy")
-print(json.dumps({"scipy_at_import": "scipy" in loaded, "new_numpy": new}))
+print(json.dumps({"scipy_at_import": "scipy" in loaded, "new_numpy": new,
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
 class TestImportFootprint:
-    def test_no_scipy_and_no_numpy_module_loaded_while_running(self):
+    @pytest.fixture(scope="class")
+    def footprint(self):
         proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
-        assert result == {"scipy_at_import": False, "new_numpy": []}
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_no_scipy_and_no_numpy_module_loaded_while_running(self, footprint):
+        assert footprint["scipy_at_import"] is False
+        assert footprint["new_numpy"] == []
+
+    def test_numpy_ma_never_loaded(self, footprint):
+        # numpy.ma costs about 20 ms to import and expsplit does not use it
+        assert footprint["numpy_ma"] is False
+
+
+# a fresh interpreter: the benchmark's tracer patches this package's names
+TRACER_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+Tracer().install()
+"""
+
+
+class TestBenchmarkTracer:
+    def test_tracer_installs(self):
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        proc = subprocess.run([sys.executable, "-c", TRACER_SCRIPT, str(perfbench)],
+                              env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

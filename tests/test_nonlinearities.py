@@ -8,7 +8,7 @@ from expsplit.errors import StripViolationError, ValidationError
 from expsplit.nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
                                      StripMonitor, WaveCubic, ZeroNonlinearity,
                                      estimate_lipschitz, stored_state)
-from expsplit.propagators import HeatTorusProblem, WaveProblem
+from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
 
 _HEAT_1D = HeatTorusProblem(dim=1, n=64)
 _HEAT_2D = HeatTorusProblem(dim=2, n=16)
@@ -121,7 +121,7 @@ class TestAdvection:
         assert np.max(np.abs(out - 0.5 * np.sin(2 * x))) < 1e-12
 
     def test_sampled_ratios_respect_gradient_bound(self, rng):
-        hp = HeatTorusProblem(dim=1, n=256, sobolev_v=True)
+        hp = HeatTorusProblem(dim=1, n=256)
         g = AdvectionNonlinearity(hp)
         radius = 0.5
         # product rule: |d(v v') | <= ||v||_inf ||v'-w'|| + ||v'|| ||v-w|| terms;
@@ -139,9 +139,11 @@ class TestAdvection:
         assert worst <= L  # safety factor keeps fresh samples below the estimate
 
     def test_needs_1d_problem(self):
-        hp = HeatTorusProblem(dim=2, n=16)
-        with pytest.raises(ValidationError):
-            AdvectionNonlinearity(hp)
+        # OU and wave are 1D too, but have no periodic rfft grid
+        for problem in (HeatTorusProblem(dim=2, n=16), OUProblem(n=64),
+                        WaveProblem(n_modes=16)):
+            with pytest.raises(ValidationError):
+                AdvectionNonlinearity(problem)
 
 
 class TestWaveCubic:

@@ -10,6 +10,7 @@ from conftest import decode, random_state
 from expsplit.errors import ValidationError
 from expsplit.integrator import SchemeSpec, plan_step
 from expsplit.lagrange import NodeSet, build_lagrange, eval_basis
+from expsplit.nonlinearities import AdvectionNonlinearity
 from expsplit.phi import stage_weights_diagonal
 from expsplit.propagators import (HeatTorusProblem, OUProblem, Propagator,
                                   SmoothingProfile, WaveProblem,
@@ -27,13 +28,11 @@ CONVOLVE_PROBLEMS = {
 }
 
 
-# name -> problem; every norm exponent branch of lp_norm, the Sobolev
-# gradient in 1D and 2D, OU and the wave energy norm
+# name -> problem; every norm exponent branch of lp_norm in 1D and 2D, OU
+# and the wave energy norm
 NORM_PROBLEMS = {
     "heat-1d": HeatTorusProblem(dim=1, n=64),
     "heat-2d": HeatTorusProblem(dim=2, n=16),
-    "heat-1d-sobolev": HeatTorusProblem(dim=1, n=64, sobolev_v=True),
-    "heat-2d-sobolev": HeatTorusProblem(dim=2, n=16, sobolev_v=True),
     "heat-1d-r1": HeatTorusProblem(dim=1, n=64, p=1, r=1),
     "heat-1d-r4": HeatTorusProblem(dim=1, n=64, p=2, r=4),
     "heat-2d-rinf": HeatTorusProblem(dim=2, n=16, p=2, r=np.inf, w_choice="X"),
@@ -73,17 +72,17 @@ class TestNorms:
             assert isinstance(got, np.ndarray) and got.shape == (k,)
             assert np.all(np.abs(got - rows) <= 1e-14 * rows)
 
-    @given(st.sampled_from([1, 2]), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_stack_gradient_equals_row_gradients(self, dim, k, seed):
-        # the multiplier does not depend on the stack axis, so a transform
-        # over it as well would agree to rounding; only exact equality
-        # shows that the stack axis is left alone
-        hp = NORM_PROBLEMS[f"heat-{dim}d-sobolev"]
-        rng = np.random.default_rng(seed)
-        X = np.stack([random_state(hp, rng) for _ in range(k)])
-        rows = np.stack([hp.gradient(x) for x in X])
-        assert np.array_equal(hp.gradient(X), rows)
+    @pytest.mark.parametrize("case", sorted(NORM_PROBLEMS))
+    def test_norms_are_the_declared_lp_norms(self, case):
+        # the profiles bound the X -> V norm of the couple (p, r): every
+        # problem's norms are exactly lp_norm of those exponents
+        pr = NORM_PROBLEMS[case]
+        rng = np.random.default_rng(11)
+        X = np.stack([random_state(pr, rng) for _ in range(3)])
+        w = pr.p if pr.w_choice == "X" else pr.r
+        for norm, q in ((pr.x_norm, pr.p), (pr.v_norm, pr.r), (pr.w_norm, w)):
+            assert norm(X[0]) == lp_norm(X[0], q, pr.cell)
+            assert np.array_equal(norm(X), lp_norm(X, q, pr.cell, pr.dim))
 
     def test_lp_norm_basics(self):
         v = np.array([3.0, -4.0])
@@ -108,10 +107,10 @@ COUPLE_PROBLEMS = {
     "ou": lambda **kw: OUProblem(n=128, **kw),
 }
 
-# name -> problem whose sample_in_ball is checked; heat with the Sobolev V
+# name -> problem whose sample_in_ball is checked
 BALL_PROBLEMS = {
-    "heat-1d-sobolev": lambda: HeatTorusProblem(dim=1, n=64, sobolev_v=True),
-    "heat-2d-sobolev": lambda: HeatTorusProblem(dim=2, n=32, sobolev_v=True),
+    "heat-1d": lambda: HeatTorusProblem(dim=1, n=64),
+    "heat-2d": lambda: HeatTorusProblem(dim=2, n=32),
     "ou": lambda: OUProblem(n=128),
     "wave": lambda: WaveProblem(n_modes=32),
 }
@@ -281,13 +280,6 @@ class TestHeat:
         with pytest.raises(ValidationError):
             HeatTorusProblem(dim=1, n=48)
 
-    def test_sobolev_v_norm_adds_gradient(self):
-        hp = HeatTorusProblem(dim=1, n=64, sobolev_v=True)
-        x = hp.grid()
-        v = np.sin(x)
-        plain = HeatTorusProblem(dim=1, n=64).v_norm(v)
-        assert hp.v_norm(v) == pytest.approx(2.0 * plain, rel=1e-12)
-
     @pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (1, 128), (2, 16), (2, 32)])
     def test_real_transforms_match_complex_fft(self, dim, n):
         # the complex-FFT formulas on the full spectrum, Nyquist modes included
@@ -301,9 +293,10 @@ class TestHeat:
             ref = np.fft.ifftn(np.exp(-t * sum(kk ** 2 for kk in ks)) * Xh, axes=axes).real
             for x, row in zip(X, ref):
                 assert np.max(np.abs(hp.apply(t, x) - row)) <= 1e-14 * np.max(np.abs(row))
-        parts = [np.fft.ifftn(1j * kk * Xh, axes=axes).real for kk in ks]
-        ref = parts[0] if dim == 1 else np.sqrt(parts[0] ** 2 + parts[1] ** 2)
-        assert np.max(np.abs(hp.gradient(X) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        if dim == 1:  # the advection derivative on the rfft modes
+            ref = X * np.fft.ifft(1j * k * Xh).real
+            got = AdvectionNonlinearity(hp).eval(np.zeros(len(X)), X)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [8, 64, 128])  # folded grids, then an unfolded one
     def test_stacked_transforms_equal_rows_and_invert(self, n):
@@ -318,10 +311,12 @@ class TestHeat:
         with pytest.raises((ValidationError, TypeError)):  # np.fft: TypeError
             hp.to_modes(X + 1j)
 
-    @pytest.mark.parametrize("n,sobolev", [(8, False), (64, False), (256, True)])
+    @pytest.mark.parametrize("n,modal", [(8, False), (64, False), (256, True)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 12345])
-    def test_sample_in_ball_1d_matches_loop(self, n, sobolev, seed):
-        hp = HeatTorusProblem(dim=1, n=n, sobolev_v=sobolev)
+    def test_sample_in_ball_1d_matches_loop(self, n, modal, seed):
+        # folded grids and a modal one build the same field basis
+        hp = HeatTorusProblem(dim=1, n=n)
+        assert hp.folded is not modal
         center = np.cos(hp.grid())
         rng = np.random.default_rng(seed)
         got = hp.sample_in_ball(center, 0.3, rng)
