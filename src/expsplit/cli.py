@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: list, run, convergence, smoothing, selftest.  All data
+Subcommands: list, run, convergence, smoothing.  All data
 files are deterministic for a fixed config and seed; the resolved config
 is echoed next to the outputs so any run can be reproduced from its
 output directory alone.
@@ -37,32 +37,18 @@ def _json(obj) -> str:
 
 
 def _positive_finite(name: str, value) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: {exc}") from exc
+    value = cfgmod._number(name, value)
     if not 0.0 < value < math.inf:
         raise ValidationError(f"{name} must be positive and finite, got {value}")
     return value
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a ValidationError unless it is integral."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name}: {exc}") from exc
-    if as_int != value:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return as_int
-
-
 def _run_steps(cfg: dict) -> tuple[float, int]:
     """(t_final, n_steps) of the run section: a positive finite horizon and
     at least one step, from the config file or the flags."""
-    rc = cfg.get("run", {})
-    T = _positive_finite("run t_final", rc.get("t_final", 1.0))
-    n_steps = _integer("run n_steps", rc.get("n_steps", 10))
+    rc = cfgmod._section(cfg, "run")
+    T = _positive_finite("run.t_final", rc.get("t_final", 1.0))
+    n_steps = cfgmod._integer("run.n_steps", rc.get("n_steps", 10))
     if n_steps < 1:
         raise ValidationError(f"run needs at least 1 step, got n_steps={n_steps}")
     return T, n_steps
@@ -73,21 +59,25 @@ def _apply_overrides(cfg: dict, args) -> dict:
     that takes a config seeds a generator with it."""
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    seed = _integer("seed", cfg.get("seed", 0))
+    seed = cfgmod._integer("seed", cfg.get("seed", 0))
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     cfg["seed"] = seed
-    rc = cfg.setdefault("run", {})
+
+    def section(name):  # the section a flag writes into, added when missing
+        cfg.setdefault(name, {})
+        return cfgmod._section(cfg, name)
+
+    rc = section("run")
     if getattr(args, "t_final", None) is not None:
         rc["t_final"] = _positive_finite("--t-final", args.t_final)
     if getattr(args, "h", None) is not None:
         h = _positive_finite("--h", args.h)
-        rc["n_steps"] = round(_positive_finite("run t_final", rc.get("t_final", 1.0)) / h)
-        rc["h"] = h
+        rc["n_steps"] = round(_positive_finite("run.t_final", rc.get("t_final", 1.0)) / h)
     if getattr(args, "stages", None) is not None:
-        cfg.setdefault("scheme", {})["stages"] = int(args.stages)
+        section("scheme")["stages"] = int(args.stages)
     if getattr(args, "grid", None) is not None:
-        pc = cfg.setdefault("problem", {})
+        pc = section("problem")
         key = "n_modes" if pc.get("kind") == "wave" else "n"
         pc[key] = int(args.grid)
     return cfg
@@ -188,31 +178,6 @@ def cmd_smoothing(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    from .gronwall import gronwall_bound
-    from .lagrange import build_lagrange, default_nodes, moment_residual
-    from .phi import phi
-
-    checks = []
-    lag = build_lagrange(default_nodes(3))
-    res = max(abs(moment_residual(lag, tau, 1.0, k))
-              for tau in np.linspace(0, 1, 11) for k in range(3))
-    checks.append(("lagrange moment identities", res < 1e-10))
-    checks.append(("phi_1(1) = e - 1", abs(phi(1, 1.0) - (math.e - 1.0)) < 1e-12))
-    b = gronwall_bound([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0])
-    checks.append(("gronwall doubling", abs(b[3] - 8.0) < 1e-12))
-    cfg = cfgmod.resolve_config("heat-torus-1d")
-    problem, g, u0, scheme = _build_all(cfg)
-    v1 = problem.apply(0.3, problem.apply(0.2, u0))
-    v2 = problem.apply(0.5, u0)
-    checks.append(("heat semigroup law", problem.v_norm(v1 - v2) < 1e-11))
-    ok = True
-    for name, passed in checks:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
-        ok = ok and passed
-    return 0 if ok else 1
-
-
 def _add_common(sp, with_overrides=True):
     sp.add_argument("--config", required=True,
                     help="config file path or shipped preset name")
@@ -242,8 +207,6 @@ def main(argv=None) -> int:
     sp = sub.add_parser("smoothing", help="propagator smoothing slopes")
     _add_common(sp, with_overrides=False)
     sp.set_defaults(func=cmd_smoothing)
-    sp = sub.add_parser("selftest", help="quick internal consistency checks")
-    sp.set_defaults(func=cmd_selftest)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -41,38 +41,77 @@ def dump_config(cfg: dict) -> str:
     return yaml.safe_dump(cfg, sort_keys=True)
 
 
+def _number(name: str, value) -> float:
+    """value as a float; a ValidationError naming the key otherwise (a YAML
+    true or false is not a number)."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a ValidationError naming the key unless it is
+    integral (a YAML true or false is not)."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+    if isinstance(value, bool) or as_int != value:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
+def _numbers(name: str, values) -> list:
+    """values as a list of floats; a ValidationError naming the key otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
+    return [_number(name, v) for v in values]
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """cfg's section name, {} when missing; a ValidationError unless a mapping."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {name!r} must be a mapping")
+    return section
+
+
 def build_problem(cfg: dict):
     pc = cfg.get("problem")
     if not isinstance(pc, dict) or "kind" not in pc:
         raise ValidationError("config needs a problem section with a kind")
     kind = pc["kind"]
-    t_max = float(cfg.get("run", {}).get("t_final", 1.0)) + 1e-9
+
+    def number(key, default, cast=_number):
+        return cast(f"problem.{key}", pc.get(key, default))
+
     if kind == "heat":
         return HeatTorusProblem(
-            dim=int(pc.get("dim", 1)), n=int(pc.get("n", 64)),
-            p=float(pc.get("p", 2)), r=float(pc.get("r", 2)),
-            w_choice=pc.get("w_choice", "V"), t_max=t_max)
+            dim=number("dim", 1, _integer), n=number("n", 64, _integer),
+            p=number("p", 2), r=number("r", 2), w_choice=pc.get("w_choice", "V"))
     if kind == "ou":
         return OUProblem(
-            b=float(pc.get("b", -1.0)), q=float(pc.get("q", 2.0)),
-            box=float(pc.get("box", 12.0)), n=int(pc.get("n", 512)),
-            p=float(pc.get("p", 2)), r=float(pc.get("r", 2)),
-            w_choice=pc.get("w_choice", "V"), t_max=t_max)
+            b=number("b", -1.0), q=number("q", 2.0), box=number("box", 12.0),
+            n=number("n", 512, _integer), p=number("p", 2), r=number("r", 2),
+            w_choice=pc.get("w_choice", "V"))
     if kind == "wave":
-        return WaveProblem(n_modes=int(pc.get("n_modes", 32)),
-                           alpha_w=float(pc.get("alpha_w", 1.0)),
-                           t_max=max(t_max, 2.0))
+        return WaveProblem(n_modes=number("n_modes", 32, _integer),
+                           alpha_w=number("alpha_w", 1.0))
     raise ValidationError(f"unknown problem kind {kind!r}")
 
 
 def build_nonlinearity(cfg: dict, problem):
-    nc = cfg.get("nonlinearity", {"kind": "none"})
+    nc = _section(cfg, "nonlinearity")
     kind = nc.get("kind", "none")
-    if kind in ("none", None):
+    if kind == "none":
         return ZeroNonlinearity()
     if kind == "power":
-        return PowerNonlinearity(alpha=float(nc.get("alpha", 3.0)),
-                                 coeff=float(nc.get("coeff", -1.0)))
+        return PowerNonlinearity(
+            alpha=_number("nonlinearity.alpha", nc.get("alpha", 3.0)),
+            coeff=_number("nonlinearity.coeff", nc.get("coeff", -1.0)))
     if kind == "advection":
         return AdvectionNonlinearity(problem)
     if kind == "wave_cubic":
@@ -83,26 +122,30 @@ def build_nonlinearity(cfg: dict, problem):
 
 
 def build_initial(cfg: dict, problem):
-    ic = cfg.get("initial", {})
+    """The problem's initial state: its default profile, or on the 1D heat
+    torus a rough one; any other initial kind is a ValidationError."""
+    ic = _section(cfg, "initial")
     kind = ic.get("kind", "default")
-    amp = float(ic.get("amplitude", 0.5))
-    if isinstance(problem, HeatTorusProblem):
+    amp = _number("initial.amplitude", ic.get("amplitude", 0.5))
+    heat_1d = isinstance(problem, HeatTorusProblem) and problem.dim == 1
+    if kind not in ("default", "rough") or (kind == "rough" and not heat_1d):
+        raise ValidationError(f"initial.kind {kind!r} has no rule for this problem")
+    if kind == "rough":
+        # fixed-phase Fourier profile with slow |k|^-decay coefficient
+        decay = _number("initial.decay", ic.get("decay", 1.5))
         x = problem.grid()
-        if problem.dim == 2:
-            xx, yy = x
-            return amp * (np.sin(xx) * np.sin(yy) + 0.3 * np.cos(xx))
-        if kind in ("default", "smooth"):
-            return amp * (np.sin(x) + 0.4 * np.cos(2 * x) + 0.2 * np.sin(3 * x))
-        if kind == "rough":
-            # fixed-phase Fourier profile with slow |k|^-decay coefficient
-            decay = float(ic.get("decay", 1.5))
-            u = np.zeros_like(x)
-            for k in range(1, problem.n // 2):
-                u += np.sin(k * x + 0.7 * k * k) / k ** decay
-            return amp * u / np.max(np.abs(u))
-        raise ValidationError(f"unknown heat initial kind {kind!r}")
+        u = np.zeros_like(x)
+        for k in range(1, problem.n // 2):
+            u += np.sin(k * x + 0.7 * k * k) / k ** decay
+        return amp * u / np.max(np.abs(u))
+    if heat_1d:
+        x = problem.grid()
+        return amp * (np.sin(x) + 0.4 * np.cos(2 * x) + 0.2 * np.sin(3 * x))
+    if isinstance(problem, HeatTorusProblem):
+        xx, yy = problem.grid()
+        return amp * (np.sin(xx) * np.sin(yy) + 0.3 * np.cos(xx))
     if isinstance(problem, OUProblem):
-        sigma = float(ic.get("sigma", 1.0))
+        sigma = _number("initial.sigma", ic.get("sigma", 1.0))
         return amp * np.exp(-problem.x ** 2 / (2.0 * sigma ** 2))
     if isinstance(problem, WaveProblem):
         x = problem.x
@@ -113,28 +156,26 @@ def build_initial(cfg: dict, problem):
 
 
 def build_scheme(cfg: dict) -> SchemeSpec:
-    sc = cfg.get("scheme", {})
+    sc = _section(cfg, "scheme")
     nodes = sc.get("nodes")
-    if nodes is not None:
-        return SchemeSpec.with_nodes([float(c) for c in nodes])
-    return SchemeSpec.with_stages(int(sc.get("stages", 1)))
+    if nodes is None:
+        return SchemeSpec.with_stages(_integer("scheme.stages", sc.get("stages", 1)))
+    if "stages" in sc:
+        raise ValidationError("scheme takes nodes or stages, not both")
+    return SchemeSpec.with_nodes(_numbers("scheme.nodes", nodes))
 
 
 def build_plan(cfg: dict) -> StudyPlan:
     st = cfg.get("study")
     if not isinstance(st, dict):
         raise ValidationError("config needs a study section")
-    rc = cfg.get("run", {})
-    pc = cfg.get("problem", {})
     plan = StudyPlan(
-        problem_id=cfg.get("name", pc.get("kind", "problem")),
+        problem_id=cfg.get("name", cfg.get("problem", {}).get("kind", "problem")),
         scheme=build_scheme(cfg),
-        h_list=[float(h) for h in st.get("h_list", [])],
-        horizon=float(rc.get("t_final", 1.0)),
-        ref_factor=int(st.get("ref_factor", 64)),
-        eoc_tol=float(st.get("eoc_tol", 0.3)),
-        strip_radius_frac=float(st.get("strip_radius_frac", 0.25)),
-        seed=int(cfg.get("seed", 0)))
+        h_list=_numbers("study.h_list", st.get("h_list", [])),
+        horizon=_number("run.t_final", _section(cfg, "run").get("t_final", 1.0)),
+        eoc_tol=_number("study.eoc_tol", st.get("eoc_tol", 0.3)),
+        seed=_integer("seed", cfg.get("seed", 0)))
     plan.validate()
     return plan
 
@@ -224,41 +265,64 @@ STUDY_PRESETS: dict[str, dict] = {
 
 
 def _merge(base: dict, over: dict) -> dict:
+    """base with over merged in, section by section; a section of another
+    kind replaces base's, whose keys belong to the old kind."""
     out = copy.deepcopy(base)
     for k, v in over.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
+        old = out.get(k)
+        if isinstance(v, dict) and isinstance(old, dict) \
+                and v.get("kind", old.get("kind")) == old.get("kind"):
+            out[k] = _merge(old, v)
         else:
             out[k] = copy.deepcopy(v)
     return out
 
 
 # the keys the builders and the CLI read, per section ("" is the top
-# level, and a problem's keys depend on its kind); run.h is the step that
-# --h writes and resolved_config.yaml echoes
+# level); where a section's keys depend on a kind, the section maps each
+# kind to its keys: the problem's kind, the nonlinearity's kind, and for
+# the initial data the problem's and its own kind
 _KEYS = {
     "": {"name", "seed", "problem", "nonlinearity", "initial", "scheme", "run",
          "study"},
     "problem": {"heat": {"kind", "dim", "n", "p", "r", "w_choice"},
                 "ou": {"kind", "b", "q", "box", "n", "p", "r", "w_choice"},
                 "wave": {"kind", "n_modes", "alpha_w"}},
-    "nonlinearity": {"kind", "alpha", "coeff"},
-    "initial": {"kind", "amplitude", "decay", "sigma"},
+    "nonlinearity": {"none": {"kind"}, "power": {"kind", "alpha", "coeff"},
+                     "advection": {"kind"}, "wave_cubic": {"kind"}},
+    "initial": {("heat", "default"): {"kind", "amplitude"},
+                ("heat", "rough"): {"kind", "amplitude", "decay"},
+                ("ou", "default"): {"kind", "amplitude", "sigma"},
+                ("wave", "default"): {"kind", "amplitude"}},
     "scheme": {"stages", "nodes"},
-    "run": {"t_final", "n_steps", "h"},
-    "study": {"h_list", "ref_factor", "eoc_tol", "strip_radius_frac"},
+    "run": {"t_final", "n_steps"},
+    "study": {"h_list", "eoc_tol"},
 }
+
+
+def _kind(cfg: dict, name: str):
+    """The kind that selects the keys of cfg's section name."""
+    if name == "problem":
+        return cfg["problem"].get("kind")
+    if name == "nonlinearity":
+        return cfg["nonlinearity"].get("kind", "none")
+    problem = cfg.get("problem")
+    return (problem.get("kind") if isinstance(problem, dict) else None,
+            cfg["initial"].get("kind", "default"))
 
 
 def _check_keys(cfg: dict):
     """A ValidationError naming the first key that nothing reads; the keys
-    of an unknown problem kind are left to build_problem's error."""
+    of an unknown kind are left to its builder's error."""
     for name, known in _KEYS.items():
         section = cfg.get(name) if name else cfg
         if not isinstance(section, dict):
             continue  # a missing or malformed section is its builder's error
-        if name == "problem":
-            known = known.get(section.get("kind"), section.keys())
+        if isinstance(known, dict):  # compared, not looked up: a kind may be a list
+            kind = _kind(cfg, name)
+            known = next((keys for k, keys in known.items() if k == kind), None)
+            if known is None:
+                continue
         for key in section:
             if key not in known:
                 where = f"{name}.{key}" if name else key

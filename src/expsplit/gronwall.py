@@ -47,9 +47,10 @@ def taylor_kernel_bound(nodes: NodeSet) -> float:
 class AprioriConstants:
     """Inputs to the theorem's constant chain.
 
-    c_omega is the Riemann-sum supremum of ||e^{khA}||_{L(X,V)}; the
-    integral bound Omega(T) is a valid (and computable) upper bound for
-    it, which only enlarges the final constant.
+    c_omega is the Riemann-sum supremum of ||e^{khA}||_{L(X,V)} over
+    [0, horizon]; under the smoothing profile rho(t) = c t^(-alpha) the
+    integral bound Omega(horizon) is a valid (and computable) upper bound
+    for it, which only enlarges the final constant.
     """
 
     m_bound: float
@@ -63,7 +64,7 @@ class AprioriConstants:
 
     @property
     def c_omega(self) -> float:
-        return self.omega_x.omega(min(self.horizon, self.omega_x.t_max))
+        return self.omega_x.omega(self.horizon)
 
     @property
     def h0(self) -> float:

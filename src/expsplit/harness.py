@@ -27,6 +27,8 @@ __all__ = ["StudyPlan", "ConvergenceReport", "ReferenceSolution",
            "reference_solution", "convergence_study", "order_prediction"]
 
 REFERENCE_STAGES = 4  # highest shipped scheme, used for references
+REF_FACTOR = 64  # the reference step is the finest sweep h over this
+STRIP_RADIUS_FRAC = 0.25  # strip radius over the reference's largest V-norm
 
 # reference key -> _reference_context of the most recent study; one entry
 _REFERENCE_MEMO: dict = {}
@@ -51,9 +53,7 @@ class StudyPlan:
     scheme: SchemeSpec
     h_list: list
     horizon: float
-    ref_factor: int = 64
     eoc_tol: float = 0.3
-    strip_radius_frac: float = 0.25
     seed: int = 0
 
     def validate(self):
@@ -69,8 +69,6 @@ class StudyPlan:
         for a, b in zip(hs, hs[1:]):
             if abs(b / a - 2.0) > 1e-9:
                 raise ValidationError("h sweep must be geometric with ratio 2")
-        if self.ref_factor < 64:
-            raise ValidationError("reference refinement factor must be >= 64")
 
 
 @dataclass
@@ -80,7 +78,6 @@ class ReferenceSolution:
 
     times: np.ndarray
     states: np.ndarray
-    h_ref: float
     # terminal V-norm diff between the h_ref run and a 2 h_ref rerun; for
     # order q it over-estimates the stored reference's error by about 2^q
     self_check_diff: float
@@ -173,8 +170,7 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
     times = np.round(np.arange(round(T / sample_dt) + 1) * sample_dt, 12)
     if isinstance(g, ZeroNonlinearity):
         states = np.stack([problem.apply(float(t), u_0) for t in times])
-        return ReferenceSolution(times=times, states=states, h_ref=h_ref,
-                                 self_check_diff=0.0)
+        return ReferenceSolution(times=times, states=states, self_check_diff=0.0)
     scheme = SchemeSpec.with_stages(REFERENCE_STAGES)
     n = round(T / h_ref)
     rec = run(u_0, T, n, scheme, problem, g, lipschitz, store_stride=round(stride))
@@ -183,8 +179,7 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
     rec2 = run(u_0, T, n2, scheme, problem, g, lipschitz, store_stride=n2)
     rec2.raise_if_failed()
     diff = problem.v_norm(rec.states[-1] - rec2.states[-1])
-    return ReferenceSolution(times=times, states=rec.states, h_ref=h_ref,
-                             self_check_diff=diff)
+    return ReferenceSolution(times=times, states=rec.states, self_check_diff=diff)
 
 
 def _estimate_lipschitz_on_strip(g, problem, ref: ReferenceSolution,
@@ -225,20 +220,19 @@ def _feed(digest, obj):
         raise TypeError(f"cannot key a reference on a {type(obj).__name__}")
 
 
-def _reference_key(problem, g, u_0, T, h_min, h_ref, strip_radius_frac, seed):
+def _reference_key(problem, g, u_0, T, h_min, h_ref, seed):
     """Short hex digest of everything a study's reference context depends
     on; "" when some input cannot be hashed by content or refers to itself."""
     digest = hashlib.sha256()
     try:
         _feed(digest, (REFERENCE_STAGES, problem, g, np.asarray(u_0), T, h_min,
-                       h_ref, strip_radius_frac, seed))
+                       h_ref, seed))
     except (TypeError, RecursionError):
         return ""
     return digest.hexdigest()[:16]
 
 
-def _reference_context(key, problem, g, u_0, T, h_min, h_ref,
-                       strip_radius_frac, seed):
+def _reference_context(key, problem, g, u_0, T, h_min, h_ref, seed):
     """(reference, strip radius, strip Lipschitz) after a bootstrap
     Lipschitz estimate; none of it depends on the scheme under study, so
     the last study's context is reused when its key is the same."""
@@ -251,7 +245,7 @@ def _reference_context(key, problem, g, u_0, T, h_min, h_ref,
     lip0 = estimate_lipschitz(g, problem, np.asarray(u_0), 0.5 * r0, (0.0, T),
                               n_samples=120, rng=rng)
     ref = reference_solution(problem, g, u_0, T, h_ref, h_min, lip0)
-    radius = strip_radius_frac * float(np.max(problem.v_norm(ref.states)))
+    radius = STRIP_RADIUS_FRAC * float(np.max(problem.v_norm(ref.states)))
     if isinstance(g, ZeroNonlinearity):
         lipschitz = 0.0
     else:
@@ -271,7 +265,7 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
     T = plan.horizon
     hs = sorted([float(h) for h in plan.h_list], reverse=True)
     h_min = hs[-1]
-    h_ref = h_min / plan.ref_factor
+    h_ref = h_min / REF_FACTOR
     report = ConvergenceReport(problem_id=plan.problem_id, s=plan.scheme.s,
                                w_choice=problem.w_choice, h_list=hs,
                                n_list=[round(T / h) for h in hs])
@@ -285,7 +279,7 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
                 f"declared smoothing alpha={alpha:.3f} but measured slope "
                 f"{sm.slope:.3f}; study setup rejected")
 
-    inputs = (problem, g, u_0, T, h_min, h_ref, plan.strip_radius_frac, plan.seed)
+    inputs = (problem, g, u_0, T, h_min, h_ref, plan.seed)
     report.reference_key = _reference_key(*inputs)
     ref, radius, lipschitz = _reference_context(report.reference_key, *inputs)
     report.reference_check = ref.self_check_diff

@@ -101,10 +101,9 @@ class WaveCubic(Nonlinearity):
 
 
 def estimate_lipschitz(g, problem, center, radius, t_range=(0.0, 1.0),
-                       n_samples: int = 200, rng=None,
-                       safety: float = LIPSCHITZ_SAFETY) -> float:
+                       n_samples: int = 200, rng=None) -> float:
     """Sampled Lipschitz ratio max ||g(t,v)-g(t,w)||_X / ||v-w||_V on the
-    V-ball of given radius around center, inflated by the safety factor."""
+    V-ball of given radius around center, inflated by LIPSCHITZ_SAFETY."""
     if n_samples < 100:
         raise ValidationError("need at least 100 sample pairs")
     if rng is None:
@@ -124,7 +123,7 @@ def estimate_lipschitz(g, problem, center, radius, t_range=(0.0, 1.0),
             continue
         dg = problem.x_norm(g.eval(t, v) - g.eval(t, w))
         best = max(best, dg / dv)
-    return safety * best
+    return LIPSCHITZ_SAFETY * best
 
 
 def stored_state(times, states, t):

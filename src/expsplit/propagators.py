@@ -81,13 +81,12 @@ class SmoothingProfile:
 
     c: float
     alpha: float
-    t_max: float
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValidationError(f"alpha must be in [0,1), got {self.alpha}")
-        if self.c <= 0.0 or self.t_max <= 0.0:
-            raise ValidationError("c and t_max must be positive")
+        if self.c <= 0.0:
+            raise ValidationError("c must be positive")
 
     def omega(self, h: float) -> float:
         """Omega(h) = int_0^h rho = c*h^(1-alpha)/(1-alpha)."""
@@ -155,12 +154,12 @@ class Propagator:
         self.p, self.r, self.w_choice = float(p), float(r), w_choice
         self.cell, self.dim = cell, dim
 
-    def _set_profiles(self, c: float, alpha: float, t_max: float):
+    def _set_profiles(self, c: float, alpha: float):
         """profile_x is rho(t) = c*t^(-alpha); profile_w is profile_x for
         W = X and the uniform bound bound_m for W = V."""
-        self.profile_x = SmoothingProfile(c=c, alpha=alpha, t_max=t_max)
+        self.profile_x = SmoothingProfile(c=c, alpha=alpha)
         self.profile_w = (self.profile_x if self.w_choice == "X"
-                          else SmoothingProfile(c=self.bound_m, alpha=0.0, t_max=t_max))
+                          else SmoothingProfile(c=self.bound_m, alpha=0.0))
 
     def flow_op(self, times):
         """The flows e^{t_m A} for the given times, ready for apply_nodes."""
@@ -215,8 +214,6 @@ class Propagator:
         """Probe states for measure_smoothing's operator-norm proxy."""
         raise ValidationError(f"{type(self).__name__} has no smoothing probes")
 
-    quad_extra_nodes: int = 2  # q_tau = s + quad_extra_nodes
-
     def convolve_op(self, h: float, lag: LagrangeData, ends,
                     q_nodes: int | None = None):
         """Operator of stage_convolve whose row i is
@@ -225,13 +222,14 @@ class Propagator:
         ends are the end points e_i as fractions of h (the nodes for the
         stage equations, (1.0,) for the update).  For the ends with
         e_i h != 0 (their indices are `live`) and q nodes tau_k on
-        [0, e_i h], it stacks the flows of the m = E*q times e_i h - tau_k,
-        the Lagrange basis values ell_j(tau_k) as (m, s) and the
-        quadrature weights as (E, q), end by end.
+        [0, e_i h], s + 2 unless q_nodes is given, it stacks the flows of
+        the m = E*q times e_i h - tau_k, the Lagrange basis values
+        ell_j(tau_k) as (m, s) and the quadrature weights as (E, q), end
+        by end.
         """
         s = lag.s
         if q_nodes is None:
-            q_nodes = s + self.quad_extra_nodes
+            q_nodes = s + 2
         if q_nodes < s:
             raise ValidationError(
                 f"{q_nodes} quadrature nodes cannot integrate degree {s - 1} exactly")
@@ -326,7 +324,7 @@ class DiagonalPropagator(Propagator):
             return _matvec_rows(op, V)
         return self.from_modes(op * self.to_modes(V))
 
-    def convolve_op(self, h, lag, ends, q_nodes=None):
+    def convolve_op(self, h, lag, ends):
         W = stage_weights_diagonal(self.eigenvalues, h, lag, tuple(ends))
         if not self.folded:
             return W
@@ -361,7 +359,7 @@ class HeatTorusProblem(DiagonalPropagator):
     """
 
     def __init__(self, dim: int = 1, n: int = 64, p: float = 2.0, r: float = 2.0,
-                 w_choice: str = "V", t_max: float = 1.0):
+                 w_choice: str = "V"):
         if dim not in (1, 2):
             raise ValidationError("dim must be 1 or 2")
         if n < 4 or n & (n - 1):
@@ -389,7 +387,7 @@ class HeatTorusProblem(DiagonalPropagator):
         c, alpha = gaussian_smoothing_constant(dim, p, r)
         if p == r:
             c, alpha = self.bound_m, 0.0
-        self._set_profiles(c, alpha, t_max)
+        self._set_profiles(c, alpha)
 
     bound_m = 1.0  # kernel has unit mass, Young on every L^p
 
@@ -478,7 +476,7 @@ class OUProblem(Propagator):
 
     def __init__(self, b: float = -1.0, q: float = 2.0, box: float = 12.0,
                  n: int = 512, p: float = 2.0, r: float = 2.0,
-                 w_choice: str = "V", t_max: float = 1.0):
+                 w_choice: str = "V"):
         if not -math.inf < b < 0.0:
             raise ValidationError("drift b must be negative and finite")
         if not 0.0 < q < math.inf:
@@ -505,7 +503,7 @@ class OUProblem(Propagator):
         else:
             # k_t is the heat kernel at time Q_t >= q t
             c *= self.q ** (-alpha)
-        self._set_profiles(c, alpha, t_max)
+        self._set_profiles(c, alpha)
 
     bound_m = 1.05  # contraction up to quadrature/interpolation error
 
@@ -627,7 +625,7 @@ class WaveProblem(DiagonalPropagator):
     still ahead at 128 modes, but slower from a few hundred modes on.
     """
 
-    def __init__(self, n_modes: int = 32, alpha_w: float = 1.0, t_max: float = 2.0):
+    def __init__(self, n_modes: int = 32, alpha_w: float = 1.0):
         if n_modes < 2:
             raise ValidationError("need at least 2 modes")
         self.n = int(n_modes)
@@ -642,7 +640,7 @@ class WaveProblem(DiagonalPropagator):
         jk = np.outer(k, k) % (2 * (self.n + 1))
         self._sine = math.sqrt(2.0 / (self.n + 1)) * np.sin(math.pi * jk / (self.n + 1))
         self.eigenvalues = -1j * self.omega
-        self._set_profiles(self.bound_m, 0.0, t_max)
+        self._set_profiles(self.bound_m, 0.0)
 
     bound_m = 1.0  # exact rotation in the energy pairing
 

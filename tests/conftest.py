@@ -7,11 +7,11 @@ from expsplit.propagators import DiagonalPropagator, SmoothingProfile
 class ScalarProblem(DiagonalPropagator):
     """u' = lam*u + g(u) as a one-point grid problem, for oracle tests."""
 
-    def __init__(self, lam=-1.0, t_max=10.0):
+    def __init__(self, lam=-1.0):
         super().__init__()
         self.lam = lam
         self.eigenvalues = np.array([lam], dtype=complex)
-        self.profile_x = SmoothingProfile(c=1.0, alpha=0.0, t_max=t_max)
+        self.profile_x = SmoothingProfile(c=1.0, alpha=0.0)
         self.profile_w = self.profile_x
 
     bound_m = 1.0

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import os
 import re
@@ -12,6 +14,7 @@ import yaml
 import expsplit
 from expsplit import cli
 from expsplit import config as cfgmod
+from expsplit import harness
 from expsplit.cli import main
 from expsplit.errors import ValidationError
 from expsplit.harness import ConvergenceReport, StudyPlan
@@ -27,6 +30,54 @@ def src_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+# a value other than the default for every key the key check accepts
+KEY_VALUES = {
+    "name": "other", "seed": 3,
+    "dim": 2, "n": 16, "p": 1, "r": 4, "w_choice": "X", "b": -2.0, "q": 1.0,
+    "box": 6.0, "n_modes": 8, "alpha_w": 2.0,
+    "alpha": 2.0, "coeff": 0.5,
+    "amplitude": 0.1, "decay": 0.5, "sigma": 2.0,
+    "stages": 3, "nodes": [0.0, 1.0],
+    "t_final": 0.5, "n_steps": 7,
+    "h_list": [0.5, 0.25], "eoc_tol": 0.1,
+}
+
+
+def accepted_keys():
+    """(id, base config, section, key) for every key of every kind in the
+    key check's table; the base selects the kind and sets nothing else but
+    the problem kind and a study sweep.  A kind key selects the entry and a
+    section key names a section, so neither is a setting of its own."""
+    cases = []
+    for section, known in cfgmod._KEYS.items():
+        for kind, keys in (known.items() if isinstance(known, dict) else [("", known)]):
+            base = {"problem": {"kind": "heat"}, "study": {"h_list": [0.25, 0.125]}}
+            if section == "initial":
+                base["problem"]["kind"], base["initial"] = kind[0], {"kind": kind[1]}
+            elif kind:
+                base[section] = {"kind": kind}
+            for key in sorted(keys - {"kind"} - set(cfgmod._KEYS)):
+                name = "-".join(kind) if isinstance(kind, tuple) else kind
+                cases.append((".".join(filter(None, (section, name, key))),
+                              base, section, key))
+    return cases
+
+
+ACCEPTED_KEYS = accepted_keys()
+
+
+def build_digest(cfg) -> str:
+    """A content hash of everything the builders and the run section make
+    of cfg."""
+    problem = cfgmod.build_problem(cfg)
+    built = (problem, cfgmod.build_nonlinearity(cfg, problem),
+             cfgmod.build_initial(cfg, problem), cfgmod.build_scheme(cfg),
+             cfgmod.build_plan(cfg), cli._run_steps(cfg))
+    digest = hashlib.sha256()
+    harness._feed(digest, built)
+    return digest.hexdigest()
+
+
 class TestResolveConfig:
     def test_problem_preset_is_copied(self):
         cfg = cfgmod.resolve_config("heat-torus-1d")
@@ -39,6 +90,8 @@ class TestResolveConfig:
         assert cfg["problem"]["n"] == 128
         assert cfg["nonlinearity"]["kind"] == "power"  # inherited from base
         assert cfg["name"] == "heat-frac-s2"
+        # a section of another kind replaces the base's, keys and all
+        assert cfgmod.resolve_config("heat-linear")["nonlinearity"] == {"kind": "none"}
 
     def test_yaml_round_trip(self, tmp_path):
         cfg = cfgmod.resolve_config("ou-cubic-s1")
@@ -57,6 +110,30 @@ class TestResolveConfig:
             cfgmod.resolve_config(str(path))
 
 
+# (preset, section, values, what the error line says): values that no
+# builder can read, and kinds that no builder has a rule for
+MALFORMED = [
+    ("heat-torus-1d", "problem", {"p": "abc"}, "problem.p"),
+    ("heat-torus-1d", "problem", {"p": True}, "problem.p must be a number"),
+    ("heat-torus-1d", "problem", {"n": [1]}, "problem.n"),
+    ("heat-torus-1d", "problem", {"n": 64.9}, "problem.n must be an integer"),
+    ("ou-1d", "problem", {"n": 64.9}, "problem.n must be an integer"),
+    ("wave-dirichlet-1d", "problem", {"alpha_w": None}, "problem.alpha_w"),
+    ("heat-torus-1d", "nonlinearity", {"alpha": "x"}, "nonlinearity.alpha"),
+    ("heat-torus-1d", "initial", {"amplitude": None}, "initial.amplitude"),
+    ("heat-torus-1d", "initial", {"kind": "smooth"}, "initial.kind 'smooth'"),
+    ("heat-torus-2d", "initial", {"kind": "rough"}, "initial.kind 'rough'"),
+    ("ou-1d", "initial", {"kind": "bogus"}, "initial.kind 'bogus'"),
+    ("wave-dirichlet-1d", "initial", {"kind": "rough"}, "initial.kind 'rough'"),
+    ("heat-torus-1d", "scheme", {"stages": 2.7}, "scheme.stages must be an integer"),
+    ("heat-torus-1d", "scheme", {"stages": True}, "scheme.stages must be an integer"),
+    ("heat-torus-1d", "scheme", {"nodes": 0.5}, "scheme.nodes"),
+    ("heat-torus-1d", "scheme", {"nodes": [0.0, 1.0], "stages": 2},
+     "nodes or stages"),
+    ("heat-torus-1d", "run", {"t_final": "x"}, "run.t_final"),
+]
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize("name", sorted({**cfgmod.PROBLEM_PRESETS,
                                              **cfgmod.STUDY_PRESETS}))
@@ -70,12 +147,13 @@ class TestConfigKeys:
         assert cfgmod.resolve_config(str(path)) == cfg
 
     def test_flag_overrides_resolve_again(self, tmp_path):
-        # --h writes run.h; the echoed resolved_config.yaml must load again
+        # --h writes run.n_steps; the echoed resolved_config.yaml must load again
         out = tmp_path / "out"
         assert main(["run", "--config", "wave-dirichlet-1d", "--h", "0.25",
                      "--grid", "8", "--stages", "2", "--out", str(out)]) == 0
         cfg = cfgmod.resolve_config(str(out / "resolved_config.yaml"))
-        assert cfg["run"]["h"] == 0.25 and cfg["problem"]["n_modes"] == 8
+        assert cfg["run"] == {"t_final": 1.0, "n_steps": 4}
+        assert cfg["problem"]["n_modes"] == 8
 
     @pytest.mark.parametrize("edit,key", [
         (lambda cfg: cfg["problem"].update(sobolov_v=True), "problem.sobolov_v"),
@@ -84,6 +162,17 @@ class TestConfigKeys:
          "study.check_smoothing"),
         (lambda cfg: cfg["problem"].update(n_modes=16), "problem.n_modes"),
         (lambda cfg: cfg["problem"].update(sobolev_v=True), "problem.sobolev_v"),
+        (lambda cfg: cfg.setdefault("study", {}).update(ref_factor=128),
+         "study.ref_factor"),
+        (lambda cfg: cfg.setdefault("study", {}).update(strip_radius_frac=0.3),
+         "study.strip_radius_frac"),
+        (lambda cfg: cfg["run"].update(h=0.01), "run.h"),
+        (lambda cfg: cfg.update(nonlinearity={"kind": "none", "alpha": 7, "coeff": 3}),
+         "nonlinearity.alpha"),
+        (lambda cfg: cfg.update(nonlinearity={"alpha": 7}), "nonlinearity.alpha"),
+        (lambda cfg: cfg.update(initial={"decay": 0.1}), "initial.decay"),
+        (lambda cfg: (cfg["problem"].update(dim=2), cfg.update(
+            initial={"kind": "rough", "decay": 0.1, "sigma": 9})), "initial.sigma"),
     ])
     def test_unread_key_exits_two(self, tmp_path, capsys, edit, key):
         cfg = cfgmod.resolve_config("heat-torus-1d")
@@ -95,6 +184,44 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"unknown config key '{key}'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset,section,values,message", MALFORMED, ids=[
+        f"{p}-{sec}.{'+'.join(v)}" for p, sec, v, _ in MALFORMED])
+    def test_malformed_value_exits_two(self, tmp_path, capsys, preset, section,
+                                       values, message):
+        cfg = cfgmod.resolve_config(preset)
+        cfg.setdefault(section, {}).update(values)
+        path = tmp_path / "bad.yaml"
+        path.write_text(cfgmod.dump_config(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,flags", [
+        ("run", ["--t-final", "0.5"]), ("scheme", ["--stages", "2"]),
+        ("problem", ["--grid", "8"])])
+    def test_flag_into_malformed_section_exits_two(self, tmp_path, capsys,
+                                                   section, flags):
+        cfg = cfgmod.resolve_config("heat-torus-1d")
+        cfg[section] = 5
+        path = tmp_path / "bad.yaml"
+        path.write_text(cfgmod.dump_config(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"section '{section}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ACCEPTED_KEYS, ids=[c[0] for c in ACCEPTED_KEYS])
+    def test_every_accepted_key_changes_the_build(self, case):
+        # a key the check accepts but no builder reads would leave it equal
+        _, base, section, key = case
+        changed = copy.deepcopy(base)
+        (changed.setdefault(section, {}) if section else changed)[key] = KEY_VALUES[key]
+        cfgmod._check_keys(changed)
+        assert build_digest(changed) != build_digest(base)
 
 
 class TestBuilders:
@@ -473,14 +600,6 @@ class TestCliSeed:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
-
-
-class TestCliSelftest:
-    def test_all_checks_pass(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 4
-        assert "FAIL" not in out
 
 
 # a fresh interpreter: import the package, then run a short wave run, the

@@ -116,7 +116,7 @@ class TestTaylorKernelBound:
 
 class TestAprioriChain:
     def make_consts(self, s=2, alpha=0.0, lipschitz=3.0, horizon=0.5):
-        prof = SmoothingProfile(c=1.0, alpha=alpha, t_max=horizon)
+        prof = SmoothingProfile(c=1.0, alpha=alpha)
         return AprioriConstants(m_bound=1.0, c_ell=1.0, lipschitz=lipschitz,
                                 s=s, c_f=taylor_kernel_bound(default_nodes(s)),
                                 omega_x=prof, omega_w=prof, horizon=horizon)
@@ -151,6 +151,16 @@ class TestAprioriChain:
         consts = self.make_consts()
         with pytest.raises(ValidationError):
             apriori_error_bound(consts, 0.0, 1, 1.0)
+
+    def test_c_omega_covers_the_whole_horizon(self):
+        # a problem built in code, horizon 8: the sup of ||e^{khA}||_{X->V}
+        # over [0, 8] is bounded by Omega(8), not by Omega of a shorter time
+        pr = HeatTorusProblem(p=1, r=2, w_choice="X")
+        consts = AprioriConstants(m_bound=pr.bound_m, c_ell=1.0, lipschitz=3.0,
+                                  s=2, c_f=1.0, omega_x=pr.profile_x,
+                                  omega_w=pr.profile_w, horizon=8.0)
+        assert consts.c_omega == pr.profile_x.omega(8.0)
+        assert consts.c_omega > pr.profile_x.omega(1.0)
 
 
 class TestDerivativeNorm:

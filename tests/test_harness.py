@@ -61,9 +61,6 @@ class TestStudyPlanValidate:
         with pytest.raises(ValidationError):
             self.make_plan(h_list=[0.25, 0.2]).validate()
 
-    def test_small_ref_factor_rejected(self):
-        with pytest.raises(ValidationError):
-            self.make_plan(ref_factor=32).validate()
 
 
 class TestReferenceSolution:
@@ -88,7 +85,7 @@ class TestReferenceSolution:
 
     def test_odd_step_count_checks_against_a_coarser_run(self, make_scalar):
         # a validated sweep makes T / h_min even, so an odd N only reaches
-        # reference_solution directly: T / h_min = 3 with ref_factor 65
+        # reference_solution directly: T / h_min = 3 with h_ref = h_min / 65
         pr = make_scalar(lam=-1.0)
         g = PowerNonlinearity(alpha=2.0, coeff=1.0)
         u0, T, h_min = np.array([0.1]), 3 / 8, 1 / 8
@@ -136,7 +133,7 @@ class TestConvergenceStudy:
         plan = StudyPlan(problem_id="scalar-logistic",
                          scheme=SchemeSpec.with_stages(2),
                          h_list=[1.0 / 8, 1.0 / 16, 1.0 / 32, 1.0 / 64],
-                         horizon=1.0, ref_factor=64)
+                         horizon=1.0)
         report = convergence_study(plan, pr, g, np.array([0.1]))
         assert report.passed, report.abort_reason
         assert report.median_eoc == pytest.approx(2.0, abs=0.3)
@@ -148,7 +145,7 @@ class TestConvergenceStudy:
     def test_smoothing_mismatch_rejected_before_running(self, rng):
         hp = HeatTorusProblem(dim=1, n=256)
         # declare a fractional alpha that the measured profile cannot match
-        hp.profile_x = SmoothingProfile(c=1.0, alpha=0.5, t_max=0.5)
+        hp.profile_x = SmoothingProfile(c=1.0, alpha=0.5)
         plan = StudyPlan(problem_id="bad-smoothing",
                          scheme=SchemeSpec.with_stages(2),
                          h_list=[0.25, 0.125], horizon=0.5)
@@ -243,14 +240,14 @@ def logistic_study(make_scalar):
 
 
 def heat_study(n=16):
-    pr = HeatTorusProblem(dim=1, n=n, t_max=0.5)
+    pr = HeatTorusProblem(dim=1, n=n)
     plan = StudyPlan(problem_id="heat", scheme=SchemeSpec.with_stages(2),
                      h_list=[1 / 40, 1 / 80], horizon=0.05)
     return plan, pr, PowerNonlinearity(alpha=3.0, coeff=-1.0), np.sin(pr.grid())
 
 
 def reassign_profile(plan, pr, g, u0):
-    pr.profile_x = SmoothingProfile(c=2.0, alpha=0.0, t_max=10.0)
+    pr.profile_x = SmoothingProfile(c=2.0, alpha=0.0)
     return plan, pr, g, u0
 
 
@@ -266,9 +263,6 @@ MISSES = {
     "T": lambda plan, pr, g, u0: (replace(plan, horizon=0.25), pr, g, u0),
     "h_min": lambda plan, pr, g, u0: (
         replace(plan, h_list=[1 / 2, 1 / 4]), pr, g, u0),
-    "ref_factor": lambda plan, pr, g, u0: (replace(plan, ref_factor=128), pr, g, u0),
-    "strip_radius_frac": lambda plan, pr, g, u0: (
-        replace(plan, strip_radius_frac=0.3), pr, g, u0),
     "seed": lambda plan, pr, g, u0: (replace(plan, seed=1), pr, g, u0),
 }
 HITS = {

@@ -167,7 +167,6 @@ class TestNormCouple:
         pr = COUPLE_PROBLEMS[case](p=1, r=2, w_choice="V")
         assert pr.profile_w.alpha == 0.0
         assert pr.profile_w.c == pr.bound_m
-        assert pr.profile_w.t_max == pr.profile_x.t_max
 
     @pytest.mark.parametrize("case", sorted(BALL_PROBLEMS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -198,13 +197,13 @@ class TestNormCouple:
 
 class TestSmoothingProfile:
     def test_omega_integral(self):
-        pr = SmoothingProfile(c=2.0, alpha=0.25, t_max=1.0)
+        pr = SmoothingProfile(c=2.0, alpha=0.25)
         h = 0.3
         assert pr.omega(h) == pytest.approx(2.0 * h ** 0.75 / 0.75, rel=1e-13)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValidationError):
-            SmoothingProfile(c=1.0, alpha=1.0, t_max=1.0)
+            SmoothingProfile(c=1.0, alpha=1.0)
 
     def test_gaussian_constant_l1_l2(self):
         c, alpha = gaussian_smoothing_constant(1, 1, 2)
@@ -355,7 +354,7 @@ class TestHeat:
 
 class TestOU:
     def setup_method(self):
-        self.ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=512, t_max=1.0)
+        self.ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=512)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 12345])
     def test_sample_in_ball_matches_loop(self, seed):
@@ -425,7 +424,7 @@ class TestOU:
                     assert lhs <= 1.02 * rhs
 
     def test_tiny_time_pure_dilation_flagged(self):
-        ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=128, t_max=1.0)
+        ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=128)
         v = np.exp(-ou.x ** 2)
         out = ou.apply(1e-16, v)
         assert np.max(np.abs(out - v)) < 1e-10
@@ -467,7 +466,7 @@ OU_TIMES = st.one_of(st.just(0.0), st.floats(1e-18, 4e-15),
 
 
 class TestOUBatched:
-    ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=512, t_max=1.0)
+    ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=512)
 
     @given(st.lists(OU_TIMES, min_size=1, max_size=24), st.integers(0, 2 ** 32 - 1))
     @example(times=[0.0, 1e-16, 1e-3, 2.0], seed=0)
@@ -496,7 +495,7 @@ class TestOUBatched:
         G = rng.standard_normal((s, ou.n)) * np.exp(-ou.x ** 2 / 8.0)
         out = ou.stage_convolve(ou.convolve_op(h, lag, ends), G)
         assert out.shape == (len(ends), ou.n)
-        q = s + ou.quad_extra_nodes
+        q = s + 2  # the default node count
         x, w = np.polynomial.legendre.leggauss(q)
         for e, row in zip(ends, out):
             t_end = e * h
@@ -707,6 +706,14 @@ class TestStageConvolve:
         g = [hp.zeros()] * 3
         with pytest.raises(ValidationError):
             hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,), q_nodes=2), g)
+
+    @pytest.mark.parametrize("name", sorted(CONVOLVE_PROBLEMS))
+    def test_diagonal_convolve_op_takes_no_node_count(self, name):
+        # the exact phi-weights have no quadrature to size
+        pr = CONVOLVE_PROBLEMS[name][0]()
+        lag = build_lagrange(NodeSet((0.0, 1.0)))
+        with pytest.raises(TypeError):
+            pr.convolve_op(0.1, lag, (1.0,), q_nodes=4)
 
     def test_wrong_stage_count_rejected(self):
         hp = HeatTorusProblem(dim=1, n=64)
