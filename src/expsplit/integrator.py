@@ -19,7 +19,24 @@ Every operator a step of size h applies is built once, into a StepPlan,
 and only while the contraction certificate
 kappa(h) = Omega(h) * C_ell * s * L is below one; plan_step derives it
 from the propagator's X smoothing profile (Omega), the scheme (C_ell, s)
-and the Lipschitz constant L of g, the one factor the caller passes.
+and the Lipschitz constant L of g, the one factor the caller passes;
+contraction_certificate computes it for both solvers.
+
+run_windowed solves the same stage equations on a DiagonalPropagator over
+windows of K steps at once (waveform relaxation: Lelarasmee, Ruehli &
+Sangiovanni-Vincentelli, IEEE Trans. CAD 1 (1982)).  In modal coordinates
+a step is u_{k+1} = E u_k + b_k with E = e^{h lambda} and b_k the update
+row's exact phi-weights applied to the step's stage values, so a sweep
+over the window evaluates g on all K*s stage rows in one call, forms every
+stage correction and b_k in one modal product, and advances the states in
+closed form,
+  u_k = E^{k-1} (E u_0 + sum_{l<k} E^{-l} b_l),   k = 1..K,
+one cumulative sum instead of K products.  K is the largest window, at
+most WINDOW_MAX, with K h max(-Re lambda) <= WINDOW_DECAY, so no E^{-l}
+exceeds e^WINDOW_DECAY.  Sweeps repeat until the largest stage-row V-norm
+increment is at most the stepper's tolerance floor; a window starts from
+the previous window's last stage correction and update increment held
+constant, the first from the linear flow.
 """
 
 from __future__ import annotations
@@ -32,12 +49,16 @@ import numpy as np
 from .errors import (ContractionError, FixedPointDivergenceError,
                      StripViolationError, ValidationError)
 from .lagrange import LagrangeData, NodeSet, build_lagrange, default_nodes
-from .propagators import Propagator
+from .phi import stage_weights_diagonal
+from .propagators import DiagonalPropagator, Propagator
 
 __all__ = ["SchemeSpec", "StepPlan", "StageInfo", "TrajectoryRecord",
-           "plan_step", "internal_stages", "step", "run"]
+           "contraction_certificate", "plan_step", "internal_stages", "step",
+           "run", "window_steps", "run_windowed"]
 
-FP_MAX_ITER = 60  # fixed-point iterations before a step counts as divergent
+FP_MAX_ITER = 60  # fixed-point iterations (window sweeps) before divergence
+WINDOW_MAX = 64  # most steps in one run_windowed window
+WINDOW_DECAY = 2.0  # bound on K h max(-Re lambda) of a window
 
 # the error, and with it the exit code, of each failed run status
 STATUS_ERRORS = {"contraction": ContractionError, "strip": StripViolationError,
@@ -146,12 +167,11 @@ class TrajectoryRecord:
         }
 
 
-def plan_step(h: float, scheme: SchemeSpec, propagator: Propagator,
-              lipschitz: float) -> StepPlan:
-    """Build the operators of a step of size h; raises ContractionError
-    when the certificate kappa(h) = Omega(h) * C_ell * s * L, with Omega
-    the propagator's X smoothing profile and L floored at 1e-12, is not
-    below one."""
+def contraction_certificate(h: float, scheme: SchemeSpec,
+                            propagator: Propagator, lipschitz: float) -> float:
+    """kappa(h) = Omega(h) * C_ell * s * L, with Omega the propagator's X
+    smoothing profile and L floored at 1e-12; raises ContractionError when
+    it is not below one."""
     omega, s, lip = propagator.profile_x.omega(h), scheme.s, max(lipschitz, 1e-12)
     kappa = omega * scheme.lag.c_ell * s * lip
     if kappa >= 1.0:
@@ -159,6 +179,15 @@ def plan_step(h: float, scheme: SchemeSpec, propagator: Propagator,
             f"contraction certificate kappa(h)={kappa:.3f} >= 1 for h={h:.3g} "
             f"(Omega(h)={omega:.3g}, C_ell={scheme.lag.c_ell:.3g}, s={s}, "
             f"L={lip:.3g}); reduce h")
+    return kappa
+
+
+def plan_step(h: float, scheme: SchemeSpec, propagator: Propagator,
+              lipschitz: float) -> StepPlan:
+    """Build the operators of a step of size h; raises ContractionError
+    when the contraction certificate is not below one."""
+    kappa = contraction_certificate(h, scheme, propagator, lipschitz)
+    s = scheme.s
     nodes = scheme.nodes.nodes
     offsets = h * np.asarray(nodes)
     return StepPlan(
@@ -237,9 +266,11 @@ def step(u_n, t_n: float, g, plan: StepPlan, start=None):
     return info.flow_end + conv, info
 
 
-def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
-        g, lipschitz: float, monitor=None, store_stride: int = 1) -> TrajectoryRecord:
-    """N uniform steps of size h = T/N; returns the record even on abort."""
+def _start_record(u_0, T: float, N: int, propagator: Propagator,
+                  store_stride: int):
+    """(h, u_0 as an array, the record of a run of N steps) with every
+    store_stride-th step and the last in record.steps and row 0 of the
+    states filled; later rows are filled as the run reaches them."""
     if N < 0:
         raise ValidationError("step count must be >= 0")
     steps = np.arange(0, N + 1, store_stride)
@@ -250,17 +281,34 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
     # filled row by row: a stack made at the end would hold every state twice
     states = np.empty((len(steps),) + u.shape, np.result_type(u, propagator.zeros()))
     states[0] = u
-    record = TrajectoryRecord(steps=steps, times=steps * h, states=states)
+    return h, u, TrajectoryRecord(steps=steps, times=steps * h, states=states)
+
+
+def _keep_rows(record: TrajectoryRecord, stored: int):
+    """Cut the record to its first `stored` rows: an aborted run keeps the
+    rows it reached."""
+    record.steps, record.times, record.states = \
+        record.steps[:stored], record.times[:stored], record.states[:stored]
+
+
+def _fail(record: TrajectoryRecord, status: str, error: str, n: int):
+    record.status, record.error, record.failure_step = status, error, n
+
+
+def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
+        g, lipschitz: float, monitor=None, store_stride: int = 1) -> TrajectoryRecord:
+    """N uniform steps of size h = T/N; returns the record even on abort."""
+    h, u, record = _start_record(u_0, T, N, propagator, store_stride)
     if N == 0:
         return record
     try:
         plan = plan_step(h, scheme, propagator, lipschitz)
     except ContractionError as exc:
-        record.status, record.error, record.failure_step = "contraction", str(exc), 0
-        record.steps, record.times, record.states = \
-            steps[:1], record.times[:1], states[:1]
+        _fail(record, "contraction", str(exc), 0)
+        _keep_rows(record, 1)
         return record
     record.kappa = plan.kappa
+    steps, states = record.steps, record.states
     t_start = time.perf_counter()
     # step n+1 starts from 2 c_n - c_{n-1}, the linear extrapolation of the
     # last two corrections (O(h^3) from the fixed point where c_n alone is
@@ -273,7 +321,7 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
         try:
             u, info = step(u, t_n, g, plan, start)
         except FixedPointDivergenceError as exc:
-            record.status, record.error, record.failure_step = "divergence", str(exc), n
+            _fail(record, "divergence", str(exc), n)
             break
         previous, correction = correction, info.correction
         record.stage_iterations.append(info.iterations)
@@ -282,13 +330,104 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
             try:
                 monitor.check((n + 1) * h, u)
             except StripViolationError as exc:
-                record.status, record.error, record.failure_step = "strip", str(exc), n
+                _fail(record, "strip", str(exc), n)
                 break
         if n + 1 == steps[stored]:
             states[stored] = u
             stored += 1
-    # an aborted run keeps the rows it reached
-    record.steps, record.times, record.states = \
-        steps[:stored], record.times[:stored], states[:stored]
+    _keep_rows(record, stored)
+    record.wall_per_step = (time.perf_counter() - t_start) / max(len(record.stage_iterations), 1)
+    return record
+
+
+def window_steps(h: float, eigenvalues) -> int:
+    """The largest K <= WINDOW_MAX with K h max(-Re lambda) <= WINDOW_DECAY,
+    at least 1."""
+    decay = h * float(np.max(-np.real(eigenvalues), initial=0.0))
+    if decay * WINDOW_MAX <= WINDOW_DECAY:
+        return WINDOW_MAX
+    return max(int(WINDOW_DECAY / decay), 1)
+
+
+def run_windowed(u_0, T: float, N: int, scheme: SchemeSpec,
+                 propagator: DiagonalPropagator, g, lipschitz: float,
+                 store_stride: int = 1) -> TrajectoryRecord:
+    """run's N steps of size h = T/N on a DiagonalPropagator, solved over
+    windows of window_steps(h, eigenvalues) steps (see the module notes);
+    returns the same record, with every step of a window recording the
+    window's sweep count as its iterations and no contraction ratios."""
+    if not isinstance(propagator, DiagonalPropagator):
+        raise ValidationError("run_windowed needs a DiagonalPropagator")
+    h, u, record = _start_record(u_0, T, N, propagator, store_stride)
+    if N == 0:
+        return record
+    try:
+        record.kappa = contraction_certificate(h, scheme, propagator, lipschitz)
+    except ContractionError as exc:
+        _fail(record, "contraction", str(exc), 0)
+        _keep_rows(record, 1)
+        return record
+    t_start = time.perf_counter()
+    s, nodes = scheme.s, scheme.nodes.nodes
+    modes = np.shape(propagator.eigenvalues)
+    lam = np.ravel(propagator.eigenvalues)  # modal arrays carry modes flat
+    K = window_steps(h, lam)
+    # per mode, rows 0..s-1 of W give the stage corrections and row s the
+    # update b_k: one (s+1, s) by (s, k) product per mode
+    W = np.moveaxis(stage_weights_diagonal(lam, h, scheme.lag, nodes + (1.0,)), -1, 0)
+    offsets = h * np.asarray(nodes)
+    node_flow = np.exp(np.multiply.outer(offsets, lam))
+    lags = h * np.arange(K)
+    flow, back, E = (np.exp(np.multiply.outer(lags, lam)),
+                     np.exp(np.multiply.outer(-lags, lam)), np.exp(h * lam))
+    tol_base = min(1e-12, h ** (s + 1))
+    steps, states = record.steps, record.states
+    modal = np.empty((len(steps), len(lam)), complex)  # the stored rows
+    stored = 1
+
+    def sweep(u_hat, corrections, b):
+        """(the window's states u_1..u_k, its (k*s, *grid) stage rows)."""
+        k = len(b)
+        ahead = flow[:k] * (E * u_hat + np.cumsum(back[:k] * b, axis=0))
+        starts = np.concatenate([u_hat[None], ahead[:-1]])
+        stages = node_flow * starts[:, None] + corrections
+        return ahead, propagator.from_modes(stages.reshape((k * s,) + modes))
+
+    u_hat = propagator.to_modes(u).ravel()
+    last = np.zeros((s + 1, len(lam)), complex)  # the linear flow's
+    n = 0
+    while n < N:
+        k = min(K, N - n)
+        times = ((h * np.arange(n, n + k))[:, None] + offsets).ravel()
+        held = np.broadcast_to(last, (k,) + last.shape)
+        ahead, rows = sweep(u_hat, held[:, :s], held[:, s])
+        scale = max(float(np.max(propagator.v_norm(rows))), 1.0)
+        tol = _floors(tol_base, scale)[0]
+        for sweeps in range(1, FP_MAX_ITER + 1):
+            G = propagator.to_modes(g.eval(times, rows)).reshape(k, s, -1)
+            CB = (W @ G.transpose(2, 1, 0)).transpose(2, 1, 0)  # (k, s+1, modes)
+            ahead, new_rows = sweep(u_hat, CB[:, :s], CB[:, s])
+            inc = float(np.max(propagator.v_norm(new_rows - rows)))
+            rows = new_rows
+            if not np.isfinite(inc):
+                _fail(record, "divergence", f"window iteration diverged at "
+                      f"t={n * h:.6g} (non-finite increment)", n)
+                break
+            if inc <= tol:
+                break
+        else:
+            _fail(record, "divergence", f"window iteration did not reach "
+                  f"tol={tol:.1e} in {FP_MAX_ITER} sweeps at t={n * h:.6g} "
+                  f"(last increment {inc:.3e}, window of {k} steps)", n)
+        if record.status != "ok":
+            break
+        while stored < len(steps) and steps[stored] <= n + k:
+            modal[stored] = ahead[steps[stored] - n - 1]
+            stored += 1
+        record.stage_iterations.extend([sweeps] * k)
+        u_hat, last, n = ahead[-1], CB[-1], n + k
+    if stored > 1:
+        states[1:stored] = propagator.from_modes(modal[1:stored].reshape((-1,) + modes))
+    _keep_rows(record, stored)
     record.wall_per_step = (time.perf_counter() - t_start) / max(len(record.stage_iterations), 1)
     return record

@@ -41,8 +41,11 @@ __all__ = [
 # np.fft, best of 21 interleaved runs of 300 steps with single-threaded
 # OpenBLAS on a 2-vCPU Xeon: n = 32, 80.0 / 166.9 us at s = 2 and 81.0 /
 # 162.3 us at s = 4; n = 64, 78.1 / 156.0 and 125.3 / 179.3 us; n = 128,
-# 125.7 / 170.0 and 452.6 / 208.2 us.  Every study's reference runs at
-# s = 4, where the n = 128 stage matrix is 512 x 512 doubles (2 MiB).
+# 125.7 / 170.0 and 452.6 / 208.2 us.  So a fold at n = 128 would win for
+# s <= 2 and lose at s = 4, and the cutoff keys on n alone.  The folded
+# step ops serve run's own steps (a study's sweep, `expsplit run`): a
+# study's 4-stage reference on a heat grid is solved by windows of steps
+# in modal form (run_windowed) and builds no folded stage matrix.
 FOLD_MAX_N = 64
 
 

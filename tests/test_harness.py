@@ -5,15 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import random_state
 from expsplit import config as cfgmod
 from expsplit import harness
 from expsplit.errors import ContractionError, StudyFailedError, ValidationError
 from expsplit.harness import (ConvergenceReport, StudyPlan, convergence_study,
                               order_prediction, reference_solution,
                               require_passed)
-from expsplit.integrator import SchemeSpec, run
+from expsplit.integrator import SchemeSpec, run, run_windowed
 from expsplit.nonlinearities import PowerNonlinearity, ZeroNonlinearity
-from expsplit.propagators import HeatTorusProblem, SmoothingProfile
+from expsplit.propagators import (HeatTorusProblem, OUProblem, SmoothingProfile,
+                                  WaveProblem)
 
 
 def logistic_exact(u0, t):
@@ -94,10 +96,13 @@ class TestReferenceSolution:
         assert n % 2 == 1
         ref = reference_solution(pr, g, u0, T, h_ref, h_min, 1.0)
         scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
-        stored = run(u0, T, n, scheme, pr, g, 1.0)
-        coarse = run(u0, T, n // 2, scheme, pr, g, 1.0)  # step > 2 h_ref
+        # the scalar problem is diagonal: the reference solves it by windows
+        stored = run_windowed(u0, T, n, scheme, pr, g, 1.0)
+        coarse = run_windowed(u0, T, n // 2, scheme, pr, g, 1.0)  # step > 2 h_ref
         assert np.array_equal(ref.terminal, stored.states[-1])
         assert ref.self_check_diff == pr.v_norm(ref.terminal - coarse.states[-1])
+        stepped = run(u0, T, n, scheme, pr, g, 1.0)
+        assert pr.v_norm(ref.terminal - stepped.states[-1]) <= 1e-12
         assert math.isfinite(ref.self_check_diff) and ref.self_check_diff < 1e-10
         assert abs(ref.terminal[0] - logistic_exact(0.1, T)) < 1e-10
 
@@ -113,6 +118,48 @@ class TestReferenceSolution:
                                  1.0, 1.0 / 640, 0.1, 0.0)
         with pytest.raises(ValidationError):
             ref.at_time(0.037)
+
+
+# name -> problem of the exact-flow reference tests: a folded and a modal 1D
+# heat grid, 2D heat, OU and wave
+FLOW_GRIDS = {
+    "heat-n64": lambda: HeatTorusProblem(dim=1, n=64),
+    "heat-n128": lambda: HeatTorusProblem(dim=1, n=128),
+    "heat-2d-n16": lambda: HeatTorusProblem(dim=2, n=16),
+    "ou-n256": lambda: OUProblem(n=256),
+    "wave-32": lambda: WaveProblem(n_modes=32),
+}
+
+
+class TestReferenceSolvers:
+    @pytest.mark.parametrize("name", sorted(FLOW_GRIDS))
+    def test_exact_flow_is_the_per_time_apply_bit_for_bit(self, name):
+        # heat-linear's 161 sample times; the loop is the one-shot apply
+        problem = FLOW_GRIDS[name]()
+        u0 = 0.3 * random_state(problem, np.random.default_rng(3))
+        ref = reference_solution(problem, ZeroNonlinearity(), u0, 0.5,
+                                 1 / 320 / 64, 1 / 320, 0.0)
+        loop = np.stack([problem.apply(float(t), u0) for t in ref.times])
+        assert len(ref.times) == 161
+        assert ref.states.dtype == loop.dtype
+        assert np.array_equal(ref.states, loop)
+
+    @pytest.mark.parametrize("name", ["heat", "ou"])
+    def test_diagonal_references_are_windowed_others_stepped(self, name, monkeypatch):
+        problem = HeatTorusProblem(dim=1, n=64) if name == "heat" else OUProblem(n=128)
+        u0 = 0.3 * random_state(problem, np.random.default_rng(3))
+        calls = []
+        for solver in ("run", "run_windowed"):
+            def counted(*args, solve=getattr(harness, solver), label=solver, **kwargs):
+                calls.append(label)
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(harness, solver, counted)
+        ref = reference_solution(problem, PowerNonlinearity(3.0, -1.0), u0, 1 / 80,
+                                 1 / 1280, 1 / 320, 3.0)
+        assert calls == 2 * ["run_windowed" if name == "heat" else "run"]
+        assert len(ref.times) == 5
+        assert ref.states.shape == (5,) + u0.shape
 
 
 class TestConvergenceStudy:

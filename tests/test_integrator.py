@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import ScalarProblem, random_state
 from expsplit.errors import (ContractionError, FixedPointDivergenceError,
                              StripViolationError, ValidationError)
-from expsplit.integrator import (FP_MAX_ITER, SchemeSpec, StageInfo,
-                                 internal_stages, plan_step, run, step)
+from expsplit.integrator import (FP_MAX_ITER, WINDOW_DECAY, WINDOW_MAX,
+                                 SchemeSpec, StageInfo, contraction_certificate,
+                                 internal_stages, plan_step, run, run_windowed,
+                                 step, window_steps)
 from expsplit.lagrange import NodeSet
 from expsplit.nonlinearities import (PowerNonlinearity, StripMonitor, WaveCubic,
                                      ZeroNonlinearity)
@@ -620,3 +623,169 @@ class TestCertificate:
             plan = plan_step(h, scheme, pr, lip)
             assert plan.kappa == kappa
             assert plan.tol == min(1e-12, h ** (scheme.s + 1))
+
+
+class Forced:
+    """base plus a time-dependent forcing cos(3 t) * field, so that a stage
+    evaluated at the wrong time gives a different value."""
+
+    def __init__(self, base, field):
+        self.base, self.field = base, np.asarray(field)
+
+    def eval(self, t, v):
+        t = np.asarray(t, dtype=float)
+        wave = np.cos(3.0 * t).reshape(t.shape + (1,) * self.field.ndim)
+        return self.base.eval(t, v) + wave * self.field
+
+
+def forced_cubic(problem, rng):
+    base = WaveCubic(problem) if isinstance(problem, WaveProblem) \
+        else PowerNonlinearity(3.0, -1.0)
+    return Forced(base, 0.5 * random_state(problem, rng))
+
+
+# name -> (problem factory, T, N) at about the reference step of the studies;
+# N is a multiple of no window size below
+WINDOW_CASES = {
+    "heat-1d-n64": (lambda: HeatTorusProblem(dim=1, n=64), 0.01, 200),
+    "heat-1d-n128-p1": (lambda: HeatTorusProblem(dim=1, n=128, p=1, r=2,
+                                                 w_choice="X"), 0.01, 400),
+    "heat-2d-n16": (lambda: HeatTorusProblem(dim=2, n=16), 0.05, 200),
+    "wave-32": (lambda: WaveProblem(n_modes=32), 0.1, 200),
+    "scalar": (ScalarProblem, 0.5, 100),
+}
+
+
+class TestRunWindowed:
+    """run_windowed solves run's stage equations over windows of steps: its
+    states agree with run's to 1e-12 in V-norm at every stored row."""
+
+    @staticmethod
+    def make_case(name, seed=7):
+        make, T, N = WINDOW_CASES[name]
+        problem = make()
+        rng = np.random.default_rng(seed)
+        g = forced_cubic(problem, rng)
+        return problem, g, 0.3 * random_state(problem, rng), T, N
+
+    @staticmethod
+    def assert_agrees(problem, g, u, T, N, s=4, store_stride=1):
+        scheme = SchemeSpec.with_stages(s)
+        stepped = run(u, T, N, scheme, problem, g, 3.0, store_stride=store_stride)
+        windowed = run_windowed(u, T, N, scheme, problem, g, 3.0,
+                                store_stride=store_stride)
+        stepped.raise_if_failed()
+        windowed.raise_if_failed()
+        assert np.array_equal(windowed.steps, stepped.steps)
+        assert np.array_equal(windowed.times, stepped.times)
+        assert windowed.states.dtype == stepped.states.dtype
+        assert np.array_equal(windowed.states[0], stepped.states[0])
+        assert np.max(problem.v_norm(windowed.states - stepped.states)) <= 1e-12
+        assert windowed.kappa == stepped.kappa
+        assert len(windowed.stage_iterations) == N
+        return windowed
+
+    @pytest.mark.parametrize("stride", ["1", "64", "N"])
+    @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+    def test_agrees_with_run(self, name, stride):
+        problem, g, u, T, N = self.make_case(name)
+        self.assert_agrees(problem, g, u, T, N,
+                           store_stride=N if stride == "N" else int(stride))
+
+    @pytest.mark.parametrize("steps", ["one", "below-window", "window",
+                                       "window-plus-one"])
+    def test_step_counts_around_the_window(self, steps):
+        problem, g, u, T, N = self.make_case("heat-1d-n64")
+        h = T / N
+        K = window_steps(h, problem.eigenvalues)
+        assert 1 < K < N
+        n = {"one": 1, "below-window": K - 3, "window": K,
+             "window-plus-one": K + 1}[steps]
+        self.assert_agrees(problem, g, u, n * h, n)
+
+    @pytest.mark.parametrize("name", ["heat-1d-n64", "heat-2d-n16", "wave-32"])
+    def test_single_stage_without_a_live_stage_row(self, name):
+        # s = 1 has its only node at 0: the stages are the window's states
+        problem, g, u, T, N = self.make_case(name)
+        self.assert_agrees(problem, g, u, T, N, s=1, store_stride=7)
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+    def test_window_bound(self, name):
+        problem, _, _, T, N = self.make_case(name)
+        for h in (T / N, 1e-3, 0.1):
+            K = window_steps(h, problem.eigenvalues)
+            decay = h * max(float(np.max(-np.real(problem.eigenvalues))), 0.0)
+            assert 1 <= K <= WINDOW_MAX
+            assert K == 1 or K * decay <= WINDOW_DECAY
+            assert K == WINDOW_MAX or (K + 1) * decay > WINDOW_DECAY
+
+    def test_non_finite_g_diverges(self):
+        problem, _, u, T, N = self.make_case("heat-1d-n64")
+
+        class Blowup(PowerNonlinearity):
+            def eval(self, t, v):
+                return np.full_like(np.asarray(v), np.inf)
+
+        with np.errstate(invalid="ignore"):
+            rec = run_windowed(u, T, N, SchemeSpec.with_stages(4), problem,
+                               Blowup(3.0), 3.0, store_stride=10)
+        assert (rec.status, rec.failure_step) == ("divergence", 0)
+        assert "non-finite" in rec.error
+        assert np.array_equal(rec.states, u[None])
+        with pytest.raises(FixedPointDivergenceError):
+            rec.raise_if_failed()
+
+    def test_unconverged_window_diverges_keeping_the_rows_reached(self):
+        # past the first window g flips between two values on every call, so
+        # the first window converges and the second never does
+        problem, g, u, T, N = self.make_case("heat-1d-n64")
+        K = window_steps(T / N, problem.eigenvalues)
+        clean = run_windowed(u, T, N, SchemeSpec.with_stages(4), problem, g, 3.0)
+
+        class Flipping(Forced):
+            calls = 0
+
+            def eval(self, t, v):
+                self.calls += 1
+                late = (np.asarray(t) > (K + 0.5) * T / N)[:, None]
+                return super().eval(t, v) + late * (self.calls % 2) * 1e-3
+
+        rec = run_windowed(u, T, N, SchemeSpec.with_stages(4), problem,
+                           Flipping(g.base, g.field), 3.0)
+        assert (rec.status, rec.failure_step) == ("divergence", K)
+        assert f"in {FP_MAX_ITER} sweeps" in rec.error
+        assert rec.stage_iterations == clean.stage_iterations[:K]
+        assert np.array_equal(rec.steps, np.arange(K + 1))
+        assert np.array_equal(rec.states, clean.states[:K + 1])
+        with pytest.raises(FixedPointDivergenceError):
+            rec.raise_if_failed()
+
+    def test_huge_lipschitz_fails_the_certificate(self):
+        problem, g, u, T, N = self.make_case("heat-1d-n64")
+        scheme = SchemeSpec.with_stages(4)
+        rec = run_windowed(u, T, N, scheme, problem, g, 1e9)
+        assert (rec.status, rec.failure_step) == ("contraction", 0)
+        assert len(rec.states) == 1
+        with pytest.raises(ContractionError) as exc:
+            rec.raise_if_failed()
+        assert str(exc.value) == run(u, T, N, scheme, problem, g, 1e9).error
+
+    def test_zero_steps_and_a_non_diagonal_problem(self):
+        problem, g, u, T, _ = self.make_case("heat-1d-n64")
+        rec = run_windowed(u, T, 0, SchemeSpec.with_stages(4), problem, g, 3.0)
+        assert rec.status == "ok" and np.array_equal(rec.states, u[None])
+        with pytest.raises(ValidationError):
+            run_windowed(np.zeros(128), T, 4, SchemeSpec.with_stages(4),
+                         OUProblem(n=128), g, 3.0)
+
+    def test_certificate_is_plan_steps(self):
+        problem, _, _, _, _ = self.make_case("heat-1d-n64")
+        scheme = SchemeSpec.with_stages(3)
+        for h, lip in ((1e-3, 3.0), (0.5, 50.0)):
+            try:
+                kappa = contraction_certificate(h, scheme, problem, lip)
+            except ContractionError as exc:
+                with pytest.raises(ContractionError, match=re.escape(str(exc))):
+                    plan_step(h, scheme, problem, lip)
+            else:
+                assert plan_step(h, scheme, problem, lip).kappa == kappa

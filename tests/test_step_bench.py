@@ -7,7 +7,9 @@ case has neither 0 nor 1 among its nodes, so its anchor flow carries an
 extra row at h for e^{hA} u_n.  Two cases time a
 warm-started step: the second step of a run, whose iteration starts from
 the first correction, and the third, which starts from the extrapolation
-of the first two.
+of the first two.  Three cases time a study's reference trajectory at the
+benchmark's h_ref: solved by windows of steps on heat and wave, step by
+step on OU.
 Run only these with ``pytest tests/test_step_bench.py``;
 ``--benchmark-skip`` leaves them out.
 """
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from expsplit import config as cfgmod
+from expsplit import harness
 from expsplit.integrator import SchemeSpec, plan_step, step
 from expsplit.nonlinearities import estimate_lipschitz
 
@@ -105,3 +108,33 @@ def test_run_lipschitz_estimate(benchmark):
     assert expected > 0.0
     got = benchmark.pedantic(estimate, rounds=3, iterations=1, warmup_rounds=1)
     assert got == expected
+
+
+# (preset, problem overrides, T, finest h) of the benchmark's shortened
+# studies; the reference steps at h_ref = finest h / REF_FACTOR
+REFERENCE_CASES = {
+    "heat1d-n64-windowed": ("heat-torus-1d", {"n": 64}, 0.05, 1 / 320),
+    "wave-32modes-windowed": ("wave-dirichlet-1d", {"n_modes": 32}, 0.1, 1 / 160),
+    "ou-n256-stepped": ("ou-1d", {"n": 256}, 0.05, 1 / 80),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_reference_solution(benchmark, case):
+    # with the study's bootstrap Lipschitz estimate around u_0
+    preset, over, T, h_min = REFERENCE_CASES[case]
+    cfg = cfgmod.resolve_config(preset)
+    cfg["problem"].update(over)
+    problem = cfgmod.build_problem(cfg)
+    g = cfgmod.build_nonlinearity(cfg, problem)
+    u0 = np.asarray(cfgmod.build_initial(cfg, problem))
+    lip0 = estimate_lipschitz(g, problem, u0, 0.5 * max(problem.v_norm(u0), 1.0),
+                              (0.0, T), n_samples=120, rng=np.random.default_rng(0))
+    args = (problem, g, u0, T, h_min / harness.REF_FACTOR, h_min, lip0)
+    expected = harness.reference_solution(*args)
+    got = benchmark.pedantic(harness.reference_solution, args=args, rounds=5,
+                             iterations=1, warmup_rounds=1)
+    assert np.array_equal(got.times, expected.times)
+    assert got.states.dtype == expected.states.dtype
+    assert np.array_equal(got.states, expected.states)
+    assert got.self_check_diff == expected.self_check_diff
