@@ -30,7 +30,7 @@ from .lagrange import LagrangeData, eval_basis
 from .phi import stage_weights_diagonal
 
 __all__ = [
-    "lp_norm", "SmoothingProfile", "gaussian_smoothing_constant",
+    "lp_norm", "place_in_ball", "SmoothingProfile", "gaussian_smoothing_constant",
     "Propagator", "DiagonalPropagator", "HeatTorusProblem", "OUProblem",
     "WaveProblem", "SmoothingReport", "measure_smoothing",
 ]
@@ -76,6 +76,19 @@ def lp_norm(u, p: float, cell_volume: float, ndim: int | None = None):
         else:
             out = (cell_volume * np.sum(a ** p, axis=-1)) ** (1.0 / p)
     return out if lead else float(out)
+
+
+def place_in_ball(center, radius, scale, field, norm, out=None):
+    """center + radius * scale / norm * field, the point of a ball draw.
+
+    field may be a stack (k, *grid) with scale and norm arrays of k
+    entries and center one state or k of them; the rows are placed in one
+    pass, bit for bit as one at a time.  A zero field (norm 0) gives the
+    center.  With `out` the point is written there.
+    """
+    coef = radius * scale / np.where(norm == 0.0, 1.0, norm)
+    coef = coef.reshape(coef.shape + (1,) * (field.ndim - coef.ndim))
+    return np.add(center, np.multiply(coef, field, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -204,14 +217,20 @@ class Propagator:
         under control; sample_in_ball scales it into a V-ball."""
         raise NotImplementedError
 
+    def ball_draw(self, rng):
+        """The draws of one ball point: random_field, then a radius scale
+        in [0.1, 1) unless the field is zero, which draws no scale and
+        gets 0.  place_in_ball turns the pair into the point."""
+        field = self.random_field(rng)
+        # a nonzero first entry settles almost every draw without a pass
+        nonzero = field.flat[0] != 0.0 or field.any()
+        return field, (rng.uniform(0.1, 1.0) if nonzero else 0.0)
+
     def sample_in_ball(self, center, radius: float, rng) -> object:
         """A state v with v_norm(v - center) <= radius, at least a tenth of
         the radius away from the center unless the field is zero."""
-        v = self.random_field(rng)
-        nv = self.v_norm(v)
-        if nv == 0.0:
-            return np.asarray(center).copy()
-        return center + radius * rng.uniform(0.1, 1.0) / nv * v
+        field, scale = self.ball_draw(rng)
+        return place_in_ball(center, radius, scale, field, self.v_norm(field))
 
     def smoothing_probes(self, rng):
         """Probe states for measure_smoothing's operator-norm proxy."""

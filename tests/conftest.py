@@ -35,8 +35,8 @@ class ScalarProblem(DiagonalPropagator):
     def lp(self, v, p):
         return np.max(np.abs(v), axis=-1)
 
-    def sample_in_ball(self, center, radius, rng):
-        return np.asarray(center) + radius * rng.uniform(-1.0, 1.0, size=1)
+    def random_field(self, rng):
+        return rng.uniform(-1.0, 1.0, size=1)
 
 
 def random_state(problem, rng):

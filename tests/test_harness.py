@@ -112,6 +112,13 @@ class TestReferenceSolution:
             reference_solution(pr, ZeroNonlinearity(), np.array([1.0]),
                                1.0, 0.003, 0.01, 0.0)
 
+    def test_horizon_must_be_multiple_of_sample_spacing(self):
+        # 4 sample times (0 to 0.009375) beside 5 stored rows, before the check
+        hp = HeatTorusProblem(dim=1, n=64)
+        with pytest.raises(ValidationError, match="multiple of sample_dt"):
+            reference_solution(hp, PowerNonlinearity(3.0, -1.0),
+                               0.5 * np.sin(hp.grid()), 0.01, 1 / 1280, 1 / 320, 1.0)
+
     def test_unsampled_time_rejected(self, make_scalar):
         pr = make_scalar()
         ref = reference_solution(pr, ZeroNonlinearity(), np.array([1.0]),

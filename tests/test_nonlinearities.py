@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import decode
+from expsplit import config as cfgmod
 from expsplit.errors import StripViolationError, ValidationError
-from expsplit.nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
+from expsplit.nonlinearities import (LIPSCHITZ_CHUNK_BYTES, LIPSCHITZ_SAFETY,
+                                     AdvectionNonlinearity, PowerNonlinearity,
                                      StripMonitor, WaveCubic, ZeroNonlinearity,
                                      estimate_lipschitz, stored_state)
 from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
@@ -104,6 +106,156 @@ class TestLipschitzEstimate:
         with pytest.raises(ValidationError):
             estimate_lipschitz(g, scalar_problem, np.zeros(1), 1.0,
                                (0.0, 1.0), n_samples=10, rng=rng)
+
+
+def _loop_ball_point(problem, center, radius, rng):
+    """The ball point of the per-sample sampler, zero-field rule included."""
+    v = problem.random_field(rng)
+    nv = problem.v_norm(v)
+    if nv == 0.0:
+        return np.asarray(center).copy()
+    return center + radius * rng.uniform(0.1, 1.0) / nv * v
+
+
+def loop_lipschitz(g, problem, center, radius, t_range, n_samples, rng):
+    """Reference estimator: one pair at a time, two g.eval and four norm
+    calls per pair, in the draw order estimate_lipschitz keeps."""
+    t0, t1 = t_range
+    best = 0.0
+    for _ in range(n_samples):
+        t = rng.uniform(t0, t1)
+        v = _loop_ball_point(problem, center, radius, rng)
+        if rng.uniform() < 0.5:
+            w = _loop_ball_point(problem, center, radius, rng)
+        else:
+            w = v + _loop_ball_point(problem, problem.zeros(),
+                                     1e-4 * max(radius, 1.0), rng)
+        dv = problem.v_norm(v - w)
+        if dv == 0.0:
+            continue
+        dg = problem.x_norm(g.eval(t, v) - g.eval(t, w))
+        best = max(best, dg / dv)
+    return LIPSCHITZ_SAFETY * best
+
+
+def _preset_case(preset, problem_over):
+    """(problem, g, u0, radius) of a preset, radius as a study's bootstrap."""
+    cfg = cfgmod.resolve_config(preset)
+    cfg["problem"].update(problem_over)
+    problem = cfgmod.build_problem(cfg)
+    u0 = np.asarray(cfgmod.build_initial(cfg, problem))
+    return (problem, cfgmod.build_nonlinearity(cfg, problem), u0,
+            0.5 * max(problem.v_norm(u0), 1.0))
+
+
+# name -> (preset, problem overrides) of the stacked-estimator oracle cases;
+# heat1d-n128 is modal (not folded), heat2d-n16 and ou-n256 take 30 pairs a
+# chunk and heat2d-n128 one
+LIPSCHITZ_CASES = {
+    "heat1d-n64-folded": ("heat-cubic-s1", {"n": 64}),
+    "heat1d-n128-modal": ("heat-frac-s2", {"n": 128}),
+    "heat2d-n16": ("heat-torus-2d", {"n": 16}),
+    "heat2d-n128": ("heat-torus-2d", {"n": 128}),
+    "ou-n256": ("ou-cubic-s1", {"n": 256}),
+    "wave-32modes": ("wave-cubic-s2", {"n_modes": 32}),
+}
+
+
+class ZeroEveryThird(HeatTorusProblem):
+    """1D heat grid whose random_field is zero on every third call (from
+    the first) and draws nothing then."""
+
+    def __init__(self):
+        super().__init__(dim=1, n=16)
+        self.calls = 0
+
+    def random_field(self, rng):
+        self.calls += 1
+        if self.calls % 3 == 1:
+            return self.zeros()
+        return super().random_field(rng)
+
+
+class Recorder(PowerNonlinearity):
+    """The cubic, keeping a copy of every state stack it evaluates."""
+
+    def __init__(self):
+        super().__init__(3.0, -1.0)
+        self.seen = []
+
+    def eval(self, t, v):
+        self.seen.append(np.array(v))
+        return super().eval(t, v)
+
+
+class TestStackedLipschitz:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 12345])
+    @pytest.mark.parametrize("case", sorted(LIPSCHITZ_CASES))
+    def test_equals_per_sample_loop(self, case, seed):
+        problem, g, u0, radius = _preset_case(*LIPSCHITZ_CASES[case])
+        got_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = estimate_lipschitz(g, problem, u0, radius, (0.0, 0.3),
+                                 n_samples=120, rng=got_rng)
+        expected = loop_lipschitz(g, problem, u0, radius, (0.0, 0.3), 120, loop_rng)
+        assert type(got) is float
+        assert got == expected > 0.0
+        assert got_rng.uniform() == loop_rng.uniform()
+
+    def test_sample_count_not_a_multiple_of_the_chunk(self):
+        problem, g, u0, radius = _preset_case("heat-torus-2d", {"n": 16})
+        pairs = LIPSCHITZ_CHUNK_BYTES // (2 * problem.zeros().nbytes)
+        assert 1 < pairs < 130 and 130 % pairs != 0
+        got_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = estimate_lipschitz(g, problem, u0, radius, (0.0, 0.3),
+                                 n_samples=130, rng=got_rng)
+        assert got == loop_lipschitz(g, problem, u0, radius, (0.0, 0.3), 130,
+                                     loop_rng)
+        assert got_rng.uniform() == loop_rng.uniform()
+
+    @pytest.mark.parametrize("case", ["heat1d-n64-folded", "ou-n256", "wave-32modes"])
+    def test_centers_equal_consecutive_calls(self, case):
+        problem, g, u0, radius = _preset_case(*LIPSCHITZ_CASES[case])
+        scale = np.array([1.0, 0.8, 0.5, 0.3, 0.0])
+        centers = u0 * scale.reshape((5,) + (1,) * u0.ndim)
+        one_rng, rows_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = estimate_lipschitz(g, problem, centers, radius, (0.0, 0.3),
+                                 n_samples=120, rng=one_rng)
+        rows = [estimate_lipschitz(g, problem, c, radius, (0.0, 0.3),
+                                   n_samples=120, rng=rows_rng) for c in centers]
+        assert got == max(rows)
+        assert one_rng.uniform() == rows_rng.uniform()
+
+    def test_zero_fields_sit_at_the_center_and_draw_no_scale(self):
+        problem, rng = ZeroEveryThird(), np.random.default_rng(5)
+        center = 0.3 * np.cos(problem.grid())
+        before = rng.bit_generator.state
+        assert np.array_equal(problem.sample_in_ball(center, 0.5, rng), center)
+        assert rng.bit_generator.state == before  # the zero field drew no scale
+        away = problem.sample_in_ball(center, 0.5, rng)
+        assert 0.05 <= problem.v_norm(away - center) <= 0.5
+
+    def test_zero_fields_keep_the_loop_stream(self):
+        g = PowerNonlinearity(3.0, -1.0)
+        center = 0.3 * np.cos(ZeroEveryThird().grid())
+        got_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = estimate_lipschitz(g, ZeroEveryThird(), center, 0.5, (0.0, 1.0),
+                                 n_samples=120, rng=got_rng)
+        expected = loop_lipschitz(g, ZeroEveryThird(), center, 0.5, (0.0, 1.0),
+                                  120, loop_rng)
+        assert got == expected > 0.0
+        assert got_rng.uniform() == loop_rng.uniform()
+
+    def test_zero_v_fields_give_the_center(self):
+        # calls 1, 4, 7, ... are zero: the v of pairs 0, 3, 6, ... and the w
+        # of pairs 1, 4, 7, ...; the chunk's one g.eval sees those 40 v's at
+        # the center exactly
+        problem, g = ZeroEveryThird(), Recorder()
+        center = 0.3 * np.cos(problem.grid())
+        estimate_lipschitz(g, problem, center, 0.5, (0.0, 1.0), n_samples=120,
+                           rng=np.random.default_rng(5))
+        (stack,) = g.seen
+        at_center = np.all(stack[:120] == center, axis=1)
+        assert np.count_nonzero(at_center) == 40
 
 
 class TestAdvection:

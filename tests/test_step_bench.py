@@ -1,5 +1,6 @@
-"""Micro-benchmarks of one integrator step per model problem, and of the
-sampled Lipschitz estimate that `expsplit run` makes before its steps.
+"""Micro-benchmarks of one integrator step per model problem, of the
+sampled Lipschitz estimate that `expsplit run` makes before its steps, and
+of a study context's strip estimate on the benchmark's grids.
 
 Each benchmark also checks that its timed call returns the same value,
 bit for bit, as an untimed call from the same inputs.  The Gauss-Legendre
@@ -107,6 +108,39 @@ def test_run_lipschitz_estimate(benchmark):
     expected = estimate()
     assert expected > 0.0
     got = benchmark.pedantic(estimate, rounds=3, iterations=1, warmup_rounds=1)
+    assert got == expected
+
+
+# (preset, problem overrides) of a study context's strip estimate on the
+# benchmark's grids: heat and wave take a center's 120 pairs in one chunk,
+# OU in four
+STUDY_LIPSCHITZ_CASES = {
+    "heat1d-n64": ("heat-cubic-s1", {"n": 64}),
+    "wave-32modes": ("wave-cubic-s2", {"n_modes": 32}),
+    "ou-n256": ("ou-cubic-s1", {"n": 256}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STUDY_LIPSCHITZ_CASES))
+def test_study_lipschitz_estimate(benchmark, case):
+    # 120 pairs on each of 5 centers in one call, as the strip estimate
+    # samples balls around 5 reference snapshots; here u_0 scaled down
+    preset, over = STUDY_LIPSCHITZ_CASES[case]
+    cfg = cfgmod.resolve_config(preset)
+    cfg["problem"].update(over)
+    problem = cfgmod.build_problem(cfg)
+    g = cfgmod.build_nonlinearity(cfg, problem)
+    u0 = np.asarray(cfgmod.build_initial(cfg, problem))
+    centers = u0 * np.linspace(1.0, 0.6, 5).reshape((5,) + (1,) * u0.ndim)
+    radius = harness.STRIP_RADIUS_FRAC * float(np.max(problem.v_norm(centers)))
+
+    def estimate():
+        return estimate_lipschitz(g, problem, centers, radius, (0.0, 0.1),
+                                  n_samples=120, rng=np.random.default_rng(0))
+
+    expected = estimate()
+    assert expected > 0.0
+    got = benchmark.pedantic(estimate, rounds=10, iterations=1, warmup_rounds=1)
     assert got == expected
 
 
