@@ -147,7 +147,11 @@ class Propagator:
     one-time flow of one state, is the same for every propagator.  Stages
     travel as one (s, *grid) array.  The generic convolve_op integrates the
     Lagrange interpolant of the stage values by Gauss-Legendre quadrature
-    in tau; diagonal problems override it with exact phi-weights.
+    in tau, and stage_convolve forms the E*q interpolants in one product
+    and propagates them in one apply_nodes call.  Diagonal problems
+    override the pair with exact phi-weights; OUProblem keeps the
+    quadrature but applies it in one kernel that transforms the s stage
+    values once.
 
     The base class owns the norm couple: X is the grid L^p norm and V the
     grid L^r norm (p <= r) over the `dim` trailing axes with cell volume
@@ -242,13 +246,21 @@ class Propagator:
         int_0^{e_i h} e^{(e_i h - tau) A} sum_j ell_j(tau) G_j dtau.
 
         ends are the end points e_i as fractions of h (the nodes for the
-        stage equations, (1.0,) for the update).  For the ends with
-        e_i h != 0 (their indices are `live`) and q nodes tau_k on
-        [0, e_i h], s + 2 unless q_nodes is given, it stacks the flows of
-        the m = E*q times e_i h - tau_k, the Lagrange basis values
-        ell_j(tau_k) as (m, s) and the quadrature weights as (E, q), end
-        by end.
+        stage equations, (1.0,) for the update).  The op holds the
+        quadrature of _quadrature: the ends with e_i h != 0 (`live`), the
+        flows of its m = E*q times, its Lagrange basis values as (m, s) and
+        its weights as (E, q).
         """
+        live, times, basis, wts = self._quadrature(h, lag, ends, q_nodes)
+        return len(ends), live, self.flow_op(times), basis, wts
+
+    def _quadrature(self, h: float, lag: LagrangeData, ends,
+                    q_nodes: int | None = None):
+        """Gauss-Legendre quadrature of the stage integrals: for the ends
+        with e_i h != 0 (their indices are `live`) and q nodes tau_k on
+        [0, e_i h], s + 2 unless q_nodes is given, the m = E*q times
+        e_i h - tau_k, the Lagrange basis values ell_j(tau_k) as (m, s) and
+        the quadrature weights as (E, q), end by end."""
         s = lag.s
         if q_nodes is None:
             q_nodes = s + 2
@@ -265,8 +277,21 @@ class Propagator:
             wts.append(0.5 * t_end * w)
             basis.extend([eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
                          for tq in tau)
-        return (len(ends), live, self.flow_op(times), np.array(basis).reshape(-1, s),
+        return (live, times, np.array(basis).reshape(-1, s),
                 np.array(wts).reshape(-1, q_nodes))
+
+    def _zero_ends(self, n_ends: int, live, acc=None):
+        """The (n_ends, *grid) result of a stage convolution: acc on the
+        live rows and zero on the rows with e_i h = 0 (every row when acc
+        is None)."""
+        if acc is not None and len(live) == n_ends:
+            return acc
+        zero = self.zeros()
+        dtype = zero.dtype if acc is None else np.result_type(zero, acc)
+        out = np.zeros((n_ends,) + zero.shape, dtype)
+        if acc is not None:
+            out[live] = acc
+        return out
 
     def stage_convolve(self, op, G):
         """Apply a convolve_op to the s stage values G, stacked as
@@ -274,17 +299,13 @@ class Propagator:
         n_ends, live, flow, basis, wt = op
         G = _check_stages(G, basis.shape[1])
         if not live:
-            zero = self.zeros()
-            return np.zeros((n_ends,) + zero.shape, zero.dtype)
+            return self._zero_ends(n_ends, live)
         # all E*q interpolants in one product, all flows in one call
-        rows = self.apply_nodes(flow, np.tensordot(basis, G, axes=(1, 0)))
+        interp = (basis @ G.reshape(len(G), -1)).reshape((-1,) + G.shape[1:])
+        rows = self.apply_nodes(flow, interp)
         rows = rows.reshape(wt.shape + rows.shape[1:])
         acc = np.sum(wt.reshape(wt.shape + (1,) * (rows.ndim - 2)) * rows, axis=1)
-        if len(live) == n_ends:
-            return acc
-        out = np.zeros((n_ends,) + acc.shape[1:], np.result_type(self.zeros(), acc))
-        out[live] = acc
-        return out
+        return self._zero_ends(n_ends, live, acc)
 
 
 def _check_stages(G, s: int):
@@ -491,9 +512,13 @@ class OUProblem(Propagator):
     maps to one of variance e^{2bt} sigma^2 + 2 q (e^{2bt}-1)/(2b).
     Convolution is trapezoid quadrature on the grid (via FFT), dilation
     is 4-point cubic interpolation with zero extension outside the box.
-    apply_nodes applies this to a stack of states in one kernel, and
-    apply(t, v) is its one-row case; stage_convolve hands it every
-    quadrature node of a call.
+    apply_nodes applies this to a stack of states in one kernel (one
+    rfft/irfft pass, one gathered dilation), and apply(t, v) is its
+    one-row case; a single state is transformed once for all its times.
+    stage_convolve keeps the generic Gauss-Legendre quadrature but, the
+    rfft being linear, takes one rfft of the s stage values, forms the
+    E*q interpolants in modal form and makes one irfft over them, then one
+    gathered dilation whose stencils carry the quadrature weights.
     """
 
     def __init__(self, b: float = -1.0, q: float = 2.0, box: float = 12.0,
@@ -536,19 +561,16 @@ class OUProblem(Propagator):
     def kernel_width(self, t: float) -> float:
         return math.sqrt(max(2.0 * self.q_t(t), 0.0))
 
-    def flow_op(self, times):
-        """Stacked plan of apply_nodes: which rows move (t != 0), the
-        Gaussian symbols of the rows above the kernel-variance cutoff, and
-        the 4-point dilation stencils with their in-box masks."""
-        times = tuple(times)
-        if times and min(times) < 0.0:
+    def _row_plan(self, times):
+        """The per-row kernel of the flows at `times`: the rows above the
+        kernel-variance cutoff (None for all), their Gaussian symbols, and
+        the 4-point dilation stencils with their out-of-box masks."""
+        if len(times) and min(times) < 0.0:
             raise ValidationError("t must be >= 0")
         n, dx = self.n, self.dx
         xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
-        live = [m for m, t in enumerate(times) if t != 0.0]
         smooth, symbols, first, weights, inside = [], [], [], [], []
-        for r, m in enumerate(live):
-            t = times[m]
+        for r, t in enumerate(times):
             q_t = self.q_t(t)
             # below the cutoff the kernel is a near-delta whose symbol is 1
             # to rounding: the row is pure dilation
@@ -572,42 +594,104 @@ class OUProblem(Propagator):
             # first stencil point, as an index into the flattened stack
             first.append(j - 1 + r * n)
             inside.append((pos >= 0.0) & (pos <= n - 1))
-        return (len(times), live, smooth if len(smooth) < len(live) else None,
+        return (smooth if len(smooth) < len(times) else None,
                 np.array(symbols) if symbols else None,
                 np.array(first, dtype=np.intp),
                 np.array(weights).reshape(-1, 4, n).transpose(1, 0, 2).copy(),
                 ~np.array(inside, dtype=bool))
 
-    def apply_nodes(self, op, V):
-        """One kernel for a stack: one rfft/irfft pass over the rows with a
-        Gaussian symbol, then one gathered 4-point dilation.  Rows with
-        t = 0 are exact copies; rows below the kernel-variance cutoff are
-        pure dilation."""
-        m, live, smooth, symbol, first, weights, outside = op
-        V = np.asarray(V, dtype=float)
-        if V.ndim == 1:
-            V = np.broadcast_to(V, (m,) + V.shape)
-        if V.shape != (m, self.n):
-            raise ValidationError(f"state stack shape {V.shape} != ({m}, {self.n})")
-        if not live:
-            return V.copy()
-        conv = V if len(live) == len(V) else V[live]
+    def flow_op(self, times):
+        """Stacked plan of apply_nodes: the number of times, which rows
+        move (t != 0) and the _row_plan of those rows."""
+        times = tuple(times)
+        live = [m for m, t in enumerate(times) if t != 0.0]
+        return (len(times), live) + self._row_plan([times[m] for m in live])
+
+    def _smooth(self, rows, modes, smooth):
+        """The rows after the Gaussian convolution: the inverse rfft of
+        modes (the symbol-weighted spectra of the rows above the cutoff)
+        in those rows, the physical rows elsewhere (rows is read only when
+        smooth is not None)."""
+        conv = np.fft.irfft(modes, self.n)
         if smooth is None:
-            conv = np.fft.irfft(np.fft.rfft(conv) * symbol, self.n)
-        elif symbol is not None:
-            conv = conv.copy()
-            conv[smooth] = np.fft.irfft(np.fft.rfft(conv[smooth]) * symbol, self.n)
+            return conv
+        rows = np.array(rows)
+        rows[smooth] = conv
+        return rows
+
+    @staticmethod
+    def _dilate(conv, first, weights, outside):
+        """The gathered 4-point dilation of every row of conv, zero outside
+        the box."""
         # point k of every stencil is one gather from the stack shifted by k
         flat = conv.ravel()
         out = flat.take(first) * weights[0] + flat[1:].take(first) * weights[1]
         out += flat[2:].take(first) * weights[2]
         out += flat[3:].take(first) * weights[3]
+        # a mask, not zero weights: 0 * inf would be nan
         out[outside] = 0.0
-        if len(live) == len(V):
+        return out
+
+    def apply_nodes(self, op, V):
+        """One kernel for a stack: one rfft/irfft pass over the rows with a
+        Gaussian symbol, then one gathered 4-point dilation.  Rows with
+        t = 0 are exact copies; rows below the kernel-variance cutoff are
+        pure dilation.  A single state is transformed once for all times:
+        identical rows transform identically."""
+        m, live, smooth, symbol, first, weights, outside = op
+        V = np.asarray(V, dtype=float)
+        if V.shape not in ((m, self.n), (self.n,)):
+            raise ValidationError(
+                f"state shape {V.shape} is neither ({self.n},) nor ({m}, {self.n})")
+        stack = V if V.ndim == 2 else np.repeat(V[None], m, axis=0)
+        if not live:
+            return stack.copy()
+        conv = stack if len(live) == m else stack[live]
+        if symbol is not None:
+            spectra = np.fft.rfft(V if V.ndim == 1 else
+                                  conv if smooth is None else conv[smooth])
+            conv = self._smooth(conv, spectra * symbol, smooth)
+        out = self._dilate(conv, first, weights, outside)
+        if len(live) == m:
             return out
-        rows = V.copy()
+        rows = stack.copy()
         rows[live] = out
         return rows
+
+    def convolve_op(self, h, lag, ends, q_nodes=None):
+        """The quadrature of Propagator.convolve_op in one kernel: the
+        Lagrange basis values as (m, s) for the m = E*q quadrature rows,
+        and the _row_plan of their times with each row's quadrature weight
+        folded into its dilation stencil."""
+        live, times, basis, wts = self._quadrature(h, lag, ends, q_nodes)
+        smooth, symbol, first, weights, outside = self._row_plan(times)
+        return (len(ends), live, basis, smooth, symbol, first,
+                weights * wts.reshape(1, -1, 1), outside)
+
+    def stage_convolve(self, op, G):
+        """One rfft of the s stage values, their interpolants formed in
+        modal form by one (m, s) product and weighted by the row symbols,
+        one irfft over the m rows and one gathered dilation, whose
+        quadrature-weighted rows are summed end by end.  Rows below the
+        kernel-variance cutoff dilate the physical interpolant."""
+        n_ends, live, basis, smooth, symbol, first, weights, outside = op
+        s = basis.shape[1]
+        G = np.asarray(G, dtype=float)
+        if G.shape != (s, self.n):
+            raise ValidationError(f"stage stack shape {G.shape} != ({s}, {self.n})")
+        if not live:
+            return self._zero_ends(n_ends, live)
+        if symbol is None:
+            conv = basis @ G
+        else:
+            # rfft(basis @ G) = basis @ rfft(G): the product runs on the
+            # real and imaginary parts as one real matrix
+            spectra = np.fft.rfft(G)
+            modal = basis if smooth is None else basis[smooth]
+            modes = (modal @ spectra.view(float)).view(complex) * symbol
+            conv = self._smooth(None if smooth is None else basis @ G, modes, smooth)
+        rows = self._dilate(conv, first, weights, outside)
+        return self._zero_ends(n_ends, live, rows.reshape(len(live), -1, self.n).sum(axis=1))
 
     def zeros(self):
         return np.zeros(self.n)

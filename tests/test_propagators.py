@@ -7,10 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import decode, random_state
-from expsplit.errors import ValidationError
-from expsplit.integrator import SchemeSpec, plan_step
+from expsplit.errors import FixedPointDivergenceError, ValidationError
+from expsplit.integrator import SchemeSpec, internal_stages, plan_step
 from expsplit.lagrange import NodeSet, build_lagrange, eval_basis
-from expsplit.nonlinearities import AdvectionNonlinearity
+from expsplit.nonlinearities import AdvectionNonlinearity, ZeroNonlinearity
 from expsplit.phi import stage_weights_diagonal
 from expsplit.propagators import (HeatTorusProblem, OUProblem, Propagator,
                                   SmoothingProfile, WaveProblem,
@@ -481,12 +481,29 @@ class TestOUBatched:
             if t == 0.0:
                 assert np.array_equal(row, v)
 
+    def per_node_convolve(self, h, lag, ends, G):
+        """The stage convolution written out one apply per Gauss-Legendre
+        node (default count s + 2), end by end."""
+        ou, s = self.ou, lag.s
+        x, w = np.polynomial.legendre.leggauss(s + 2)
+        rows = []
+        for e in ends:
+            t_end = e * h
+            tau = 0.5 * t_end * (x + 1.0)
+            wt = 0.5 * t_end * w
+            basis = np.array([[eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
+                              for tq in tau])
+            interp = np.tensordot(basis, G, axes=(1, 0))
+            rows.append(ou.zeros() if t_end == 0.0 else
+                        sum(wt[k] * ou.apply(t_end - tau[k], interp[k])
+                            for k in range(len(tau))))
+        return np.array(rows)
+
     @given(st.integers(1, 4), st.booleans(),
            st.floats(math.log(1 / 10240), math.log(1 / 20)),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_stage_convolve_equals_per_node_applies(self, s, at_nodes, log_h, seed):
-        # the quadrature written out one apply per Gauss-Legendre node
         ou = self.ou
         lag = SchemeSpec.with_stages(s).lag
         ends = lag.node_set.nodes if at_nodes else (1.0,)
@@ -495,20 +512,65 @@ class TestOUBatched:
         G = rng.standard_normal((s, ou.n)) * np.exp(-ou.x ** 2 / 8.0)
         out = ou.stage_convolve(ou.convolve_op(h, lag, ends), G)
         assert out.shape == (len(ends), ou.n)
-        q = s + 2  # the default node count
-        x, w = np.polynomial.legendre.leggauss(q)
-        for e, row in zip(ends, out):
-            t_end = e * h
-            if t_end == 0.0:
+        for e, row, ref in zip(ends, out, self.per_node_convolve(h, lag, ends, G)):
+            if e == 0.0:
                 assert not np.any(row)
-                continue
-            tau = 0.5 * t_end * (x + 1.0)
-            wt = 0.5 * t_end * w
-            basis = np.array([[eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
-                              for tq in tau])
-            interp = np.tensordot(basis, G, axes=(1, 0))
-            ref = sum(wt[k] * ou.apply(t_end - tau[k], interp[k]) for k in range(q))
-            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+            else:
+                assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_tiny_step_stage_rows_are_pure_dilation(self, s):
+        # every quadrature time of h = 1e-15 is under the kernel-variance
+        # cutoff: the rows dilate the interpolant with no FFT round trip,
+        # so a spike in the stage values stays on its stencil
+        ou, h = self.ou, 1e-15
+        assert ou.q_t(h) < 1e-14
+        lag = SchemeSpec.with_stages(s).lag
+        at = ou.n // 3
+        spikes = np.zeros((s, ou.n))
+        spikes[:, at] = np.arange(1.0, s + 1.0)
+        smooth = np.random.default_rng(s).standard_normal((s, ou.n)) \
+            * np.exp(-ou.x ** 2 / 8.0)
+        for ends in (lag.node_set.nodes, (1.0,)):
+            op = ou.convolve_op(h, lag, ends)
+            for G in (spikes, smooth):
+                out = ou.stage_convolve(op, G)
+                ref = self.per_node_convolve(h, lag, ends, G)
+                assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+            for e, row in zip(ends, ou.stage_convolve(op, spikes)):
+                touched = np.flatnonzero(row)
+                assert (len(touched) == 0) == (e == 0.0)
+                assert np.all(np.abs(touched - at) <= 2)
+
+    @given(st.lists(OU_TIMES, min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1))
+    @example(times=[0.0, 1e-16, 1e-3, 2.0], seed=0)
+    @example(times=[1e-16, 2e-15], seed=1)
+    @example(times=[0.0, 0.0], seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_single_state_equals_broadcast_stack(self, times, seed):
+        # one rfft of the state serves every time, bit for bit
+        ou = self.ou
+        v = np.random.default_rng(seed).standard_normal(ou.n)
+        op = ou.flow_op(times)
+        rows = ou.apply_nodes(op, v)
+        assert rows.shape == (len(times), ou.n)
+        assert np.array_equal(rows, ou.apply_nodes(op, np.stack([v] * len(times))))
+
+    @pytest.mark.parametrize("s,bad", [(2, 0), (4, 2), (4, 3)])
+    def test_nan_stage_value_diverges(self, s, bad):
+        ou = self.ou
+
+        class NanInOneStage(ZeroNonlinearity):
+            def eval(self, t, v):
+                out = super().eval(t, v)
+                out[bad, ou.n // 2] = np.nan
+                return out
+
+        plan = plan_step(1 / 5120, SchemeSpec.with_stages(s), ou, 1.0)
+        u = np.exp(-ou.x ** 2)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FixedPointDivergenceError, match="non-finite"):
+            internal_stages(u, 0.0, NanInOneStage(), plan)
 
     def test_tiny_time_rows_skip_the_fft(self):
         # an FFT round trip would leave rounding noise at every grid point;

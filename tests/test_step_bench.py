@@ -10,7 +10,8 @@ warm-started step: the second step of a run, whose iteration starts from
 the first correction, and the third, which starts from the extrapolation
 of the first two.  Three cases time a study's reference trajectory at the
 benchmark's h_ref: solved by windows of steps on heat and wave, step by
-step on OU.
+step on OU.  Two cases time OU's stage convolution alone, the stage op
+and the update op of a 4-stage step.
 Run only these with ``pytest tests/test_step_bench.py``;
 ``--benchmark-skip`` leaves them out.
 """
@@ -109,6 +110,22 @@ def test_run_lipschitz_estimate(benchmark):
     assert expected > 0.0
     got = benchmark.pedantic(estimate, rounds=3, iterations=1, warmup_rounds=1)
     assert got == expected
+
+
+@pytest.mark.parametrize("op_name", ["stage_rows", "update_row"])
+def test_ou_stage_convolve(benchmark, op_name):
+    # the stage convolution alone, on the 4-stage OU step of the
+    # ou-n256-s4 case: 3 live ends x 6 nodes for the stage op, 6 for the
+    # update
+    u0, t0, g, plan = _step_args(*STEP_CASES["ou-n256-s4"])
+    stages = plan.propagator.apply_nodes(plan.node_flow, u0)[:plan.s]
+    G = g.eval(t0 + plan.offsets, stages)
+    op = getattr(plan, op_name)
+    expected = plan.propagator.stage_convolve(op, G)
+    got = benchmark.pedantic(plan.propagator.stage_convolve, args=(op, G),
+                             rounds=200, iterations=1, warmup_rounds=5)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
 
 
 # (preset, problem overrides) of a study context's strip estimate on the
