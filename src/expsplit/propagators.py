@@ -320,9 +320,16 @@ class DiagonalPropagator(Propagator):
 
     Subclasses set self.eigenvalues (ndarray over modes) and implement
     to_modes / from_modes on the trailing grid axes, so a stack of states
-    transforms in one call.  A flow op is the multiplier stack
-    exp(outer(times, eigenvalues)); a convolve op holds the exact
-    phi-function weights (E, s, modes).
+    transforms in one call.  The ops carry their live rows only: a flow op
+    holds the multipliers exp(outer(times, eigenvalues)) of its times
+    t != 0, and apply_nodes transforms just those rows (a single state
+    once) and copies the state into the t = 0 rows, so they are exact on
+    every grid.  A convolve op holds the exact phi-function weights
+    (E, s, modes) of its ends with e_i h != 0, and stage_convolve computes
+    those rows alone and leaves the others exactly zero.  With real
+    eigenvalues the weights are stored as real numbers, each repeated for
+    the real and imaginary part of its mode, and applied to a float view of
+    the stage modes.
 
     A subclass on a 1D grid of n points sets `folded` when a dense n x n
     product beats a transform pair.  Each op is then built once as dense
@@ -351,10 +358,17 @@ class DiagonalPropagator(Propagator):
         return eye, self.to_modes(eye)
 
     def flow_op(self, times):
+        """Folded: the (m, n, n) flow matrices.  Modal: the number of
+        times, which rows move (t != 0), their multipliers, and the grid's
+        shape and dtype."""
         times = np.asarray(times, dtype=float)
-        mult = np.exp(np.multiply.outer(times, self.eigenvalues))
         if not self.folded:
-            return mult
+            live = [m for m, t in enumerate(times) if t != 0.0]
+            zero = self.zeros()
+            return (len(times), live,
+                    np.exp(np.multiply.outer(times[live], self.eigenvalues)),
+                    zero.shape, zero.dtype)
+        mult = np.exp(np.multiply.outer(times, self.eigenvalues))
         eye, unit = self._unit_modes()
         op = np.empty((len(times),) + eye.shape, self.zeros().dtype)
         for row, t, w in zip(op, times, mult):
@@ -365,12 +379,33 @@ class DiagonalPropagator(Propagator):
     def apply_nodes(self, op, V):
         if self.folded:
             return _matvec_rows(op, V)
-        return self.from_modes(op * self.to_modes(V))
+        m, live, mult, shape, dtype = op
+        V = np.asarray(V)
+        if V.shape not in (shape, (m,) + shape):
+            raise ValidationError(
+                f"state shape {V.shape} is neither {shape} nor {(m,) + shape}")
+        if len(live) == m:
+            return self.from_modes(mult * self.to_modes(V))
+        # the t = 0 rows are exact copies, as apply(0, v) is
+        one = V.shape == shape
+        out = np.empty((m,) + shape, np.result_type(V, dtype))
+        still = [k for k in range(m) if k not in live]
+        out[still] = V if one else V[still]
+        if live:
+            out[live] = self.from_modes(mult * self.to_modes(V if one else V[live]))
+        return out
 
     def convolve_op(self, h, lag, ends):
+        """Folded: one (E*n, s*n) matrix.  Modal: the number of ends, the
+        live ones (e_i h != 0), their weights and the grid's shape."""
         W = stage_weights_diagonal(self.eigenvalues, h, lag, tuple(ends))
         if not self.folded:
-            return W
+            live = [i for i, e in enumerate(ends) if e * h != 0.0]
+            W = W[live]
+            if np.isrealobj(self.eigenvalues):
+                # real weights, one for each float of a complex mode
+                W = np.repeat(W.real, 2, axis=-1)
+            return len(ends), live, W, self.zeros().shape
         eye, unit = self._unit_modes()
         n, (n_ends, s) = len(eye), W.shape[:2]
         # block (i, j) maps stage value j to end i; each is written into
@@ -384,8 +419,21 @@ class DiagonalPropagator(Propagator):
         if self.folded:
             G = _check_stages(G, op.shape[1] // self.zeros().size)
             return (op @ G.reshape(-1)).reshape((-1,) + G.shape[1:])
-        G = _check_stages(G, op.shape[1])
-        return self.from_modes(np.einsum("ij...,j...->i...", op, self.to_modes(G)))
+        n_ends, live, W, shape = op
+        G = np.asarray(G)
+        if G.shape != W.shape[1:2] + shape:
+            raise ValidationError(
+                f"stage stack shape {G.shape} != {W.shape[1:2] + shape}")
+        if not live:
+            return self._zero_ends(n_ends, live)
+        modes = self.to_modes(G)
+        if W.dtype.kind == "f":
+            # the complex einsum's bits from a real one that allocates
+            # only its output
+            acc = np.einsum("ij...,j...->i...", W, modes.view(float)).view(complex)
+        else:
+            acc = np.einsum("ij...,j...->i...", W, modes)
+        return self._zero_ends(n_ends, live, self.from_modes(acc))
 
 
 class HeatTorusProblem(DiagonalPropagator):
@@ -395,10 +443,12 @@ class HeatTorusProblem(DiagonalPropagator):
     smoothing exponent is alpha = (d/2)(1/p - 1/r).
 
     The modes are the real-FFT half spectrum of the last axis, through
-    np.fft.  A 1D grid of n <= FOLD_MAX_N points is folded: its flow and
+    np.fft (on 2D grids an rfft of the last axis, then an fft of the
+    first).  A 1D grid of n <= FOLD_MAX_N points is folded: its flow and
     stage-convolution ops are dense real grid matrices built once per step
     size (see DiagonalPropagator), so a step transforms nothing; larger
-    and 2D grids apply their ops in modal form.
+    and 2D grids apply their ops in modal form, which carries only the
+    live rows and real weights, so their t = 0 rows are exact copies too.
     """
 
     def __init__(self, dim: int = 1, n: int = 64, p: float = 2.0, r: float = 2.0,
@@ -442,12 +492,13 @@ class HeatTorusProblem(DiagonalPropagator):
         self._check(v)
         if self.dim == 1:
             return np.fft.rfft(v)
-        return np.fft.rfft2(v)
+        # what rfft2 computes, without rfftn's argument handling
+        return np.fft.fft(np.fft.rfft(v), axis=-2)
 
     def from_modes(self, vh):
         if self.dim == 1:
             return np.fft.irfft(vh, self.n)
-        return np.fft.irfft2(vh, self.shape)
+        return np.fft.irfft(np.fft.ifft(vh, axis=-2), self.n)
 
     def zeros(self):
         return np.zeros(self.shape)

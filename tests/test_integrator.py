@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScalarProblem, random_state
+from expsplit import config as cfgmod
 from expsplit.errors import (ContractionError, FixedPointDivergenceError,
                              StripViolationError, ValidationError)
 from expsplit.integrator import (FP_MAX_ITER, WINDOW_DECAY, WINDOW_MAX,
@@ -19,6 +20,15 @@ from expsplit.nonlinearities import (PowerNonlinearity, StripMonitor, WaveCubic,
                                      ZeroNonlinearity)
 from expsplit.phi import phi
 from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
+
+
+# name -> (preset, problem overrides) of a grid whose ops stay modal
+MODAL_GRIDS = {
+    "heat-1d-n128": ("heat-frac-s2", {"n": 128}),
+    "heat-2d-n16": ("heat-torus-2d", {"n": 16}),
+    "heat-2d-n128": ("heat-torus-2d", {"n": 128}),
+    "wave-32modes": ("wave-dirichlet-1d", {"n_modes": 32}),
+}
 
 
 def eager_stages(u_n, t_n, g, plan, start=None):
@@ -100,6 +110,27 @@ class TestInternalStages:
         stages, info = internal_stages(u, 0.0, g, plan_step(0.01, scheme, hp, 3.0))
         # the c = 0 anchor is u_n up to an FFT round trip
         assert hp.v_norm(stages[0] - u) < 1e-15
+
+    @pytest.mark.parametrize("case", sorted(MODAL_GRIDS))
+    def test_left_endpoint_stage_is_u_n_exactly_on_modal_grids(self, case):
+        preset, over = MODAL_GRIDS[case]
+        cfg = cfgmod.resolve_config(preset)
+        cfg["problem"].update(over)
+        pr = cfgmod.build_problem(cfg)
+        g = cfgmod.build_nonlinearity(cfg, pr)
+        u = np.asarray(cfgmod.build_initial(cfg, pr))
+        h = 1e-3
+        op = pr.flow_op((0.0, h))
+        assert np.array_equal(pr.apply_nodes(op, u)[0], u)
+        V = np.stack([u, 2.0 * u])
+        assert np.array_equal(pr.apply_nodes(op, V)[0], u)
+        # every row has t = 0, and a wrongly shaped state is still refused
+        with pytest.raises(ValidationError):
+            pr.apply_nodes(pr.flow_op((0.0, 0.0)), np.stack([u] * 3))
+        for s in (2, 3, 4):
+            stages, _ = internal_stages(u, 0.0, g,
+                                        plan_step(h, SchemeSpec.with_stages(s), pr, 3.0))
+            assert np.array_equal(stages[0], u)
 
     def test_contraction_ratios_below_kappa(self, rng):
         hp = HeatTorusProblem(dim=1, n=64)

@@ -146,9 +146,9 @@ class TestApply:
         for t, v, row in zip(times, V, rows):
             out = pr.apply(t, v)
             assert out.dtype == pr.zeros().dtype
-            # at t = 0 a modal grid's flow row is a transform round trip,
-            # apply an exact copy
-            assert np.array_equal(out, v if t == 0.0 else row)
+            assert np.array_equal(out, row)
+            if t == 0.0:  # an exact copy on every grid, as apply(0, v) is
+                assert np.array_equal(row, v)
 
 
 class TestNormCouple:
@@ -853,8 +853,85 @@ class TestFold:
         hp = HeatTorusProblem(dim=dim, n=n)
         assert not hp.folded
         lag = build_lagrange(NodeSet((0.0, 1.0)))
-        assert hp.flow_op((0.0, 0.1)).shape == (2,) + hp.eigenvalues.shape
-        assert hp.convolve_op(0.1, lag, (0.0, 1.0)).shape == (2, 2) + hp.eigenvalues.shape
+        # the ops hold multipliers and weights over the modes of their live
+        # rows (t != 0, e != 0), not grid matrices
+        modes = hp.eigenvalues.shape
+        m, live, mult, shape, _ = hp.flow_op((0.0, 0.1))
+        assert (m, live, shape, mult.shape) == (2, [1], hp.shape, (1,) + modes)
+        n_ends, live, W, _ = hp.convolve_op(0.1, lag, (0.0, 1.0))
+        assert (n_ends, live) == (2, [1])
+        # real weights, one per float of a complex mode
+        assert W.shape == (1, 2) + modes[:-1] + (2 * modes[-1],)
+
+
+# name -> modal heat grid of the real-weight stage product
+MODAL_HEAT = {
+    "heat-1d-n128": lambda: HeatTorusProblem(dim=1, n=128),
+    "heat-2d-n16": lambda: HeatTorusProblem(dim=2, n=16),
+    "heat-2d-n128": lambda: HeatTorusProblem(dim=2, n=128),
+}
+
+
+class TestModalOps:
+    @pytest.mark.parametrize("nodes", ["default", "gauss"])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(MODAL_HEAT))
+    def test_real_weights_equal_complex_einsum(self, case, s, nodes):
+        hp = MODAL_HEAT[case]()
+        assert not hp.folded
+        scheme = SchemeSpec.with_stages(s) if nodes == "default" else gauss_scheme(s)
+        G = np.random.default_rng(s).standard_normal((s,) + hp.shape)
+        h = 1 / 40
+        for ends in (scheme.nodes.nodes, (1.0,), (0.0, 1.0, 0.0)):
+            out = hp.stage_convolve(hp.convolve_op(h, scheme.lag, ends), G)
+            W = stage_weights_diagonal(hp.eigenvalues, h, scheme.lag, ends)
+            ref = hp.from_modes(np.einsum("ij...,j...->i...", W, hp.to_modes(G)))
+            assert out.shape == ref.shape and out.dtype == ref.dtype
+            for e, row, r in zip(ends, out, ref):
+                if e == 0.0:
+                    assert np.all(row == 0.0)
+                else:
+                    assert np.array_equal(row, r)
+
+    def test_wave_keeps_complex_weights(self):
+        wp = WaveProblem(n_modes=32)
+        lag = SchemeSpec.with_stages(3).lag
+        ends = lag.node_set.nodes
+        op = wp.convolve_op(0.1, lag, ends)
+        assert np.iscomplexobj(op[2])
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((3, wp.n)) + 1j * rng.standard_normal((3, wp.n))
+        out = wp.stage_convolve(op, G)
+        W = stage_weights_diagonal(wp.eigenvalues, 0.1, lag, ends)
+        ref = np.einsum("ij...,j...->i...", W, G)
+        assert np.all(out[0] == 0.0)
+        assert np.array_equal(out[1:], ref[1:])
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_2d_transforms_equal_rfft2(self, n):
+        hp = HeatTorusProblem(dim=2, n=n)
+        X = np.random.default_rng(n).standard_normal((3, n, n))
+        for v in (X[0], X):
+            modes = hp.to_modes(v)
+            assert np.array_equal(modes, np.fft.rfft2(v))
+            assert np.array_equal(hp.from_modes(modes), np.fft.irfft2(modes, (n, n)))
+
+    @pytest.mark.parametrize("case", ["heat-1d", "heat-2d", "wave"])
+    def test_all_zero_ops_check_shapes(self, case):
+        pr = APPLY_PROBLEMS[case]()
+        grid = pr.zeros().shape
+        flow = pr.flow_op((0.0, 0.0))
+        lag = build_lagrange(NodeSet((0.0, 1.0)))
+        conv = pr.convolve_op(0.1, lag, (0.0,))
+        bad_grid = grid[:-1] + (grid[-1] + 1,)
+        for V in (np.zeros(bad_grid), np.zeros((3,) + grid), np.zeros((2,) + bad_grid)):
+            with pytest.raises(ValidationError):
+                pr.apply_nodes(flow, V)
+        for G in (np.zeros((2,) + bad_grid), np.zeros((1,) + grid), np.zeros(grid)):
+            with pytest.raises(ValidationError):
+                pr.stage_convolve(conv, G)
+        assert np.array_equal(pr.stage_convolve(conv, np.ones((2,) + grid)),
+                              np.zeros((1,) + grid))
 
 
 class TestMeasureSmoothing:
