@@ -27,7 +27,8 @@ __all__ = ["StudyPlan", "ConvergenceReport", "ReferenceSolution",
            "reference_solution", "convergence_study", "order_prediction"]
 
 REFERENCE_STAGES = 4  # highest shipped scheme, used for references
-REF_FACTOR = 64  # the reference step is the finest sweep h over this
+REF_FACTOR = 64  # no reference steps finer than the finest sweep h over this
+LADDER_TOL = 1e-12  # a reference ladder stops at a 2h diff this small (V-norm)
 STRIP_RADIUS_FRAC = 0.25  # strip radius over the reference's largest V-norm
 
 # reference key -> _reference_context of the most recent study; one entry
@@ -78,9 +79,10 @@ class ReferenceSolution:
 
     times: np.ndarray
     states: np.ndarray
-    # terminal V-norm diff between the h_ref run and a 2 h_ref rerun; for
-    # order q it over-estimates the stored reference's error by about 2^q
+    # terminal V-norm diff between the stored run and a run at twice its
+    # step; for order q it over-estimates the stored run's error by about 2^q
     self_check_diff: float
+    h_ref: float  # the stored run's step; 0 for an exact flow
 
     def at_time(self, t):
         return stored_state(self.times, self.states, t)
@@ -112,6 +114,7 @@ class ConvergenceReport:
     max_contraction_ratio: float = 0.0
     strip_radius: float = float("nan")
     reference_check: float = float("nan")
+    reference_h: float = float("nan")
     reference_key: str = ""
     exact_linear: bool = False
     passed: bool = False
@@ -144,6 +147,7 @@ class ConvergenceReport:
             "max_contraction_ratio": self.max_contraction_ratio,
             "strip_radius": self.strip_radius,
             "reference_check": self.reference_check,
+            "reference_h": self.reference_h,
             "reference_key": self.reference_key,
             "exact_linear": self.exact_linear,
             "passed": self.passed,
@@ -153,18 +157,24 @@ class ConvergenceReport:
 
 def reference_solution(problem, g, u_0, T: float, h_ref: float,
                        sample_dt: float, lipschitz: float) -> ReferenceSolution:
-    """High-order reference trajectory sampled every sample_dt.
+    """High-order reference trajectory sampled every sample_dt, stepped no
+    finer than h_ref.
 
-    Uses the highest shipped scheme over N = round(T / h_ref) steps and
-    reruns it over N // 2 steps, a step of 2 h_ref, for a self-check diff
-    of the terminal states.  For a method of order q, |u_2h - u_h| is
-    about (2^q - 1) |e_h|, so the diff over-estimates the stored
-    reference's error by about 2^q (Hairer, Norsett & Wanner, Solving
-    ODEs I, II.4).  When N is odd the rerun's step T / (N // 2) is
-    slightly longer than 2 h_ref, which makes the check coarser still.
-    A DiagonalPropagator's runs are solved over windows of steps
-    (run_windowed), others step by step (run).  Linear problems
-    short-circuit to the exact flow, one flow op over the sample times.
+    Uses the highest shipped scheme, and checks the stored run against a
+    run over half as many steps: for a method of order q, |u_2h - u_h| is
+    about (2^q - 1) |e_h|, so the terminal V-norm diff over-estimates the
+    stored run's error by about 2^q (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4).
+    A DiagonalPropagator's reference climbs a halving ladder of windowed
+    runs (run_windowed) from a step of sample_dt, each rung's terminal
+    state the next rung's check.  It stops at the first rung whose diff is
+    at most LADDER_TOL, or at the last rung not finer than h_ref; a failed
+    run below that rung passes the climb on to the next rung, which then
+    has no check.  Other problems step at h_ref (run).  A last rung without
+    a check takes a run over N // 2 steps, whose step T / (N // 2) is
+    slightly longer than 2 h_ref when N is odd.  A failed last rung or
+    check raises.  Linear problems short-circuit to the exact flow, one
+    flow op over the sample times, with h_ref and the diff 0.
     """
     stride = sample_dt / h_ref
     if abs(stride - round(stride)) > 1e-9:
@@ -172,22 +182,36 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
     samples = T / sample_dt
     if abs(samples - round(samples)) > 1e-9:
         raise ValidationError("T must be a multiple of sample_dt")
-    times = np.round(np.arange(round(samples) + 1) * sample_dt, 12)
+    stride, samples = round(stride), round(samples)
+    times = np.round(np.arange(samples + 1) * sample_dt, 12)
     if isinstance(g, ZeroNonlinearity):
         u_0 = np.asarray(u_0, dtype=problem.zeros().dtype)
         states = problem.apply_nodes(problem.flow_op(times), u_0)
         states[0] = u_0  # the exact copy apply(0, u_0) gives
-        return ReferenceSolution(times=times, states=states, self_check_diff=0.0)
+        return ReferenceSolution(times=times, states=states, self_check_diff=0.0,
+                                 h_ref=0.0)
     solve = run_windowed if isinstance(problem, DiagonalPropagator) else run
     scheme = SchemeSpec.with_stages(REFERENCE_STAGES)
-    n = round(T / h_ref)
-    rec = solve(u_0, T, n, scheme, problem, g, lipschitz, store_stride=round(stride))
-    rec.raise_if_failed()
-    n2 = n // 2  # only its terminal state is read
-    rec2 = solve(u_0, T, n2, scheme, problem, g, lipschitz, store_stride=n2)
-    rec2.raise_if_failed()
-    diff = problem.v_norm(rec.states[-1] - rec2.states[-1])
-    return ReferenceSolution(times=times, states=rec.states, self_check_diff=diff)
+    factor = 1 if solve is run_windowed else stride  # steps per sample
+    checked = None  # the previous rung if it reached T: this rung's 2h check
+    while True:
+        n = samples * factor
+        rec = solve(u_0, T, n, scheme, problem, g, lipschitz, store_stride=factor)
+        last = 2 * factor > stride
+        if last:
+            rec.raise_if_failed()
+            if checked is None:
+                n2 = n // 2  # only its terminal state is read
+                checked = solve(u_0, T, n2, scheme, problem, g, lipschitz,
+                                store_stride=n2)
+                checked.raise_if_failed()
+        if rec.status == "ok" and checked is not None:
+            diff = problem.v_norm(rec.states[-1] - checked.states[-1])
+            if last or diff <= LADDER_TOL:
+                return ReferenceSolution(times=times, states=rec.states,
+                                         self_check_diff=diff, h_ref=T / n)
+        checked = rec if rec.status == "ok" else None
+        factor *= 2
 
 
 def _feed(digest, obj):
@@ -281,6 +305,7 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
     report.reference_key = _reference_key(*inputs)
     ref, radius, lipschitz = _reference_context(report.reference_key, *inputs)
     report.reference_check = ref.self_check_diff
+    report.reference_h = ref.h_ref
     report.strip_radius = radius
     report.lipschitz = lipschitz
 

@@ -13,7 +13,8 @@ from expsplit.harness import (ConvergenceReport, StudyPlan, convergence_study,
                               order_prediction, reference_solution,
                               require_passed)
 from expsplit.integrator import SchemeSpec, run, run_windowed
-from expsplit.nonlinearities import PowerNonlinearity, ZeroNonlinearity
+from expsplit.nonlinearities import (PowerNonlinearity, ZeroNonlinearity,
+                                     estimate_lipschitz)
 from expsplit.propagators import (HeatTorusProblem, OUProblem, SmoothingProfile,
                                   WaveProblem)
 
@@ -85,26 +86,25 @@ class TestReferenceSolution:
         assert abs(mid[0] - logistic_exact(0.1, 0.5)) < 1e-10
         assert ref.self_check_diff < 1e-10
 
-    def test_odd_step_count_checks_against_a_coarser_run(self, make_scalar):
+    def test_odd_step_count_checks_against_a_coarser_run(self):
         # a validated sweep makes T / h_min even, so an odd N only reaches
-        # reference_solution directly: T / h_min = 3 with h_ref = h_min / 65
-        pr = make_scalar(lam=-1.0)
-        g = PowerNonlinearity(alpha=2.0, coeff=1.0)
-        u0, T, h_min = np.array([0.1]), 3 / 8, 1 / 8
+        # reference_solution directly: T / h_min = 3 with h_ref = h_min / 65;
+        # OU has no diagonal flow, so its reference steps at h_ref itself
+        pr = OUProblem(n=32)
+        g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
+        u0 = 0.3 * random_state(pr, np.random.default_rng(5))
+        T, h_min = 3 / 80, 1 / 80
         h_ref = h_min / 65
         n = round(T / h_ref)
         assert n % 2 == 1
         ref = reference_solution(pr, g, u0, T, h_ref, h_min, 1.0)
         scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
-        # the scalar problem is diagonal: the reference solves it by windows
-        stored = run_windowed(u0, T, n, scheme, pr, g, 1.0)
-        coarse = run_windowed(u0, T, n // 2, scheme, pr, g, 1.0)  # step > 2 h_ref
+        stored = run(u0, T, n, scheme, pr, g, 1.0)
+        coarse = run(u0, T, n // 2, scheme, pr, g, 1.0)  # step > 2 h_ref
         assert np.array_equal(ref.terminal, stored.states[-1])
         assert ref.self_check_diff == pr.v_norm(ref.terminal - coarse.states[-1])
-        stepped = run(u0, T, n, scheme, pr, g, 1.0)
-        assert pr.v_norm(ref.terminal - stepped.states[-1]) <= 1e-12
-        assert math.isfinite(ref.self_check_diff) and ref.self_check_diff < 1e-10
-        assert abs(ref.terminal[0] - logistic_exact(0.1, T)) < 1e-10
+        assert ref.h_ref == T / n
+        assert math.isfinite(ref.self_check_diff) and ref.self_check_diff > 0.0
 
     def test_sample_spacing_must_be_multiple(self, make_scalar):
         pr = make_scalar()
@@ -167,6 +167,125 @@ class TestReferenceSolvers:
         assert calls == 2 * ["run_windowed" if name == "heat" else "run"]
         assert len(ref.times) == 5
         assert ref.states.shape == (5,) + u0.shape
+
+
+def heat_benchmark_reference():
+    """The study-heat-pair benchmark's reference inputs: heat-torus-1d with
+    n = 64, T = 0.05, finest h 1/320, the study's bootstrap Lipschitz."""
+    cfg = cfgmod.resolve_config("heat-torus-1d")
+    problem = cfgmod.build_problem(cfg)
+    g = cfgmod.build_nonlinearity(cfg, problem)
+    u0 = np.asarray(cfgmod.build_initial(cfg, problem))
+    T, h_min = 0.05, 1 / 320
+    lip0 = estimate_lipschitz(g, problem, u0, 0.5 * max(problem.v_norm(u0), 1.0),
+                              (0.0, T), n_samples=120,
+                              rng=np.random.default_rng(cfg["seed"]))
+    return problem, g, u0, T, h_min / harness.REF_FACTOR, h_min, lip0
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """Records (steps, status) of every run_windowed call of the harness."""
+    calls = []
+    solve = harness.run_windowed
+
+    def counted(u_0, T, N, *args, **kwargs):
+        rec = solve(u_0, T, N, *args, **kwargs)
+        calls.append((N, rec.status))
+        return rec
+
+    monkeypatch.setattr(harness, "run_windowed", counted)
+    return calls
+
+
+class TestReferenceLadder:
+    """A diagonal reference halves its step from sample_dt until its 2h
+    diff is at most LADDER_TOL, never stepping finer than h_ref."""
+
+    def test_stops_at_factor_four_on_the_benchmark_heat_setup(self, rungs):
+        args = heat_benchmark_reference()
+        T, h_min = args[3], args[5]
+        ref = reference_solution(*args)
+        assert rungs == [(16, "ok"), (32, "ok"), (64, "ok")]
+        assert ref.h_ref == T / 64 == pytest.approx(h_min / 4)
+        assert ref.self_check_diff <= harness.LADDER_TOL
+        # the stored rung against an independent run at the same step
+        scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
+        stepped = run(args[2], T, 64, scheme, args[0], args[1], args[6],
+                      store_stride=4)
+        assert np.max(args[0].v_norm(ref.states - stepped.states)) <= 1e-12
+
+    @pytest.mark.parametrize("cap", [8, 12])
+    def test_never_steps_finer_than_the_cap(self, cap, rungs, make_scalar,
+                                            monkeypatch):
+        # a 1-stage reference never reaches LADDER_TOL: it climbs to the last
+        # rung not finer than h_ref, h_min / 8 for both caps
+        monkeypatch.setattr(harness, "REFERENCE_STAGES", 1)
+        pr, g, u0 = make_scalar(lam=-1.0), PowerNonlinearity(2.0, 1.0), np.array([0.1])
+        T, h_min = 0.5, 1 / 8
+        ref = reference_solution(pr, g, u0, T, h_min / cap, h_min, 1.0)
+        assert rungs == [(4, "ok"), (8, "ok"), (16, "ok"), (32, "ok")]
+        assert ref.h_ref == T / 32
+        scheme = SchemeSpec.with_stages(1)
+        assert ref.self_check_diff == pr.v_norm(
+            ref.terminal - run_windowed(u0, T, 16, scheme, pr, g, 1.0).states[-1])
+        assert ref.self_check_diff > harness.LADDER_TOL
+
+    def test_a_failed_rung_moves_on_to_the_next_finer_one(self, rungs, make_scalar):
+        # kappa(h) = h * C_ell * s * L on the scalar problem: 1.5 at h_min,
+        # 0.75 at h_min / 2; the rung after a failed one has no check
+        pr, g, u0 = make_scalar(lam=-1.0), PowerNonlinearity(2.0, 1.0), np.array([0.1])
+        T, h_min = 0.5, 1 / 8
+        scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
+        lip = 1.5 / (h_min * scheme.lag.c_ell * scheme.s)
+        ref = reference_solution(pr, g, u0, T, h_min / 64, h_min, lip)
+        assert rungs[:3] == [(4, "contraction"), (8, "ok"), (16, "ok")]
+        assert all(status == "ok" for _, status in rungs[1:])
+        steps = rungs[-1][0]
+        assert ref.h_ref == T / steps
+        checked = run_windowed(u0, T, steps // 2, scheme, pr, g, lip)
+        assert ref.self_check_diff == pr.v_norm(ref.terminal - checked.states[-1])
+        assert ref.self_check_diff <= harness.LADDER_TOL
+
+    @pytest.mark.parametrize("failing", ["last", "before-last"])
+    def test_a_failed_last_rung_or_check_raises(self, failing, rungs, make_scalar):
+        # kappa is 1.5 at h_min / 4, the last rung, or at h_min / 2: then the
+        # last rung has no check and reruns the failed one over N // 2 steps
+        pr, g, u0 = make_scalar(lam=-1.0), PowerNonlinearity(2.0, 1.0), np.array([0.1])
+        T, h_min = 0.5, 1 / 8
+        scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
+        h_fail = h_min / 4 if failing == "last" else h_min / 2
+        lip = 1.5 / (h_fail * scheme.lag.c_ell * scheme.s)
+        with pytest.raises(ContractionError):
+            reference_solution(pr, g, u0, T, h_min / 4, h_min, lip)
+        assert rungs == {"last": [(4, "contraction"), (8, "contraction"),
+                                  (16, "contraction")],
+                         "before-last": [(4, "contraction"), (8, "contraction"),
+                                         (16, "ok"), (8, "contraction")]}[failing]
+
+    def test_stepped_reference_is_a_direct_run_at_h_ref(self):
+        pr = OUProblem(n=32)
+        g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
+        u0 = 0.3 * random_state(pr, np.random.default_rng(5))
+        T, h_min = 1 / 40, 1 / 80
+        n = round(T / (h_min / harness.REF_FACTOR))
+        ref = reference_solution(pr, g, u0, T, h_min / harness.REF_FACTOR, h_min, 1.0)
+        scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
+        stored = run(u0, T, n, scheme, pr, g, 1.0, store_stride=harness.REF_FACTOR)
+        check = run(u0, T, n // 2, scheme, pr, g, 1.0, store_stride=n // 2)
+        assert ref.states.dtype == stored.states.dtype
+        assert np.array_equal(ref.states, stored.states)
+        assert ref.self_check_diff == pr.v_norm(stored.states[-1] - check.states[-1])
+        assert ref.h_ref == T / n
+
+    def test_study_reports_where_the_reference_stopped(self, ref_builds, make_scalar):
+        plan, pr, g, u0 = logistic_study(make_scalar)
+        report = convergence_study(plan, pr, g, u0)
+        ((ref, _, _),) = harness._REFERENCE_MEMO.values()
+        assert report.reference_h == ref.h_ref > 0.0
+        assert report.summary()["reference_h"] == report.reference_h
+        linear = convergence_study(plan, pr, ZeroNonlinearity(), u0)
+        assert linear.summary()["reference_h"] == 0.0
 
 
 class TestConvergenceStudy:

@@ -8,10 +8,10 @@ case has neither 0 nor 1 among its nodes, so its anchor flow carries an
 extra row at h for e^{hA} u_n.  Two cases time a
 warm-started step: the second step of a run, whose iteration starts from
 the first correction, and the third, which starts from the extrapolation
-of the first two.  Three cases time a study's reference trajectory at the
-benchmark's h_ref: solved by windows of steps on heat and wave, step by
-step on OU.  Two cases time OU's stage convolution alone, the stage op
-and the update op of a 4-stage step.
+of the first two.  Three cases time a study's reference trajectory with the
+benchmark's h_ref: a halving ladder solved by windows of steps on heat and
+wave, steps of h_ref on OU.  Two cases time OU's stage convolution alone,
+the stage op and the update op of a 4-stage step.
 Run only these with ``pytest tests/test_step_bench.py``;
 ``--benchmark-skip`` leaves them out.
 """
@@ -163,7 +163,8 @@ def test_study_lipschitz_estimate(benchmark, case):
 
 
 # (preset, problem overrides, T, finest h) of the benchmark's shortened
-# studies; the reference steps at h_ref = finest h / REF_FACTOR
+# studies; a reference steps no finer than h_ref = finest h / REF_FACTOR: OU
+# steps at h_ref, heat and wave climb a halving ladder from the finest h
 REFERENCE_CASES = {
     "heat1d-n64-windowed": ("heat-torus-1d", {"n": 64}, 0.05, 1 / 320),
     "wave-32modes-windowed": ("wave-dirichlet-1d", {"n_modes": 32}, 0.1, 1 / 160),
@@ -182,7 +183,8 @@ def test_reference_solution(benchmark, case):
     u0 = np.asarray(cfgmod.build_initial(cfg, problem))
     lip0 = estimate_lipschitz(g, problem, u0, 0.5 * max(problem.v_norm(u0), 1.0),
                               (0.0, T), n_samples=120, rng=np.random.default_rng(0))
-    args = (problem, g, u0, T, h_min / harness.REF_FACTOR, h_min, lip0)
+    h_ref = h_min / harness.REF_FACTOR  # the finest step a reference may take
+    args = (problem, g, u0, T, h_ref, h_min, lip0)
     expected = harness.reference_solution(*args)
     got = benchmark.pedantic(harness.reference_solution, args=args, rounds=5,
                              iterations=1, warmup_rounds=1)
@@ -190,3 +192,4 @@ def test_reference_solution(benchmark, case):
     assert got.states.dtype == expected.states.dtype
     assert np.array_equal(got.states, expected.states)
     assert got.self_check_diff == expected.self_check_diff
+    assert got.h_ref == expected.h_ref
