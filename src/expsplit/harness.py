@@ -173,7 +173,8 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
     has no check.  Other problems step at h_ref (run).  A last rung without
     a check takes a run over N // 2 steps, whose step T / (N // 2) is
     slightly longer than 2 h_ref when N is odd.  A failed last rung or
-    check raises.  Linear problems short-circuit to the exact flow, one
+    check raises, and so does a reference of one step, which has no such
+    run.  Linear problems short-circuit to the exact flow, one
     flow op over the sample times, with h_ref and the diff 0.
     """
     stride = sample_dt / h_ref
@@ -186,10 +187,11 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
     times = np.round(np.arange(samples + 1) * sample_dt, 12)
     if isinstance(g, ZeroNonlinearity):
         u_0 = np.asarray(u_0, dtype=problem.zeros().dtype)
-        states = problem.apply_nodes(problem.flow_op(times), u_0)
-        states[0] = u_0  # the exact copy apply(0, u_0) gives
-        return ReferenceSolution(times=times, states=states, self_check_diff=0.0,
-                                 h_ref=0.0)
+        return ReferenceSolution(times=times, self_check_diff=0.0, h_ref=0.0,
+                                 states=problem.apply_nodes(problem.flow_op(times), u_0))
+    if samples * stride < 2:
+        raise ValidationError(f"a reference of {samples * stride} steps has no "
+                              "run over half as many to check it against")
     solve = run_windowed if isinstance(problem, DiagonalPropagator) else run
     scheme = SchemeSpec.with_stages(REFERENCE_STAGES)
     factor = 1 if solve is run_windowed else stride  # steps per sample

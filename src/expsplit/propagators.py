@@ -14,6 +14,9 @@ with W one of the two, and declares a power-law smoothing profile
 rho(t) = c*t^(-alpha) bounding the X->V operator norm.  The
 spatial discretization is chosen so that e^{tA} is exact (spectral) or
 near-exact (quadrature), so time-stepping error dominates in studies.
+Each problem supplies only the kernels of its two step operators, the
+flows and the stage convolutions; Propagator checks their inputs, copies
+the t = 0 flow rows exactly and leaves the e_i h = 0 ends exactly zero.
 """
 
 from __future__ import annotations
@@ -140,22 +143,28 @@ def gaussian_smoothing_constant(dim: int, p: float, r: float) -> tuple[float, fl
 class Propagator:
     """Abstract linear propagator e^{tA} on a grid problem.
 
-    Every operator splits into a build and an apply, so a stepper builds
-    its operators once per step size and applies them at every step:
-    flow_op(times) is applied by apply_nodes(op, V), and
-    convolve_op(h, lag, ends) by stage_convolve(op, G); apply(t, v), the
-    one-time flow of one state, is the same for every propagator.  Stages
-    travel as one (s, *grid) array.  The generic convolve_op integrates the
-    Lagrange interpolant of the stage values by Gauss-Legendre quadrature
-    in tau, and stage_convolve forms the E*q interpolants in one product
-    and propagates them in one apply_nodes call.  Diagonal problems
-    override the pair with exact phi-weights; OUProblem keeps the
-    quadrature but applies it in one kernel that transforms the s stage
-    values once.
+    A stepper needs two operators from it, each split into a build and an
+    apply, so it builds them once per step size and applies them at every
+    step: flow_op(times) is applied by apply_nodes(op, V), and
+    convolve_op(h, lag, ends) by stage_convolve(op, G).  Stages travel as
+    one (s, *grid) array, and apply(t, v), the one-time flow of one state,
+    is the one-row case of the first pair.
 
-    The base class owns the norm couple: X is the grid L^p norm and V the
-    grid L^r norm (p <= r) over the `dim` trailing axes with cell volume
-    `cell`, and W is X or V by w_choice.  The norms reduce over the
+    The base class owns the bookkeeping of both ops.  An op is the tuple
+    (count, live, plan, shape, dtype): the number of rows, the indices of
+    the live rows (t != 0 for a flow, e_i h != 0 for an end), the plan of
+    the live rows alone, the shape of the state it takes (a grid state, or
+    the (s, *grid) stage stack) and the grid dtype.  The plans come from
+    the subclass's methods _flows(times) and _convolution(h, lag, ends),
+    which see only live rows (and are not called when none is), and are
+    applied by its kernels _flow(plan, V) and _convolve(plan, G, count,
+    live).  apply_nodes and stage_convolve check the input's shape, copy
+    the state into the t = 0 rows exactly and leave the e_i h = 0 ends
+    exactly zero, so those rows hold for any state, finite or not.
+
+    The base class also owns the norm couple: X is the grid L^p norm and V
+    the grid L^r norm (p <= r) over the `dim` trailing axes with cell
+    volume `cell`, and W is X or V by w_choice.  The norms reduce over the
     trailing grid axes: one state gives a float, a stack (k, *grid) gives
     its k row norms in one call.  The stepper takes each increment and
     stage-scale norm of a step that way.
@@ -183,23 +192,92 @@ class Propagator:
 
     def flow_op(self, times):
         """The flows e^{t_m A} for the given times, ready for apply_nodes."""
-        raise NotImplementedError
+        times = np.asarray(times, dtype=float)
+        live = [m for m, t in enumerate(times) if t != 0.0]
+        zero = self.zeros()
+        return (len(times), live, self._flows(times[live]) if live else None,
+                zero.shape, zero.dtype)
 
     def apply_nodes(self, op, V):
         """e^{t_m A} V_m for every time t_m of a flow_op, as (m, *grid); a
-        single state V is propagated to every time."""
-        raise NotImplementedError
+        single state V is propagated to every time.  The t = 0 rows are
+        exact copies of the state."""
+        m, live, plan, shape, dtype = op
+        V = np.asarray(V)
+        if V.shape not in (shape, (m,) + shape):
+            raise ValidationError(
+                f"state shape {V.shape} is neither {shape} nor {(m,) + shape}")
+        if live and len(live) == m:
+            return self._flow(plan, V)
+        out = np.empty((m,) + shape, np.result_type(V, dtype))
+        out[...] = V  # exact on the t = 0 rows, the live ones are overwritten
+        if live:
+            out[live] = self._flow(plan, V if V.shape == shape else V[live])
+        return out
 
     def apply(self, t: float, v):
         """e^{tA} v for one state v of the grid's shape, cast to the grid
-        dtype: an exact copy at t = 0, else row 0 of the one-time flow."""
+        dtype: row 0 of the one-time flow, an exact copy at t = 0."""
         zero = self.zeros()
         v = np.asarray(v, dtype=zero.dtype)
         if v.shape != zero.shape:
             raise ValidationError(f"state shape {v.shape} != grid {zero.shape}")
-        if t == 0.0:
-            return v.copy()
-        return self.apply_nodes(self.flow_op((t,)), v[None])[0]
+        return self.apply_nodes(self.flow_op((t,)), v)[0]
+
+    def convolve_op(self, h: float, lag: LagrangeData, ends):
+        """Operator of stage_convolve whose row i is
+        int_0^{e_i h} e^{(e_i h - tau) A} sum_j ell_j(tau) G_j dtau.
+
+        ends are the end points e_i as fractions of h (the nodes for the
+        stage equations, (1.0,) for the update)."""
+        live = [i for i, e in enumerate(ends) if e * h != 0.0]
+        zero = self.zeros()
+        plan = self._convolution(h, lag, [ends[i] for i in live]) if live else None
+        return len(ends), live, plan, (lag.s,) + zero.shape, zero.dtype
+
+    def stage_convolve(self, op, G):
+        """Apply a convolve_op to the s stage values G, stacked as
+        (s, *grid); returns (len(ends), *grid)."""
+        n_ends, live, plan, shape, dtype = op
+        G = np.asarray(G)
+        if G.shape != shape:
+            raise ValidationError(f"stage stack shape {G.shape} != {shape}")
+        if not live:
+            return np.zeros((n_ends,) + shape[1:], dtype)
+        return self._convolve(plan, G, n_ends, live)
+
+    def _zero_ends(self, n_ends: int, live, acc):
+        """The (n_ends, *grid) result of a stage convolution whose live rows
+        are acc, zero on the ends with e_i h = 0.  Each kernel calls it
+        while its temporaries are still alive: where the output lands sets
+        how often glibc trims the heap and faults its pages in again, and
+        allocated after the kernel returned it took 27.9k minor page faults
+        against 13.2k in a 128 x 128 heat run of s = 2 (run-heat2d; glibc
+        malloc, 2-vCPU Xeon)."""
+        if len(live) == n_ends:
+            return acc
+        zero = self.zeros()
+        out = np.zeros((n_ends,) + zero.shape, np.result_type(zero, acc))
+        out[live] = acc
+        return out
+
+    def _flows(self, times):
+        """The plan of the flows at the times t != 0."""
+        raise NotImplementedError
+
+    def _flow(self, plan, V):
+        """The rows of a _flows plan applied to V: one state for every
+        row, or one state per row."""
+        raise NotImplementedError
+
+    def _convolution(self, h: float, lag: LagrangeData, ends):
+        """The plan of the stage convolution for the ends with e_i h != 0."""
+        raise NotImplementedError
+
+    def _convolve(self, plan, G, n_ends: int, live):
+        """The stage convolution of a _convolution plan, through
+        _zero_ends."""
+        raise NotImplementedError
 
     def lp(self, v, p):
         return lp_norm(v, p, self.cell, self.dim)
@@ -240,79 +318,36 @@ class Propagator:
         """Probe states for measure_smoothing's operator-norm proxy."""
         raise ValidationError(f"{type(self).__name__} has no smoothing probes")
 
-    def convolve_op(self, h: float, lag: LagrangeData, ends,
-                    q_nodes: int | None = None):
-        """Operator of stage_convolve whose row i is
-        int_0^{e_i h} e^{(e_i h - tau) A} sum_j ell_j(tau) G_j dtau.
 
-        ends are the end points e_i as fractions of h (the nodes for the
-        stage equations, (1.0,) for the update).  The op holds the
-        quadrature of _quadrature: the ends with e_i h != 0 (`live`), the
-        flows of its m = E*q times, its Lagrange basis values as (m, s) and
-        its weights as (E, q).
-        """
-        live, times, basis, wts = self._quadrature(h, lag, ends, q_nodes)
-        return len(ends), live, self.flow_op(times), basis, wts
-
-    def _quadrature(self, h: float, lag: LagrangeData, ends,
-                    q_nodes: int | None = None):
-        """Gauss-Legendre quadrature of the stage integrals: for the ends
-        with e_i h != 0 (their indices are `live`) and q nodes tau_k on
-        [0, e_i h], s + 2 unless q_nodes is given, the m = E*q times
-        e_i h - tau_k, the Lagrange basis values ell_j(tau_k) as (m, s) and
-        the quadrature weights as (E, q), end by end."""
-        s = lag.s
-        if q_nodes is None:
-            q_nodes = s + 2
-        if q_nodes < s:
-            raise ValidationError(
-                f"{q_nodes} quadrature nodes cannot integrate degree {s - 1} exactly")
-        x, w = np.polynomial.legendre.leggauss(q_nodes)
-        live = [i for i, e in enumerate(ends) if e * h != 0.0]
-        times, wts, basis = [], [], []
-        for i in live:
-            t_end = ends[i] * h
-            tau = 0.5 * t_end * (x + 1.0)
-            times.extend(t_end - tq for tq in tau)
-            wts.append(0.5 * t_end * w)
-            basis.extend([eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
-                         for tq in tau)
-        return (live, times, np.array(basis).reshape(-1, s),
-                np.array(wts).reshape(-1, q_nodes))
-
-    def _zero_ends(self, n_ends: int, live, acc=None):
-        """The (n_ends, *grid) result of a stage convolution: acc on the
-        live rows and zero on the rows with e_i h = 0 (every row when acc
-        is None)."""
-        if acc is not None and len(live) == n_ends:
-            return acc
-        zero = self.zeros()
-        dtype = zero.dtype if acc is None else np.result_type(zero, acc)
-        out = np.zeros((n_ends,) + zero.shape, dtype)
-        if acc is not None:
-            out[live] = acc
-        return out
-
-    def stage_convolve(self, op, G):
-        """Apply a convolve_op to the s stage values G, stacked as
-        (s, *grid); returns (len(ends), *grid)."""
-        n_ends, live, flow, basis, wt = op
-        G = _check_stages(G, basis.shape[1])
-        if not live:
-            return self._zero_ends(n_ends, live)
-        # all E*q interpolants in one product, all flows in one call
-        interp = (basis @ G.reshape(len(G), -1)).reshape((-1,) + G.shape[1:])
-        rows = self.apply_nodes(flow, interp)
-        rows = rows.reshape(wt.shape + rows.shape[1:])
-        acc = np.sum(wt.reshape(wt.shape + (1,) * (rows.ndim - 2)) * rows, axis=1)
-        return self._zero_ends(n_ends, live, acc)
+def _gauss_legendre(h: float, lag: LagrangeData, ends, q: int):
+    """q-node Gauss-Legendre quadrature of the stage integrals, nodes tau_k
+    on each [0, e_i h]: the m = E*q times e_i h - tau_k, the Lagrange basis
+    values ell_j(tau_k) as (m, s) and the weights as (E, q), end by end."""
+    s = lag.s
+    x, w = np.polynomial.legendre.leggauss(q)
+    times, wts, basis = [], [], []
+    for e in ends:
+        t_end = e * h
+        tau = 0.5 * t_end * (x + 1.0)
+        times.extend(t_end - tq for tq in tau)
+        wts.append(0.5 * t_end * w)
+        basis.extend([eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
+                     for tq in tau)
+    return times, np.array(basis).reshape(-1, s), np.array(wts).reshape(-1, q)
 
 
-def _check_stages(G, s: int):
+def quadrature_convolve(problem: Propagator, h: float, lag: LagrangeData, ends,
+                        G, q: int):
+    """The rows of stage_convolve by q-node Gauss-Legendre quadrature, all
+    E*q interpolants formed in one product and propagated by one
+    apply_nodes call: the oracle that the exact kernels are tested
+    against."""
+    times, basis, wts = _gauss_legendre(h, lag, ends, q)
     G = np.asarray(G)
-    if len(G) != s:
-        raise ValidationError(f"expected {s} stage values, got {len(G)}")
-    return G
+    interp = (basis @ G.reshape(len(G), -1)).reshape((-1,) + G.shape[1:])
+    rows = problem.apply_nodes(problem.flow_op(times), interp)
+    rows = rows.reshape(wts.shape + rows.shape[1:])
+    return np.sum(wts.reshape(wts.shape + (1,) * (rows.ndim - 2)) * rows, axis=1)
 
 
 class DiagonalPropagator(Propagator):
@@ -320,25 +355,21 @@ class DiagonalPropagator(Propagator):
 
     Subclasses set self.eigenvalues (ndarray over modes) and implement
     to_modes / from_modes on the trailing grid axes, so a stack of states
-    transforms in one call.  The ops carry their live rows only: a flow op
-    holds the multipliers exp(outer(times, eigenvalues)) of its times
-    t != 0, and apply_nodes transforms just those rows (a single state
-    once) and copies the state into the t = 0 rows, so they are exact on
-    every grid.  A convolve op holds the exact phi-function weights
-    (E, s, modes) of its ends with e_i h != 0, and stage_convolve computes
-    those rows alone and leaves the others exactly zero.  With real
+    transforms in one call.  A flow plan holds the multipliers
+    exp(outer(times, eigenvalues)) of its live times, and a flow transforms
+    just those rows (a single state once).  A convolution plan holds the
+    exact phi-function weights (E, s, modes) of its live ends.  With real
     eigenvalues the weights are stored as real numbers, each repeated for
     the real and imaginary part of its mode, and applied to a float view of
     the stage modes.
 
     A subclass on a 1D grid of n points sets `folded` when a dense n x n
-    product beats a transform pair.  Each op is then built once as dense
-    grid matrices, the unit vectors pushed through the modal operator:
-    the flow op is an (m, n, n) stack whose t = 0 rows are the exact
-    identity, the convolve op one (E*n, s*n) matrix on the flattened stage
-    stack.  A flow is one matrix-vector product per row and a stage
-    convolution one product in all, and the transforms run only while
-    the ops are built.
+    product beats a transform pair.  Each plan is then built once as dense
+    grid matrices, the unit vectors pushed through the modal operator: the
+    flow plan is an (m, n, n) stack, the convolution plan one (E*n, s*n)
+    matrix on the flattened stage stack.  A flow is one matrix-vector
+    product per row and a stage convolution one product in all, and the
+    transforms run only while the plans are built.
     """
 
     eigenvalues: np.ndarray
@@ -357,55 +388,28 @@ class DiagonalPropagator(Propagator):
         eye = np.eye(self.zeros().size)
         return eye, self.to_modes(eye)
 
-    def flow_op(self, times):
-        """Folded: the (m, n, n) flow matrices.  Modal: the number of
-        times, which rows move (t != 0), their multipliers, and the grid's
-        shape and dtype."""
-        times = np.asarray(times, dtype=float)
-        if not self.folded:
-            live = [m for m, t in enumerate(times) if t != 0.0]
-            zero = self.zeros()
-            return (len(times), live,
-                    np.exp(np.multiply.outer(times[live], self.eigenvalues)),
-                    zero.shape, zero.dtype)
+    def _flows(self, times):
         mult = np.exp(np.multiply.outer(times, self.eigenvalues))
+        if not self.folded:
+            return mult
         eye, unit = self._unit_modes()
+        # written into C order: a matrix-vector product rounds by its
+        # operand's memory order, and the transposed images are F-ordered
         op = np.empty((len(times),) + eye.shape, self.zeros().dtype)
-        for row, t, w in zip(op, times, mult):
-            # a t = 0 row is an exact copy, as apply(0, v) is
-            row[...] = eye if t == 0.0 else self.from_modes(w * unit).T
+        for row, w in zip(op, mult):
+            row[...] = self.from_modes(w * unit).T
         return op
 
-    def apply_nodes(self, op, V):
+    def _flow(self, plan, V):
         if self.folded:
-            return _matvec_rows(op, V)
-        m, live, mult, shape, dtype = op
-        V = np.asarray(V)
-        if V.shape not in (shape, (m,) + shape):
-            raise ValidationError(
-                f"state shape {V.shape} is neither {shape} nor {(m,) + shape}")
-        if len(live) == m:
-            return self.from_modes(mult * self.to_modes(V))
-        # the t = 0 rows are exact copies, as apply(0, v) is
-        one = V.shape == shape
-        out = np.empty((m,) + shape, np.result_type(V, dtype))
-        still = [k for k in range(m) if k not in live]
-        out[still] = V if one else V[still]
-        if live:
-            out[live] = self.from_modes(mult * self.to_modes(V if one else V[live]))
-        return out
+            return _matvec_rows(plan, V)
+        return self.from_modes(plan * self.to_modes(V))
 
-    def convolve_op(self, h, lag, ends):
-        """Folded: one (E*n, s*n) matrix.  Modal: the number of ends, the
-        live ones (e_i h != 0), their weights and the grid's shape."""
+    def _convolution(self, h, lag, ends):
         W = stage_weights_diagonal(self.eigenvalues, h, lag, tuple(ends))
         if not self.folded:
-            live = [i for i, e in enumerate(ends) if e * h != 0.0]
-            W = W[live]
-            if np.isrealobj(self.eigenvalues):
-                # real weights, one for each float of a complex mode
-                W = np.repeat(W.real, 2, axis=-1)
-            return len(ends), live, W, self.zeros().shape
+            # real weights, one for each float of a complex mode
+            return np.repeat(W.real, 2, axis=-1) if np.isrealobj(self.eigenvalues) else W
         eye, unit = self._unit_modes()
         n, (n_ends, s) = len(eye), W.shape[:2]
         # block (i, j) maps stage value j to end i; each is written into
@@ -415,24 +419,17 @@ class DiagonalPropagator(Propagator):
             op[i, :, j] = self.from_modes(W[i, j] * unit).T
         return op.reshape(n_ends * n, s * n)
 
-    def stage_convolve(self, op, G):
+    def _convolve(self, plan, G, n_ends, live):
         if self.folded:
-            G = _check_stages(G, op.shape[1] // self.zeros().size)
-            return (op @ G.reshape(-1)).reshape((-1,) + G.shape[1:])
-        n_ends, live, W, shape = op
-        G = np.asarray(G)
-        if G.shape != W.shape[1:2] + shape:
-            raise ValidationError(
-                f"stage stack shape {G.shape} != {W.shape[1:2] + shape}")
-        if not live:
-            return self._zero_ends(n_ends, live)
+            acc = (plan @ G.reshape(-1)).reshape((-1,) + G.shape[1:])
+            return self._zero_ends(n_ends, live, acc)
         modes = self.to_modes(G)
-        if W.dtype.kind == "f":
+        if plan.dtype.kind == "f":
             # the complex einsum's bits from a real one that allocates
             # only its output
-            acc = np.einsum("ij...,j...->i...", W, modes.view(float)).view(complex)
+            acc = np.einsum("ij...,j...->i...", plan, modes.view(float)).view(complex)
         else:
-            acc = np.einsum("ij...,j...->i...", W, modes)
+            acc = np.einsum("ij...,j...->i...", plan, modes)
         return self._zero_ends(n_ends, live, self.from_modes(acc))
 
 
@@ -445,10 +442,9 @@ class HeatTorusProblem(DiagonalPropagator):
     The modes are the real-FFT half spectrum of the last axis, through
     np.fft (on 2D grids an rfft of the last axis, then an fft of the
     first).  A 1D grid of n <= FOLD_MAX_N points is folded: its flow and
-    stage-convolution ops are dense real grid matrices built once per step
-    size (see DiagonalPropagator), so a step transforms nothing; larger
-    and 2D grids apply their ops in modal form, which carries only the
-    live rows and real weights, so their t = 0 rows are exact copies too.
+    stage-convolution plans are dense real grid matrices built once per
+    step size (see DiagonalPropagator), so a step transforms nothing;
+    larger and 2D grids apply their plans in modal form, with real weights.
     """
 
     def __init__(self, dim: int = 1, n: int = 64, p: float = 2.0, r: float = 2.0,
@@ -492,8 +488,10 @@ class HeatTorusProblem(DiagonalPropagator):
         self._check(v)
         if self.dim == 1:
             return np.fft.rfft(v)
-        # what rfft2 computes, without rfftn's argument handling
-        return np.fft.fft(np.fft.rfft(v), axis=-2)
+        # what rfft2 computes, without rfftn's argument handling; the fft
+        # overwrites the rfft's output, one grid-sized temporary fewer
+        modes = np.fft.rfft(v)
+        return np.fft.fft(modes, axis=-2, out=modes)
 
     def from_modes(self, vh):
         if self.dim == 1:
@@ -563,13 +561,13 @@ class OUProblem(Propagator):
     maps to one of variance e^{2bt} sigma^2 + 2 q (e^{2bt}-1)/(2b).
     Convolution is trapezoid quadrature on the grid (via FFT), dilation
     is 4-point cubic interpolation with zero extension outside the box.
-    apply_nodes applies this to a stack of states in one kernel (one
-    rfft/irfft pass, one gathered dilation), and apply(t, v) is its
-    one-row case; a single state is transformed once for all its times.
-    stage_convolve keeps the generic Gauss-Legendre quadrature but, the
-    rfft being linear, takes one rfft of the s stage values, forms the
-    E*q interpolants in modal form and makes one irfft over them, then one
-    gathered dilation whose stencils carry the quadrature weights.
+    A flow applies this to a stack of rows in one kernel (one rfft/irfft
+    pass, one gathered dilation); a single state is transformed once for
+    all its times.  The stage convolution is Gauss-Legendre quadrature of
+    s + 2 nodes in tau on each [0, e_i h] but, the rfft being linear, takes
+    one rfft of the s stage values, forms the E*q interpolants in modal form
+    and makes one irfft over them, then one gathered dilation whose
+    stencils carry the quadrature weights.
     """
 
     def __init__(self, b: float = -1.0, q: float = 2.0, box: float = 12.0,
@@ -612,11 +610,11 @@ class OUProblem(Propagator):
     def kernel_width(self, t: float) -> float:
         return math.sqrt(max(2.0 * self.q_t(t), 0.0))
 
-    def _row_plan(self, times):
+    def _flows(self, times):
         """The per-row kernel of the flows at `times`: the rows above the
         kernel-variance cutoff (None for all), their Gaussian symbols, and
         the 4-point dilation stencils with their out-of-box masks."""
-        if len(times) and min(times) < 0.0:
+        if min(times) < 0.0:
             raise ValidationError("t must be >= 0")
         n, dx = self.n, self.dx
         xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
@@ -651,13 +649,6 @@ class OUProblem(Propagator):
                 np.array(weights).reshape(-1, 4, n).transpose(1, 0, 2).copy(),
                 ~np.array(inside, dtype=bool))
 
-    def flow_op(self, times):
-        """Stacked plan of apply_nodes: the number of times, which rows
-        move (t != 0) and the _row_plan of those rows."""
-        times = tuple(times)
-        live = [m for m, t in enumerate(times) if t != 0.0]
-        return (len(times), live) + self._row_plan([times[m] for m in live])
-
     def _smooth(self, rows, modes, smooth):
         """The rows after the Gaussian convolution: the inverse rfft of
         modes (the symbol-weighted spectra of the rows above the cutoff)
@@ -683,55 +674,33 @@ class OUProblem(Propagator):
         out[outside] = 0.0
         return out
 
-    def apply_nodes(self, op, V):
-        """One kernel for a stack: one rfft/irfft pass over the rows with a
-        Gaussian symbol, then one gathered 4-point dilation.  Rows with
-        t = 0 are exact copies; rows below the kernel-variance cutoff are
-        pure dilation.  A single state is transformed once for all times:
-        identical rows transform identically."""
-        m, live, smooth, symbol, first, weights, outside = op
-        V = np.asarray(V, dtype=float)
-        if V.shape not in ((m, self.n), (self.n,)):
-            raise ValidationError(
-                f"state shape {V.shape} is neither ({self.n},) nor ({m}, {self.n})")
-        stack = V if V.ndim == 2 else np.repeat(V[None], m, axis=0)
-        if not live:
-            return stack.copy()
-        conv = stack if len(live) == m else stack[live]
+    def _flow(self, plan, V):
+        """One rfft/irfft pass over the rows with a Gaussian symbol, then
+        one gathered 4-point dilation; rows below the kernel-variance
+        cutoff are pure dilation.  A single state is transformed once for
+        all times: identical rows transform identically."""
+        smooth, symbol, first, weights, outside = plan
+        conv = V if V.ndim == 2 else np.repeat(V[None], len(first), axis=0)
         if symbol is not None:
-            spectra = np.fft.rfft(V if V.ndim == 1 else
-                                  conv if smooth is None else conv[smooth])
+            spectra = np.fft.rfft(V if V.ndim == 1 or smooth is None else V[smooth])
             conv = self._smooth(conv, spectra * symbol, smooth)
-        out = self._dilate(conv, first, weights, outside)
-        if len(live) == m:
-            return out
-        rows = stack.copy()
-        rows[live] = out
-        return rows
+        return self._dilate(conv, first, weights, outside)
 
-    def convolve_op(self, h, lag, ends, q_nodes=None):
-        """The quadrature of Propagator.convolve_op in one kernel: the
-        Lagrange basis values as (m, s) for the m = E*q quadrature rows,
-        and the _row_plan of their times with each row's quadrature weight
-        folded into its dilation stencil."""
-        live, times, basis, wts = self._quadrature(h, lag, ends, q_nodes)
-        smooth, symbol, first, weights, outside = self._row_plan(times)
-        return (len(ends), live, basis, smooth, symbol, first,
-                weights * wts.reshape(1, -1, 1), outside)
+    def _convolution(self, h, lag, ends):
+        """The Lagrange basis values as (m, s) for the m = E*q quadrature
+        rows, and the _flows plan of their times with each row's
+        quadrature weight folded into its dilation stencil."""
+        times, basis, wts = _gauss_legendre(h, lag, ends, lag.s + 2)
+        smooth, symbol, first, weights, outside = self._flows(times)
+        return basis, smooth, symbol, first, weights * wts.reshape(1, -1, 1), outside
 
-    def stage_convolve(self, op, G):
+    def _convolve(self, plan, G, n_ends, live):
         """One rfft of the s stage values, their interpolants formed in
         modal form by one (m, s) product and weighted by the row symbols,
         one irfft over the m rows and one gathered dilation, whose
         quadrature-weighted rows are summed end by end.  Rows below the
         kernel-variance cutoff dilate the physical interpolant."""
-        n_ends, live, basis, smooth, symbol, first, weights, outside = op
-        s = basis.shape[1]
-        G = np.asarray(G, dtype=float)
-        if G.shape != (s, self.n):
-            raise ValidationError(f"stage stack shape {G.shape} != ({s}, {self.n})")
-        if not live:
-            return self._zero_ends(n_ends, live)
+        basis, smooth, symbol, first, weights, outside = plan
         if symbol is None:
             conv = basis @ G
         else:

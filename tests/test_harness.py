@@ -106,6 +106,15 @@ class TestReferenceSolution:
         assert ref.h_ref == T / n
         assert math.isfinite(ref.self_check_diff) and ref.self_check_diff > 0.0
 
+    @pytest.mark.parametrize("name", ["heat", "ou"])  # windowed, stepped
+    def test_one_step_reference_rejected(self, name):
+        # one step leaves no run over half as many steps for the self-check
+        problem = HeatTorusProblem(dim=1, n=64) if name == "heat" else OUProblem(n=32)
+        u0 = 0.3 * random_state(problem, np.random.default_rng(3))
+        T = 1 / 80
+        with pytest.raises(ValidationError, match="half as many"):
+            reference_solution(problem, PowerNonlinearity(3.0, -1.0), u0, T, T, T, 1.0)
+
     def test_sample_spacing_must_be_multiple(self, make_scalar):
         pr = make_scalar()
         with pytest.raises(ValidationError):
