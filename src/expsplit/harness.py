@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import statistics
 import types
 from dataclasses import dataclass, field
 
@@ -33,6 +32,15 @@ STRIP_RADIUS_FRAC = 0.25  # strip radius over the reference's largest V-norm
 
 # reference key -> _reference_context of the most recent study; one entry
 _REFERENCE_MEMO: dict = {}
+
+
+def _median(values):
+    """statistics.median of a nonempty list: the middle value, or the mean
+    of the two middle ones (the statistics module costs a few ms of
+    import, most of it in fractions and decimal)."""
+    values = sorted(values)
+    mid = len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
 
 
 def order_prediction(s: int, alpha: float, w_choice: str) -> float:
@@ -361,7 +369,7 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
 
     report.eoc = [math.log2(a / b) for a, b in zip(report.errors, report.errors[1:])]
     finest = report.eoc[-3:] if len(report.eoc) >= 3 else report.eoc
-    report.median_eoc = float(statistics.median(finest))
+    report.median_eoc = float(_median(finest))
     decreasing = all(a > b for a, b in zip(report.errors, report.errors[1:]))
     dominated = all(b >= e for e, b in zip(report.errors, report.bounds))
     report.passed = (abs(report.median_eoc - report.predicted_order) <= plan.eoc_tol

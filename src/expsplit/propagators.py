@@ -21,6 +21,7 @@ the t = 0 flow rows exactly and leaves the e_i h = 0 ends exactly zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -302,11 +303,14 @@ class Propagator:
     def ball_draw(self, rng):
         """The draws of one ball point: random_field, then a radius scale
         in [0.1, 1) unless the field is zero, which draws no scale and
-        gets 0.  place_in_ball turns the pair into the point."""
+        gets 0.  place_in_ball turns the pair into the point.  The scale
+        is rng.uniform(0.1, 1.0) bit for bit, taken as 0.1 + 0.9 *
+        rng.random(): uniform's argument handling costs three times the
+        draw, and a Lipschitz estimate makes two scales a pair."""
         field = self.random_field(rng)
         # a nonzero first entry settles almost every draw without a pass
         nonzero = field.flat[0] != 0.0 or field.any()
-        return field, (rng.uniform(0.1, 1.0) if nonzero else 0.0)
+        return field, (0.1 + (1.0 - 0.1) * rng.random() if nonzero else 0.0)
 
     def sample_in_ball(self, center, radius: float, rng) -> object:
         """A state v with v_norm(v - center) <= radius, at least a tenth of
@@ -433,6 +437,28 @@ class DiagonalPropagator(Propagator):
         return self._zero_ends(n_ends, live, self.from_modes(acc))
 
 
+# random_field's fixed factors depend on the grid size alone; they are cached
+# by size, not kept on the problems, whose attributes key a study's reference
+
+@functools.lru_cache(maxsize=8)
+def _torus_waves(n: int):
+    """cos(k x) and sin(k x) on the n-point torus grid for k = 0..min(n // 4,
+    16), as (kmax + 1, n) tables: the x factors of the 2D random_field."""
+    kx = np.arange(min(n // 4, 16) + 1)[:, None] * (np.arange(n) * (2.0 * math.pi / n))
+    tables = np.cos(kx), np.sin(kx)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _wave_decay(n: int):
+    """(1 + omega_k)^2 for the n wave modes: random_field's mode decay."""
+    decay = (1.0 + np.arange(1, n + 1).astype(float)) ** 2
+    decay.flags.writeable = False
+    return decay
+
+
 class HeatTorusProblem(DiagonalPropagator):
     """Heat semigroup on the d-torus (d in {1,2}), Fourier-diagonal.
 
@@ -512,18 +538,18 @@ class HeatTorusProblem(DiagonalPropagator):
         # values and Lipschitz ratios bounded on V-balls
         if self.dim == 1:
             return rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
-        kmax = min(self.n // 4, 16)
+        cos_x, sin_x = _torus_waves(self.n)
         terms = []
         for _ in range(8):
-            kx = rng.integers(0, kmax + 1)
-            ky = rng.integers(0, kmax + 1)
+            kx = rng.integers(0, len(cos_x))
+            ky = rng.integers(0, len(cos_x))
             a = rng.standard_normal() / (1.0 + kx ** 2 + ky ** 2)
-            terms.append((kx, ky, a, rng.uniform(0, 2 * np.pi)))
-        kx, ky, a, ph = (np.array(c)[:, None] for c in zip(*terms))
+            # rng.uniform(0, 2 pi), bit for bit
+            terms.append((kx, ky, a, 2 * np.pi * rng.random()))
+        kx, ky, a, ph = (np.array(c) for c in zip(*terms))
         # cos(kx x + ky y + ph) = cos(kx x) cos(ky y + ph) - sin(kx x) sin(ky y + ph)
-        x = np.arange(self.n) * self.dx
-        wx, wy = kx * x, ky * x + ph
-        return (a * np.cos(wx)).T @ np.cos(wy) - (a * np.sin(wx)).T @ np.sin(wy)
+        a, wy = a[:, None], ky[:, None] * (np.arange(self.n) * self.dx) + ph[:, None]
+        return (a * cos_x[kx]).T @ np.cos(wy) - (a * sin_x[kx]).T @ np.sin(wy)
 
     def kernel_width(self, t):
         return math.sqrt(2.0 * t)
@@ -680,7 +706,10 @@ class OUProblem(Propagator):
         cutoff are pure dilation.  A single state is transformed once for
         all times: identical rows transform identically."""
         smooth, symbol, first, weights, outside = plan
-        conv = V if V.ndim == 2 else np.repeat(V[None], len(first), axis=0)
+        conv = V
+        if V.ndim == 1 and (symbol is None or smooth is not None):
+            # the physical rows are read: a stack of the state, one per time
+            conv = np.repeat(V[None], len(first), axis=0)
         if symbol is not None:
             spectra = np.fft.rfft(V if V.ndim == 1 or smooth is None else V[smooth])
             conv = self._smooth(conv, spectra * symbol, smooth)
@@ -794,8 +823,9 @@ class WaveProblem(DiagonalPropagator):
         return np.abs(z) ** 2
 
     def random_field(self, rng):
-        amp = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
-        return amp / (1.0 + self.omega) ** 2
+        # the real parts, then the imaginary parts, of one draw
+        parts = rng.standard_normal((2, self.n))
+        return (parts[0] + 1j * parts[1]) / _wave_decay(self.n)
 
 
 @dataclass

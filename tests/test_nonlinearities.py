@@ -7,9 +7,10 @@ from conftest import decode
 from expsplit import config as cfgmod
 from expsplit.errors import StripViolationError, ValidationError
 from expsplit.nonlinearities import (LIPSCHITZ_CHUNK_BYTES, LIPSCHITZ_SAFETY,
-                                     AdvectionNonlinearity, PowerNonlinearity,
-                                     StripMonitor, WaveCubic, ZeroNonlinearity,
-                                     estimate_lipschitz, stored_state)
+                                     AdvectionNonlinearity, Nonlinearity,
+                                     PowerNonlinearity, StripMonitor, WaveCubic,
+                                     ZeroNonlinearity, estimate_lipschitz,
+                                     stored_state)
 from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
 
 _HEAT_1D = HeatTorusProblem(dim=1, n=64)
@@ -107,6 +108,14 @@ class TestLipschitzEstimate:
             estimate_lipschitz(g, scalar_problem, np.zeros(1), 1.0,
                                (0.0, 1.0), n_samples=10, rng=rng)
 
+    @pytest.mark.parametrize("t_range", [(1.0, 0.5), (0.0, np.inf), (np.nan, 1.0),
+                                         (-np.inf, 0.0)])
+    def test_time_range_validated(self, scalar_problem, rng, t_range):
+        g = PowerNonlinearity(alpha=3.0)
+        with pytest.raises(ValidationError):
+            estimate_lipschitz(g, scalar_problem, np.zeros(1), 1.0, t_range,
+                               n_samples=120, rng=rng)
+
 
 def _loop_ball_point(problem, center, radius, rng):
     """The ball point of the per-sample sampler, zero-field rule included."""
@@ -150,11 +159,12 @@ def _preset_case(preset, problem_over):
 
 # name -> (preset, problem overrides) of the stacked-estimator oracle cases;
 # heat1d-n128 is modal (not folded), heat2d-n16 and ou-n256 take 30 pairs a
-# chunk and heat2d-n128 one
+# chunk, heat2d-n32 seven and heat2d-n128 one
 LIPSCHITZ_CASES = {
     "heat1d-n64-folded": ("heat-cubic-s1", {"n": 64}),
     "heat1d-n128-modal": ("heat-frac-s2", {"n": 128}),
     "heat2d-n16": ("heat-torus-2d", {"n": 16}),
+    "heat2d-n32": ("heat-torus-2d", {"n": 32}),
     "heat2d-n128": ("heat-torus-2d", {"n": 128}),
     "ou-n256": ("ou-cubic-s1", {"n": 256}),
     "wave-32modes": ("wave-cubic-s2", {"n_modes": 32}),
@@ -256,6 +266,105 @@ class TestStackedLipschitz:
         (stack,) = g.seen
         at_center = np.all(stack[:120] == center, axis=1)
         assert np.count_nonzero(at_center) == 40
+
+
+def uniform_random_field(problem, rng):
+    """random_field written with Generator.uniform phases, two normal calls
+    per wave field and the 2D trig taken per draw: the draws, and bits,
+    that the estimator's cheaper calls must reproduce."""
+    if isinstance(problem, WaveProblem):
+        amp = rng.standard_normal(problem.n) + 1j * rng.standard_normal(problem.n)
+        return amp / (1.0 + problem.omega) ** 2
+    if isinstance(problem, HeatTorusProblem) and problem.dim == 2:
+        kmax = min(problem.n // 4, 16)
+        terms = []
+        for _ in range(8):
+            kx = rng.integers(0, kmax + 1)
+            ky = rng.integers(0, kmax + 1)
+            a = rng.standard_normal() / (1.0 + kx ** 2 + ky ** 2)
+            terms.append((kx, ky, a, rng.uniform(0, 2 * np.pi)))
+        kx, ky, a, ph = (np.array(c)[:, None] for c in zip(*terms))
+        x = np.arange(problem.n) * problem.dx
+        wx, wy = kx * x, ky * x + ph
+        return (a * np.cos(wx)).T @ np.cos(wy) - (a * np.sin(wx)).T @ np.sin(wy)
+    return rng.standard_normal(len(problem._ball_basis)) @ problem._ball_basis
+
+
+# (LIPSCHITZ_CASES name, seed, radius factor, t_range) of the stream pins
+STREAM_CASES = [
+    ("heat1d-n64-folded", 0, 1.0, (0.0, 0.5)),
+    ("heat1d-n64-folded", 9, 0.3, (0.2, 0.25)),
+    ("heat1d-n128-modal", 4, 2.0, (0.1, 1.0)),
+    ("heat2d-n16", 2, 0.5, (0.05, 0.3)),
+    ("heat2d-n32", 1, 1.0, (0.0, 0.3)),
+    ("heat2d-n32", 77, 0.2, (0.3, 0.9)),
+    ("heat2d-n128", 3, 1.0, (0.01, 0.02)),
+    ("ou-n256", 5, 1.0, (0.0, 0.1)),
+    ("ou-n256", 6, 3.0, (0.05, 0.25)),
+    ("wave-32modes", 0, 1.0, (0.0, 1.0)),
+    ("wave-32modes", 8, 0.1, (0.4, 0.6)),
+]
+
+
+class TimeRecorder(Nonlinearity):
+    """g, keeping every time it is evaluated at: the shipped nonlinearities
+    are autonomous, so the constant alone does not pin the sampled times."""
+
+    def __init__(self, g):
+        self.g, self.times = g, []
+
+    def eval(self, t, v):
+        self.times.extend(np.ravel(t))
+        return self.g.eval(t, v)
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("case, seed, scale, t_range", STREAM_CASES)
+    def test_constant_and_stream_equal_uniform_draws(self, monkeypatch, case,
+                                                     seed, scale, t_range):
+        problem, g, u0, radius = _preset_case(*LIPSCHITZ_CASES[case])
+        got_g, oracle_g = TimeRecorder(g), TimeRecorder(g)
+        got_rng = np.random.default_rng(seed)
+        got = estimate_lipschitz(got_g, problem, u0, scale * radius, t_range,
+                                 n_samples=120, rng=got_rng)
+        monkeypatch.setattr(problem, "random_field",
+                            lambda rng: uniform_random_field(problem, rng))
+        oracle_rng = np.random.default_rng(seed)
+        expected = loop_lipschitz(oracle_g, problem, u0, scale * radius, t_range,
+                                  120, oracle_rng)
+        assert got.hex() == expected.hex()
+        assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
+        # each pair's time, evaluated for v and w, in chunk order or pair order
+        assert np.array_equal(np.sort(got_g.times), np.sort(oracle_g.times))
+
+    @pytest.mark.parametrize("problem", [HeatTorusProblem(dim=2, n=32),
+                                         HeatTorusProblem(dim=2, n=128),
+                                         WaveProblem(n_modes=32)],
+                             ids=["heat2d-n32", "heat2d-n128", "wave-32modes"])
+    @pytest.mark.parametrize("seed", [0, 1, 31337])
+    def test_fields_equal_uniform_draws(self, problem, seed):
+        got_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            got = problem.random_field(got_rng)
+            expected = uniform_random_field(problem, oracle_rng)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(st.one_of(st.sampled_from([(0.0, 0.05), (0.0, 1.0), (0.1, 1.0),
+                                      (0.0, 2 * np.pi), (0.2, 0.25)]),
+                     st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+                     .filter(lambda b: b[0] < b[1])),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_random_is_uniform(self, bounds, seed):
+        # the estimator draws lo + (hi - lo) * random() in place of
+        # uniform(lo, hi); a numpy whose uniform rounds otherwise fails here
+        lo, hi = bounds
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(16):
+            assert lo + (hi - lo) * a.random() == b.uniform(lo, hi)
+        assert a.random() == b.uniform()
 
 
 class TestAdvection:

@@ -487,6 +487,18 @@ class TestOUBatched:
             if t == 0.0:
                 assert np.array_equal(row, v)
 
+    @pytest.mark.parametrize("times", [(1e-16, 1e-3, 0.02), (1e-3, 3e-16, 2.0),
+                                       (2e-16, 1e-17), (1e-4, 0.5)],
+                             ids=["cutoff-first", "cutoff-between", "all-below",
+                                  "all-above"])
+    def test_single_state_flow_equals_repeated_stack(self, times):
+        # one state is read as a stack only where some row is pure dilation
+        ou = self.ou
+        v = np.random.default_rng(3).standard_normal(ou.n) * np.exp(-ou.x ** 2 / 8.0)
+        op = ou.flow_op(times)
+        got = ou.apply_nodes(op, v)
+        assert np.array_equal(got, ou.apply_nodes(op, np.repeat(v[None], len(times), 0)))
+
     def per_node_convolve(self, h, lag, ends, G):
         """The stage convolution written out one apply per Gauss-Legendre
         node (default count s + 2), end by end."""

@@ -11,7 +11,8 @@ the first correction, and the third, which starts from the extrapolation
 of the first two.  Three cases time a study's reference trajectory with the
 benchmark's h_ref: a halving ladder solved by windows of steps on heat and
 wave, steps of h_ref on OU.  Two cases time OU's stage convolution alone,
-the stage op and the update op of a 4-stage step.
+the stage op and the update op of a 4-stage step.  One case times both
+Lipschitz estimates of the benchmark's wave study.
 Run only these with ``pytest tests/test_step_bench.py``;
 ``--benchmark-skip`` leaves them out.
 """
@@ -193,3 +194,29 @@ def test_reference_solution(benchmark, case):
     assert np.array_equal(got.states, expected.states)
     assert got.self_check_diff == expected.self_check_diff
     assert got.h_ref == expected.h_ref
+
+
+def test_study_lipschitz_phase(benchmark):
+    # both estimates of the study-wave workload's study, from one seed: the
+    # bootstrap around u_0 (120 pairs), then the strip estimate around 5
+    # snapshots of the reference (5 x 120 pairs)
+    _, over, T, h_min = REFERENCE_CASES["wave-32modes-windowed"]
+    cfg = cfgmod.resolve_config("wave-cubic-s2")
+    cfg["problem"].update(over)
+    problem = cfgmod.build_problem(cfg)
+    g = cfgmod.build_nonlinearity(cfg, problem)
+    u0 = np.asarray(cfgmod.build_initial(cfg, problem))
+    ref, radius, lipschitz = harness._reference_context(
+        "", problem, g, u0, T, h_min, h_min / harness.REF_FACTOR, 0)
+    snapshots = ref.states[np.linspace(0, len(ref.states) - 1, 5).astype(int)]
+
+    def estimates():
+        lip0 = estimate_lipschitz(g, problem, u0, 0.5 * max(problem.v_norm(u0), 1.0),
+                                  (0.0, T), n_samples=120, rng=np.random.default_rng(0))
+        return lip0, estimate_lipschitz(g, problem, snapshots, radius, (0.0, T),
+                                        n_samples=120, rng=np.random.default_rng(0))
+
+    expected = estimates()
+    assert expected[1] == lipschitz > 0.0
+    got = benchmark.pedantic(estimates, rounds=10, iterations=1, warmup_rounds=1)
+    assert got == expected
