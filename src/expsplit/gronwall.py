@@ -90,11 +90,10 @@ class AprioriConstants:
         return self.c_g2(h) * math.exp(self.c_g1 * self.c_omega + self.c_g1)
 
 
-def apriori_error_bound(consts: AprioriConstants, h: float, n: int,
-                        f_norm: float) -> float:
-    """C * h^(s-1) * Omega_W(h) * ||f^(s)||_{L1([0, t_n], W)}."""
-    if h <= 0.0 or n < 0:
-        raise ValidationError("need h > 0 and n >= 0")
+def apriori_error_bound(consts: AprioriConstants, h: float, f_norm: float) -> float:
+    """C * h^(s-1) * Omega_W(h) * ||f^(s)||_{L1([0, T], W)}, T = consts.horizon."""
+    if h <= 0.0:
+        raise ValidationError("need h > 0")
     return consts.c_big(h) * h ** (consts.s - 1) * consts.omega_w.omega(h) * f_norm
 
 

@@ -15,6 +15,7 @@ an extra row at h otherwise.  The s stages travel as one (s, *grid) array:
 each iteration makes one g.eval, one stage convolution and one v_norm call
 on the whole stack; the anchor is normed only when the stage-scale floor
 of the tolerance decides a test.
+A failed run keeps the rows it reached, with status contraction or divergence.
 Every operator a step of size h applies is built once, into a StepPlan,
 and only while the contraction certificate
 kappa(h) = Omega(h) * C_ell * s * L is below one; plan_step derives it
@@ -61,7 +62,8 @@ __all__ = ["SchemeSpec", "StepPlan", "StageInfo", "TrajectoryRecord",
 FP_MAX_ITER = 60  # fixed-point iterations (window sweeps) before divergence
 WINDOW_MAX = 32  # steps in one run_windowed window
 
-# the error, and with it the exit code, of each failed run status
+# the error, and with it the exit code, of each failed run status and of the
+# study's strip verdict: the CLI maps a "strip: ..." abort reason through it
 STATUS_ERRORS = {"contraction": ContractionError, "strip": StripViolationError,
                  "divergence": FixedPointDivergenceError}
 
@@ -297,8 +299,9 @@ def _fail(record: TrajectoryRecord, status: str, error: str, n: int):
 
 
 def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
-        g, lipschitz: float, monitor=None, store_stride: int = 1) -> TrajectoryRecord:
-    """N uniform steps of size h = T/N; returns the record even on abort."""
+        g, lipschitz: float, store_stride: int = 1) -> TrajectoryRecord:
+    """N uniform steps of size h = T/N; returns the record even on abort:
+    "contraction" before the first step, "divergence" at a failing step."""
     h, u, record = _start_record(u_0, T, N, propagator, store_stride)
     if N == 0:
         return record
@@ -327,12 +330,6 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
         previous, correction = correction, info.correction
         record.stage_iterations.append(info.iterations)
         record.contraction_ratios.extend(info.contraction_ratios)
-        if monitor is not None:
-            try:
-                monitor.check((n + 1) * h, u)
-            except StripViolationError as exc:
-                _fail(record, "strip", str(exc), n)
-                break
         if n + 1 == steps[stored]:
             states[stored] = u
             stored += 1

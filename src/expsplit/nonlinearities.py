@@ -1,5 +1,5 @@
 """Nonlinearities g(t, v), their sampled Lipschitz constants and the strip
-bookkeeping around a reference trajectory.
+check around a reference trajectory.
 
 The integrator only needs a Lipschitz estimate L for its contraction
 certificate Omega(h)*C_ell*s*L < 1 and step-size guards, so L is taken
@@ -213,8 +213,8 @@ def stored_state(times, states, t):
 
 @dataclass
 class StripMonitor:
-    """Checks that a trajectory stays in the V-tube of radius `radius`
-    around a reference solution; a violation aborts the run."""
+    """The V-tube of radius `radius` around a reference trajectory, where a
+    study samples its Lipschitz constant and checks each sweep run's rows."""
 
     radius: float
     times: np.ndarray
@@ -222,11 +222,16 @@ class StripMonitor:
     v_norm: object
     violations: list = field(default_factory=list)
 
-    def check(self, t: float, state) -> float:
-        dist = self.v_norm(state - stored_state(self.times, self.states, t))
-        if dist > self.radius:
-            self.violations.append((t, dist))
+    def check(self, t, states):
+        """V-distances from the reference, in one v_norm call, of one state
+        at time t or of a (k, *grid) stack at k times; the first row beyond
+        the radius goes to violations and raises StripViolationError."""
+        dist = self.v_norm(states - stored_state(self.times, self.states, t))
+        beyond = np.flatnonzero(np.atleast_1d(dist) > self.radius)
+        if len(beyond):
+            t_i, d_i = (float(np.atleast_1d(a)[beyond[0]]) for a in (t, dist))
+            self.violations.append((t_i, d_i))
             raise StripViolationError(
-                f"trajectory left the strip at t={t:.6g}: "
-                f"distance {dist:.3e} > radius {self.radius:.3e}")
+                f"trajectory left the strip at t={t_i:.6g}: "
+                f"distance {d_i:.3e} > radius {self.radius:.3e}")
         return dist

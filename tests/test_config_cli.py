@@ -504,6 +504,25 @@ class TestCliConvergence:
             assert "must be positive" in capsys.readouterr().err
 
 
+    def test_a_sweep_outside_the_strip_exits_4(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the heat-cubic-s2 study of the study-heat-pair benchmark workload,
+        # in a strip of 1e-9 times the reference's largest V-norm; the memo
+        # keeps a context's radius, so this study builds its own
+        monkeypatch.setattr(harness, "STRIP_RADIUS_FRAC", 1e-9)
+        monkeypatch.setattr(harness, "_REFERENCE_MEMO", {})
+        cfg = cfgmod._merge(cfgmod.resolve_config("heat-cubic-s2"), {
+            "run": {"t_final": 0.05},
+            "study": {"h_list": [1 / 40, 1 / 80, 1 / 160, 1 / 320]}})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(cfgmod.dump_config(cfg))
+        assert main(["convergence", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 4
+        out, err = capsys.readouterr()
+        assert "FAIL" in out
+        assert ("study failed: strip: trajectory left the strip at t=0.025: "
+                "distance 1.421e-05 > radius 9.708e-10") in err
+
     @pytest.mark.parametrize("reason,code", [
         ("contraction: kappa(h)=1.2 >= 1", 3),
         ("strip: left the tube at t=0.1", 4),

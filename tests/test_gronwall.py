@@ -131,26 +131,26 @@ class TestAprioriChain:
 
     def test_zero_f_norm_gives_zero_bound(self):
         consts = self.make_consts()
-        assert apriori_error_bound(consts, 0.01, 10, 0.0) == 0.0
+        assert apriori_error_bound(consts, 0.01, 0.0) == 0.0
 
     def test_w_equals_v_scaling_is_h_to_s(self):
         consts = self.make_consts(s=2, alpha=0.0)
-        b1 = apriori_error_bound(consts, 0.01, 10, 1.0)
-        b2 = apriori_error_bound(consts, 0.005, 20, 1.0)
+        b1 = apriori_error_bound(consts, 0.01, 1.0)
+        b2 = apriori_error_bound(consts, 0.005, 1.0)
         # Omega_V(h) = M h, so the bound scales like h^s = h^2 as h halves
         # (C_G2 has a slowly varying Omega(h) term; allow 10%)
         assert b1 / b2 == pytest.approx(4.0, rel=0.1)
 
     def test_fractional_scaling_is_h_to_s_minus_alpha(self):
         consts = self.make_consts(s=2, alpha=0.25)
-        b1 = apriori_error_bound(consts, 1e-3, 10, 1.0)
-        b2 = apriori_error_bound(consts, 5e-4, 20, 1.0)
+        b1 = apriori_error_bound(consts, 1e-3, 1.0)
+        b2 = apriori_error_bound(consts, 5e-4, 1.0)
         assert math.log2(b1 / b2) == pytest.approx(1.75, abs=0.05)
 
     def test_invalid_arguments_rejected(self):
         consts = self.make_consts()
         with pytest.raises(ValidationError):
-            apriori_error_bound(consts, 0.0, 1, 1.0)
+            apriori_error_bound(consts, 0.0, 1.0)
 
     def test_c_omega_covers_the_whole_horizon(self):
         # a problem built in code, horizon 8: the sup of ||e^{khA}||_{X->V}

@@ -80,7 +80,7 @@ class TestReferenceSolution:
         g = PowerNonlinearity(alpha=2.0, coeff=1.0)
         ref = reference_solution(pr, g, np.array([0.1]), 1.0,
                                  1.0 / 6400, 1.0 / 100, 1.0)
-        assert abs(ref.terminal[0] - logistic_exact(0.1, 1.0)) < 1e-10
+        assert abs(ref.states[-1][0] - logistic_exact(0.1, 1.0)) < 1e-10
         # spot check an interior sample too
         mid = ref.at_time(0.5)
         assert abs(mid[0] - logistic_exact(0.1, 0.5)) < 1e-10
@@ -101,8 +101,8 @@ class TestReferenceSolution:
         scheme = SchemeSpec.with_stages(harness.REFERENCE_STAGES)
         stored = run(u0, T, n, scheme, pr, g, 1.0)
         coarse = run(u0, T, n // 2, scheme, pr, g, 1.0)  # step > 2 h_ref
-        assert np.array_equal(ref.terminal, stored.states[-1])
-        assert ref.self_check_diff == pr.v_norm(ref.terminal - coarse.states[-1])
+        assert np.array_equal(ref.states[-1], stored.states[-1])
+        assert ref.self_check_diff == pr.v_norm(ref.states[-1] - coarse.states[-1])
         assert ref.h_ref == T / n
         assert math.isfinite(ref.self_check_diff) and ref.self_check_diff > 0.0
 
@@ -237,7 +237,7 @@ class TestReferenceLadder:
         assert ref.h_ref == T / 32
         scheme = SchemeSpec.with_stages(1)
         assert ref.self_check_diff == pr.v_norm(
-            ref.terminal - run_windowed(u0, T, 16, scheme, pr, g, 1.0).states[-1])
+            ref.states[-1] - run_windowed(u0, T, 16, scheme, pr, g, 1.0).states[-1])
         assert ref.self_check_diff > harness.LADDER_TOL
 
     def test_a_failed_rung_moves_on_to_the_next_finer_one(self, rungs, make_scalar):
@@ -253,7 +253,7 @@ class TestReferenceLadder:
         steps = rungs[-1][0]
         assert ref.h_ref == T / steps
         checked = run_windowed(u0, T, steps // 2, scheme, pr, g, lip)
-        assert ref.self_check_diff == pr.v_norm(ref.terminal - checked.states[-1])
+        assert ref.self_check_diff == pr.v_norm(ref.states[-1] - checked.states[-1])
         assert ref.self_check_diff <= harness.LADDER_TOL
 
     @pytest.mark.parametrize("failing", ["last", "before-last"])
@@ -540,7 +540,54 @@ class TestReferenceSelfCheck:
         n_fine = 2 * round(T / h_ref)
         fine = run(u0, T, n_fine, scheme, problem, g, lipschitz,
                    store_stride=n_fine)
-        fine_diff = problem.v_norm(ref.terminal - fine.states[-1])
+        fine_diff = problem.v_norm(ref.states[-1] - fine.states[-1])
         # below 1e-11 both diffs are rounding and their order says nothing
         assert fine_diff > 1e-11
         assert report.reference_check >= fine_diff
+
+
+# the step sweep of the study-heat-pair benchmark workload
+HEAT_PAIR_H = [1 / 40, 1 / 80, 1 / 160, 1 / 320]
+
+
+@pytest.fixture
+def narrow_strip(ref_builds, monkeypatch):
+    """A strip radius of 1e-9 times the reference's largest V-norm; the
+    memo, whose contexts keep their radius, is empty before and after."""
+    monkeypatch.setattr(harness, "STRIP_RADIUS_FRAC", 1e-9)
+
+
+class TestStripVerdict:
+    def test_a_sweep_outside_the_strip_fails_the_study(self, narrow_strip):
+        plan, problem, g, u0 = short_heat_study("heat-cubic-s2")
+        report = convergence_study(replace(plan, h_list=HEAT_PAIR_H), problem, g, u0)
+        assert not report.passed
+        assert report.abort_reason == (
+            "strip: trajectory left the strip at t=0.025: "
+            "distance 1.421e-05 > radius 9.708e-10")
+        assert report.errors == report.kappa == report.bounds == []
+
+    @pytest.mark.parametrize("nan_after,first", [(0.03, "strip"),
+                                                 (0.0, "divergence")])
+    def test_the_first_event_of_a_sweep_run_decides(self, narrow_strip,
+                                                    monkeypatch, nan_after, first):
+        # every sweep step leaves the narrow strip, and a sweep run diverges
+        # at its first step with a stage time past nan_after: the second
+        # step (t = 0.025 to 0.05) of the first run, or its first step
+        plan, problem, g, u0 = heat_study()
+        stepper = harness.run
+
+        class NanLate:
+            def eval(self, t, v):
+                out = g.eval(t, v)
+                return np.full_like(out, np.nan) if np.max(t) > nan_after else out
+
+        def nan_late_run(u_0, T, N, scheme, problem, g, *args, **kwargs):
+            return stepper(u_0, T, N, scheme, problem, NanLate(), *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", nan_late_run)
+        report = convergence_study(plan, problem, g, u0)
+        assert not report.passed
+        assert report.abort_reason.startswith({
+            "strip": "strip: trajectory left the strip at t=0.025: ",
+            "divergence": "divergence: stage iteration diverged at t=0 "}[first])

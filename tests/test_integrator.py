@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from conftest import ScalarProblem, random_state
 from expsplit import config as cfgmod
 from expsplit.errors import (ContractionError, FixedPointDivergenceError,
-                             StripViolationError, ValidationError)
+                             ValidationError)
 from expsplit.integrator import (FP_MAX_ITER, WINDOW_MAX, SchemeSpec, StageInfo,
                                  contraction_certificate, internal_stages,
                                  plan_step, run, run_windowed, step)
 from expsplit.lagrange import NodeSet
-from expsplit.nonlinearities import (PowerNonlinearity, StripMonitor, WaveCubic,
-                                     ZeroNonlinearity)
+from expsplit.nonlinearities import PowerNonlinearity, WaveCubic, ZeroNonlinearity
 from expsplit.phi import phi
 from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
 
@@ -263,20 +262,6 @@ class TestRun:
         with pytest.raises(ContractionError):
             rec.raise_if_failed()
 
-    def test_strip_violation_aborts_run(self):
-        hp = HeatTorusProblem(dim=1, n=64)
-        scheme = SchemeSpec.with_stages(1)
-        u = np.ones(64)
-        times = np.linspace(0.0, 1.0, 11)
-        # reference pinned far away from the trajectory
-        mon = StripMonitor(radius=1e-6, times=times,
-                           states=[5.0 * np.ones(64)] * 11, v_norm=hp.v_norm)
-        rec = run(u, 1.0, 10, scheme, hp, ZeroNonlinearity(), 1e-12,
-                  monitor=mon)
-        assert rec.status == "strip"
-        with pytest.raises(StripViolationError):
-            rec.raise_if_failed()
-
     def test_store_stride_keeps_endpoints(self, rng):
         hp = HeatTorusProblem(dim=1, n=64)
         scheme = SchemeSpec.with_stages(1)
@@ -297,7 +282,8 @@ class TestRun:
         assert rec.states.shape == (5, 32)
         assert np.array_equal(rec.times, rec.steps * 0.025)
 
-    @pytest.mark.parametrize("abort", ["divergence", "strip"])
+    # a run's one abort after its first step; the strip is a study verdict
+    @pytest.mark.parametrize("abort", ["divergence"])
     def test_abort_keeps_exactly_the_rows_reached(self, abort):
         # steps 1-7 run as in a clean run; step 8 (t = 0.2) fails
         hp = HeatTorusProblem(dim=1, n=32)
@@ -310,17 +296,8 @@ class TestRun:
                 out = super().eval(t, v)
                 return np.full_like(out, np.nan) if np.max(t) > 0.18 else out
 
-        class LeaveLate:
-            def check(self, t, state):
-                if t > 0.19:
-                    raise StripViolationError(f"left at t={t}")
-
-        if abort == "divergence":
-            rec = run(u, 0.25, 10, scheme, hp, NanLate(3.0, coeff=-1.0), 3.0,
-                      store_stride=3)
-        else:
-            rec = run(u, 0.25, 10, scheme, hp, g, 3.0, monitor=LeaveLate(),
-                      store_stride=3)
+        rec = run(u, 0.25, 10, scheme, hp, NanLate(3.0, coeff=-1.0), 3.0,
+                  store_stride=3)
         assert (rec.status, rec.failure_step) == (abort, 7)
         assert np.array_equal(rec.steps, [0, 3, 6])
         assert np.array_equal(rec.times, clean.times[:3])

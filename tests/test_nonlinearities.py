@@ -11,7 +11,7 @@ from expsplit.nonlinearities import (LIPSCHITZ_CHUNK_BYTES, LIPSCHITZ_SAFETY,
                                      PowerNonlinearity, StripMonitor, WaveCubic,
                                      ZeroNonlinearity, estimate_lipschitz,
                                      stored_state)
-from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
+from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem, lp_norm
 
 _HEAT_1D = HeatTorusProblem(dim=1, n=64)
 _HEAT_2D = HeatTorusProblem(dim=2, n=16)
@@ -519,3 +519,52 @@ class TestStripMonitor:
                            v_norm=lambda v: float(np.max(np.abs(v))))
         with pytest.raises(ValidationError):
             mon.check(0.37, np.zeros(2))
+
+    # a study checks each sweep run once, on the (k, *grid) stack of its rows
+    @given(p=st.sampled_from([1.0, 2.0, np.inf]),
+           shape=st.sampled_from([(16,), (4, 6)]), k=st.integers(1, 12),
+           is_complex=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_stack_distances_equal_the_per_row_checks(self, p, shape, k,
+                                                      is_complex, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(*lead):
+            x = rng.standard_normal(lead + shape)
+            return x + 1j * rng.standard_normal(lead + shape) if is_complex else x
+
+        h = 0.1
+        mon = StripMonitor(radius=np.inf, times=np.round(np.arange(20) * h, 12),
+                           states=draw(20),
+                           v_norm=lambda v: lp_norm(v, p, 0.25, len(shape)))
+        # row times as a run makes them, steps * h, next to the stored ones
+        t = np.sort(rng.integers(0, 20, k)) * h
+        X = draw(k)
+        dist = mon.check(t, X)
+        assert dist.shape == (k,)
+        rows = [mon.check(t_i, x_i) for t_i, x_i in zip(t, X)]
+        assert all(isinstance(d, float) for d in rows)
+        assert np.array_equal(dist, rows)  # bit for bit
+        assert mon.violations == []
+
+    def test_stack_raises_at_its_first_row_beyond_the_radius(self):
+        times = np.round(np.arange(6) * 0.1, 12)
+        mon = StripMonitor(radius=0.5, times=times, states=np.zeros((6, 3)),
+                           v_norm=lambda v: lp_norm(v, np.inf, 1.0, 1))
+        X = np.zeros((5, 3))
+        X[2, 0], X[4, 2] = -0.7, 0.9  # rows 2 and 4 leave the strip
+        t = np.arange(5) * 0.1
+        with pytest.raises(StripViolationError) as stacked:
+            mon.check(t, X)
+        assert str(stacked.value) == ("trajectory left the strip at t=0.2: "
+                                      "distance 7.000e-01 > radius 5.000e-01")
+        assert mon.violations == [(t[2], 0.7)]
+        # the message and record of a per-row check of that row
+        row = StripMonitor(radius=0.5, times=times, states=np.zeros((6, 3)),
+                           v_norm=mon.v_norm)
+        with pytest.raises(StripViolationError) as single:
+            row.check(t[2], X[2])
+        assert str(single.value) == str(stacked.value)
+        assert row.violations == mon.violations
+        # rows inside the strip pass
+        assert np.array_equal(mon.check(t[:2], X[:2]), [0.0, 0.0])

@@ -12,7 +12,8 @@ of the first two.  Three cases time a study's reference trajectory with the
 benchmark's h_ref: a halving ladder solved by windows of steps on heat and
 wave, steps of h_ref on OU.  Two cases time OU's stage convolution alone,
 the stage op and the update op of a 4-stage step.  One case times both
-Lipschitz estimates of the benchmark's wave study.
+Lipschitz estimates of the benchmark's wave study, and one its step-size
+sweep: a run and a strip check per h.
 Run only these with ``pytest tests/test_step_bench.py``;
 ``--benchmark-skip`` leaves them out.
 """
@@ -25,7 +26,7 @@ import pytest
 from expsplit import config as cfgmod
 from expsplit import harness
 from expsplit.integrator import SchemeSpec, plan_step, step
-from expsplit.nonlinearities import estimate_lipschitz
+from expsplit.nonlinearities import StripMonitor, estimate_lipschitz
 
 GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
@@ -219,4 +220,36 @@ def test_study_lipschitz_phase(benchmark):
     expected = estimates()
     assert expected[1] == lipschitz > 0.0
     got = benchmark.pedantic(estimates, rounds=10, iterations=1, warmup_rounds=1)
+    assert got == expected
+
+
+def test_study_sweep(benchmark, monkeypatch):
+    # the sweep of the study-wave workload's study, from its reference
+    # context built once: per h one run and one strip check of its rows,
+    # whose last distance is the study's error
+    monkeypatch.setattr(harness, "_REFERENCE_MEMO", {})
+    _, over, T, _ = REFERENCE_CASES["wave-32modes-windowed"]
+    cfg = cfgmod.resolve_config("wave-cubic-s2")
+    cfg["problem"].update(over)
+    cfg["run"]["t_final"] = T
+    problem = cfgmod.build_problem(cfg)
+    g = cfgmod.build_nonlinearity(cfg, problem)
+    u0 = np.asarray(cfgmod.build_initial(cfg, problem))
+    plan = cfgmod.build_plan(cfg)
+    report = harness.convergence_study(plan, problem, g, u0)
+    ((ref, radius, lipschitz),) = harness._REFERENCE_MEMO.values()
+
+    def sweep():
+        monitor = StripMonitor(radius=radius, times=ref.times, states=ref.states,
+                               v_norm=problem.v_norm)
+        errors = []
+        for n in report.n_list:
+            rec = harness.run(u0, T, n, plan.scheme, problem, g, lipschitz)
+            rec.raise_if_failed()
+            errors.append(float(monitor.check(rec.times, rec.states)[-1]))
+        return errors
+
+    expected = sweep()
+    assert expected == report.errors
+    got = benchmark.pedantic(sweep, rounds=10, iterations=1, warmup_rounds=1)
     assert got == expected
