@@ -247,11 +247,12 @@ def _feed(digest, obj):
 
 def _reference_key(problem, g, u_0, T, h_min, h_ref, seed):
     """Short hex digest of everything a study's reference context depends
-    on; "" when some input cannot be hashed by content or refers to itself."""
+    on, the module constants of the ladder and the strip radius included;
+    "" when some input cannot be hashed by content or refers to itself."""
     digest = hashlib.sha256()
     try:
-        _feed(digest, (REFERENCE_STAGES, problem, g, np.asarray(u_0), T, h_min,
-                       h_ref, seed))
+        _feed(digest, (REFERENCE_STAGES, LADDER_TOL, STRIP_RADIUS_FRAC, problem, g,
+                       np.asarray(u_0), T, h_min, h_ref, seed))
     except (TypeError, RecursionError):
         return ""
     return digest.hexdigest()[:16]

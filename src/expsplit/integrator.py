@@ -11,10 +11,15 @@ contracts on the whole ball, so the start changes the iteration count,
 not the stopping rule). The step then advances
   u_{n+1} = e^{hA} u_n + int_0^h e^{(h-tau)A} sum_j ell_j(tau) g(., U_j) dtau,
 with e^{hA} u_n the last row of the anchor's flow: stage s's when c_s = 1,
-an extra row at h otherwise.  The s stages travel as one (s, *grid) array:
-each iteration makes one g.eval, one stage convolution and one v_norm call
-on the whole stack; the anchor is normed only when the stage-scale floor
-of the tolerance decides a test.
+an extra row at h otherwise.  The s stages travel as one (s, *grid) array.
+With c_1 = 0 stage 1 is u_n, so its g row is fixed (Hochbruck & Ostermann,
+Acta Numerica 19 (2010), section 2): the first iteration makes one g.eval
+and one stage_modes transform of the whole stack, and every later
+iteration and the update make them on rows 2..s only and reuse row 1's
+modes, so an s = 1 step evaluates g once.  Each iteration then makes one
+convolution of the stage modes, and its increments are normed on rows
+2..s in one v_norm call (on the whole stack when c_1 != 0); the anchor is
+normed only when the stage-scale floor of the tolerance decides a test.
 A failed run keeps the rows it reached, with status contraction or divergence.
 Every operator a step of size h applies is built once, into a StepPlan,
 and only while the contraction certificate
@@ -109,6 +114,9 @@ class StepPlan:
     update_row: object
     kappa: float
     tol: float
+    # 1 when c_1 = 0: stage 1 is u_n and its g row is known from the first
+    # iteration on; 0 otherwise
+    fixed: int
 
 
 @dataclass
@@ -121,6 +129,10 @@ class StageInfo:
     residual_bound: float = float("nan")
     correction: object = None  # final stages minus their anchor
     flow_end: object = None  # e^{hA} u_n, the last row of the anchor flow
+    # stage_modes of g at the last iterate but one, which gave the final
+    # stages; row 1 is g(t_n, u_n)'s when c_1 = 0.  step takes it out and
+    # refreshes the rest, so a run does not keep it into the next step
+    g_modes: object = None
 
 
 @dataclass
@@ -199,7 +211,7 @@ def plan_step(h: float, scheme: SchemeSpec, propagator: Propagator,
                                      else np.append(offsets, h)),
         stage_rows=propagator.convolve_op(h, scheme.lag, nodes),
         update_row=propagator.convolve_op(h, scheme.lag, (1.0,)),
-        kappa=kappa, tol=min(1e-12, h ** (s + 1)))
+        kappa=kappa, tol=min(1e-12, h ** (s + 1)), fixed=int(nodes[0] == 0.0))
 
 
 def _floors(tol: float, scale: float):
@@ -218,28 +230,45 @@ def _stops(inc: float, tol: float, kappa: float) -> bool:
 
 def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
     """Solve the stage equations from the anchor plus start (an (s, *grid)
-    correction, or None); returns ((s, *grid) stages, StageInfo)."""
-    propagator, kappa = plan.propagator, plan.kappa
+    correction, or None; its row 1 is not read when c_1 = 0); returns
+    ((s, *grid) stages, StageInfo)."""
+    propagator, kappa, s, fixed = plan.propagator, plan.kappa, plan.s, plan.fixed
     times = t_n + plan.offsets
     anchor = propagator.apply_nodes(plan.node_flow, u_n)
-    base = anchor[:plan.s]
-    stages = base if start is None else base + start
-    info = StageInfo(flow_end=anchor[-1])
+    base = anchor[:s]
+    stages = base
+    if start is not None:
+        stages = base + start
+        if fixed:
+            stages[0] = base[0]  # stage 1 is u_n whatever the start
+    # the first iteration transforms the whole stack; later ones write the
+    # unknown rows' modes into the same array
+    modes = propagator.stage_modes(g.eval(times, stages))
+    info = StageInfo(flow_end=anchor[-1], g_modes=modes)
+    # the increments are normed on the unknown rows 2..s, or on stage 1 when
+    # it is the only one (s = 1): 0 then, or nan for a non-finite u_n
+    free = min(fixed, s - 1)
+    later, rows = times[free:], stages[free:]
     # the floors at scale 1 are lower bounds of the true ones (scale >= 1):
     # a stop or an unrecorded ratio there is one at the true floors too, so
-    # the stage stack is normed only when a test stays open
+    # the anchor is normed only when a test stays open
     scale = None
     tol, ratio_floor = _floors(plan.tol, 1.0)
     prev_inc = 0.0  # no ratio on the first iteration
     for it in range(1, FP_MAX_ITER + 1):
-        G = g.eval(times, stages)
-        info.correction = propagator.stage_convolve(plan.stage_rows, G)
-        new_stages = base + info.correction
-        inc = float(np.max(propagator.v_norm(new_stages - stages)))
+        if it > 1:  # only when s >= 2: an s = 1 solve stops at once
+            modes[free:] = propagator.stage_modes(g.eval(later, rows))
+        info.correction = propagator.convolve_modes(plan.stage_rows, modes)
+        # whole: row 1 of the correction is an exact zero; stacks assembled
+        # from the new rows alone raised the peak RSS of a 128 x 128 heat
+        # run (where arrays land, see Propagator._zero_ends)
+        stages = base + info.correction
+        new_rows = stages[free:]
+        inc = float(np.max(propagator.v_norm(new_rows - rows)))
         if not np.isfinite(inc):
             raise FixedPointDivergenceError(
                 f"stage iteration diverged at t={t_n:.6g} (non-finite increment)")
-        stages = new_stages
+        rows = new_rows
         info.iterations = it
         info.increment = inc
         if scale is None and (prev_inc > ratio_floor or not _stops(inc, tol, kappa)):
@@ -262,10 +291,16 @@ def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
 
 
 def step(u_n, t_n: float, g, plan: StepPlan, start=None):
-    """One full step, started at the anchor plus start; returns (u_next, StageInfo)."""
+    """One full step, started at the anchor plus start; returns (u_next,
+    StageInfo).  The update reuses the stage modes of stage 1 when c_1 = 0,
+    so an s = 1 step evaluates g once."""
     stages, info = internal_stages(u_n, t_n, g, plan, start)
-    G = g.eval(t_n + plan.offsets, stages)
-    (conv,) = plan.propagator.stage_convolve(plan.update_row, G)
+    propagator, fixed = plan.propagator, plan.fixed
+    modes, info.g_modes = info.g_modes, None
+    if fixed < plan.s:
+        times = t_n + plan.offsets[fixed:]
+        modes[fixed:] = propagator.stage_modes(g.eval(times, stages[fixed:]))
+    (conv,) = propagator.convolve_modes(plan.update_row, modes)
     return info.flow_end + conv, info
 
 

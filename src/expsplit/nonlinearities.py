@@ -45,7 +45,8 @@ class Nonlinearity:
     eval acts on the trailing grid axes.  v may be one state with a float
     t, or a stack (k, *grid) of states with t an array of k row times;
     a stack gives (k, *grid), row m equal to eval(t[m], v[m]).  The
-    stepper evaluates all s stages of an iteration in one call.
+    stepper evaluates the stages of an iteration in one call, and the
+    result is a new array: the stepper may write stage modes into it.
     """
 
     def eval(self, t, v):

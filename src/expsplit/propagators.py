@@ -149,19 +149,26 @@ class Propagator:
     step: flow_op(times) is applied by apply_nodes(op, V), and
     convolve_op(h, lag, ends) by stage_convolve(op, G).  Stages travel as
     one (s, *grid) array, and apply(t, v), the one-time flow of one state,
-    is the one-row case of the first pair.
+    is the one-row case of the first pair.  stage_convolve is split where
+    it transforms its input: stage_modes(G) gives the stacked stage values
+    in the form the kernel reads, row i from row i of G alone, and
+    convolve_modes(op, M) applies the op to them, so a stepper can keep
+    the modes of a stage that does not change and transform only the
+    others.
 
     The base class owns the bookkeeping of both ops.  An op is the tuple
     (count, live, plan, shape, dtype): the number of rows, the indices of
     the live rows (t != 0 for a flow, e_i h != 0 for an end), the plan of
-    the live rows alone, the shape of the state it takes (a grid state, or
-    the (s, *grid) stage stack) and the grid dtype.  The plans come from
-    the subclass's methods _flows(times) and _convolution(h, lag, ends),
-    which see only live rows (and are not called when none is), and are
-    applied by its kernels _flow(plan, V) and _convolve(plan, G, count,
-    live).  apply_nodes and stage_convolve check the input's shape, copy
-    the state into the t = 0 rows exactly and leave the e_i h = 0 ends
-    exactly zero, so those rows hold for any state, finite or not.
+    the live rows alone, the shape of the input it takes (a grid state,
+    or the (s, *grid) stage stack) and the grid dtype.  The plans come
+    from the subclass's methods _flows(times) and _convolution(h, lag,
+    ends), which see only live rows (and are not called when none is), and
+    are applied by its kernels _flow(plan, V) and _convolve(plan, M, count,
+    live); _stage_modes(G) makes the stage modes, _modes_shape(grid) gives
+    the shape of one row of them and _grid_shape that of one state.  apply_nodes, stage_modes and
+    convolve_modes check the input's shape, copy the state into the t = 0
+    rows exactly and leave the e_i h = 0 ends exactly zero, so those rows
+    hold for any state, finite or not.
 
     The base class also owns the norm couple: X is the grid L^p norm and V
     the grid L^r norm (p <= r) over the `dim` trailing axes with cell
@@ -236,16 +243,33 @@ class Propagator:
         plan = self._convolution(h, lag, [ends[i] for i in live]) if live else None
         return len(ends), live, plan, (lag.s,) + zero.shape, zero.dtype
 
+    def stage_modes(self, G):
+        """The stage values G, a (k, *grid) stack, in the form the
+        convolution kernels read; row i of the result depends on row i of
+        G alone, so rows transformed apart equal rows transformed together
+        bit for bit."""
+        G = np.asarray(G)
+        grid = self._grid_shape
+        if G.shape[1:] != grid:
+            raise ValidationError(f"stage stack shape {G.shape} is not (k, *{grid})")
+        return self._stage_modes(G)
+
+    def convolve_modes(self, op, M):
+        """Apply a convolve_op to stage_modes of the s stage values;
+        returns (len(ends), *grid)."""
+        n_ends, live, plan, shape, dtype = op
+        M = np.asarray(M)
+        modes = shape[:1] + self._modes_shape(shape[1:])
+        if M.shape != modes:
+            raise ValidationError(f"stage modes shape {M.shape} != {modes}")
+        if not live:
+            return np.zeros((n_ends,) + shape[1:], dtype)
+        return self._convolve(plan, M, n_ends, live)
+
     def stage_convolve(self, op, G):
         """Apply a convolve_op to the s stage values G, stacked as
         (s, *grid); returns (len(ends), *grid)."""
-        n_ends, live, plan, shape, dtype = op
-        G = np.asarray(G)
-        if G.shape != shape:
-            raise ValidationError(f"stage stack shape {G.shape} != {shape}")
-        if not live:
-            return np.zeros((n_ends,) + shape[1:], dtype)
-        return self._convolve(plan, G, n_ends, live)
+        return self.convolve_modes(op, self.stage_modes(G))
 
     def _zero_ends(self, n_ends: int, live, acc):
         """The (n_ends, *grid) result of a stage convolution whose live rows
@@ -275,10 +299,24 @@ class Propagator:
         """The plan of the stage convolution for the ends with e_i h != 0."""
         raise NotImplementedError
 
-    def _convolve(self, plan, G, n_ends: int, live):
-        """The stage convolution of a _convolution plan, through
-        _zero_ends."""
+    def _stage_modes(self, G):
+        """The stage modes of a (k, *grid) stack: the stack itself unless
+        the kernels read a transform of it."""
+        return G
+
+    def _modes_shape(self, grid):
+        """The shape of one row of the stage modes of a grid of this shape."""
+        return grid
+
+    def _convolve(self, plan, M, n_ends: int, live):
+        """The stage convolution of a _convolution plan applied to the
+        stage modes M, through _zero_ends."""
         raise NotImplementedError
+
+    @property
+    def _grid_shape(self):
+        """The shape of one state, that of zeros()."""
+        return self.zeros().shape
 
     def lp(self, v, p):
         return lp_norm(v, p, self.cell, self.dim)
@@ -361,8 +399,9 @@ class DiagonalPropagator(Propagator):
     to_modes / from_modes on the trailing grid axes, so a stack of states
     transforms in one call.  A flow plan holds the multipliers
     exp(outer(times, eigenvalues)) of its live times, and a flow transforms
-    just those rows (a single state once).  A convolution plan holds the
-    exact phi-function weights (E, s, modes) of its live ends.  With real
+    just those rows (a single state once).  The stage modes are to_modes
+    of the stage stack, and a convolution plan holds the exact
+    phi-function weights (E, s, modes) of its live ends.  With real
     eigenvalues the weights are stored as real numbers, each repeated for
     the real and imaginary part of its mode, and applied to a float view of
     the stage modes.
@@ -371,9 +410,10 @@ class DiagonalPropagator(Propagator):
     product beats a transform pair.  Each plan is then built once as dense
     grid matrices, the unit vectors pushed through the modal operator: the
     flow plan is an (m, n, n) stack, the convolution plan one (E*n, s*n)
-    matrix on the flattened stage stack.  A flow is one matrix-vector
-    product per row and a stage convolution one product in all, and the
-    transforms run only while the plans are built.
+    matrix on the flattened stage stack, which is then its own stage
+    modes.  A flow is one matrix-vector product per row and a stage
+    convolution one product in all, and the transforms run only while the
+    plans are built.
     """
 
     eigenvalues: np.ndarray
@@ -423,11 +463,16 @@ class DiagonalPropagator(Propagator):
             op[i, :, j] = self.from_modes(W[i, j] * unit).T
         return op.reshape(n_ends * n, s * n)
 
-    def _convolve(self, plan, G, n_ends, live):
+    def _stage_modes(self, G):
+        return G if self.folded else self.to_modes(G)
+
+    def _modes_shape(self, grid):
+        return grid if self.folded else self.eigenvalues.shape
+
+    def _convolve(self, plan, modes, n_ends, live):
         if self.folded:
-            acc = (plan @ G.reshape(-1)).reshape((-1,) + G.shape[1:])
+            acc = (plan @ modes.reshape(-1)).reshape((-1,) + modes.shape[1:])
             return self._zero_ends(n_ends, live, acc)
-        modes = self.to_modes(G)
         if plan.dtype.kind == "f":
             # the complex einsum's bits from a real one that allocates
             # only its output
@@ -505,6 +550,10 @@ class HeatTorusProblem(DiagonalPropagator):
         self._set_profiles(c, alpha)
 
     bound_m = 1.0  # kernel has unit mass, Young on every L^p
+
+    @property
+    def _grid_shape(self):
+        return self.shape  # without the zeros() of a 128 x 128 grid
 
     def _check(self, v):
         if np.shape(v)[-self.dim:] != self.shape:
@@ -629,6 +678,10 @@ class OUProblem(Propagator):
 
     bound_m = 1.05  # contraction up to quadrature/interpolation error
 
+    @property
+    def _grid_shape(self):
+        return (self.n,)
+
     def q_t(self, t: float) -> float:
         g = self.gamma
         return self.q * (math.exp(2.0 * g * t) - 1.0) / (2.0 * g)
@@ -728,7 +781,8 @@ class OUProblem(Propagator):
         modal form by one (m, s) product and weighted by the row symbols,
         one irfft over the m rows and one gathered dilation, whose
         quadrature-weighted rows are summed end by end.  Rows below the
-        kernel-variance cutoff dilate the physical interpolant."""
+        kernel-variance cutoff dilate the physical interpolant, so the
+        stage modes G are the physical stage values themselves."""
         basis, smooth, symbol, first, weights, outside = plan
         if symbol is None:
             conv = basis @ G
@@ -798,6 +852,10 @@ class WaveProblem(DiagonalPropagator):
         self._set_profiles(self.bound_m, 0.0)
 
     bound_m = 1.0  # exact rotation in the energy pairing
+
+    @property
+    def _grid_shape(self):
+        return (self.n,)
 
     def to_modes(self, z):
         return np.asarray(z, dtype=complex)

@@ -487,6 +487,19 @@ class TestReferenceMemo:
         assert len(ref_builds) == 1
         assert first.reference_key == second.reference_key
 
+    @pytest.mark.parametrize("name,value", [("STRIP_RADIUS_FRAC", 0.5),
+                                            ("LADDER_TOL", 1e-10)])
+    def test_module_constant_change_misses(self, ref_builds, make_scalar,
+                                           monkeypatch, name, value):
+        # the strip radius and the ladder's stop read these constants: a
+        # study after either changes builds its own reference context
+        study = logistic_study(make_scalar)
+        first = convergence_study(*study)
+        monkeypatch.setattr(harness, name, value)
+        second = convergence_study(*study)
+        assert len(ref_builds) == 2
+        assert first.reference_key != second.reference_key
+
     def test_unhashable_input_bypasses_the_memo(self, ref_builds, make_scalar):
         plan, pr, g, u0 = logistic_study(make_scalar)
         pr.callback = lambda: None  # no content to key on

@@ -63,6 +63,17 @@ def eager_stages(u_n, t_n, g, plan, start=None):
     return stages, info
 
 
+def eager_step(u_n, t_n, g, plan, start=None):
+    """Reference copy of a step that evaluates g on the whole stage stack
+    and transforms all of it in every iteration and in the update."""
+    stages, info = eager_stages(u_n, t_n, g, plan, start)
+    propagator = plan.propagator
+    flow_end = propagator.apply_nodes(plan.node_flow, u_n)[-1]
+    G = g.eval(t_n + plan.offsets, stages)
+    (conv,) = propagator.stage_convolve(plan.update_row, G)
+    return flow_end + conv, info
+
+
 def certificate(problem, scheme, lipschitz, h):
     """kappa(h) = Omega(h) * C_ell * s * L with L floored at 1e-12."""
     return (problem.profile_x.omega(h) * scheme.lag.c_ell * scheme.s
@@ -587,6 +598,77 @@ class TestStageScale:
         assert info.increment == ref_info.increment
         assert info.contraction_ratios == ref_info.contraction_ratios
         assert info.residual_bound == ref_info.residual_bound
+
+
+class TestFixedFirstStage:
+    """With c_1 = 0 a step evaluates and transforms g(t_n, u_n) once and
+    iterates only on stages 2..s; the results are those of a step that
+    evaluates and transforms the whole stack every time."""
+
+    @given(st.sampled_from(sorted(START_PROBLEMS)),
+           st.sampled_from(["s1", "s2", "s3", "s4", "gauss2"]),
+           st.floats(-16.0, math.log2(1 / 20)), st.sampled_from([None, -1.0, 1.0, 2.0]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_step_equals_the_full_stack_step(self, name, scheme_name, log2_h,
+                                             warm, seed):
+        # a cold step from u, then one from its successor started cold or
+        # from a multiple of the first correction
+        problem = START_PROBLEMS[name]
+        scheme = END_ROW_SCHEMES[scheme_name]
+        g = WaveCubic(problem) if name == "wave" else PowerNonlinearity(3.0, -1.0)
+        h = 2.0 ** log2_h
+        plan = plan_step(h, scheme, problem, 3.0)
+        u = 0.3 * random_state(problem, np.random.default_rng(seed))
+        u1, first = step(u, 0.0, g, plan)
+        ref1, ref_first = eager_step(u, 0.0, g, plan)
+        start = None if warm is None else warm * ref_first.correction
+        u2, second = step(ref1, h, g, plan, start)
+        ref2, ref_second = eager_step(ref1, h, g, plan, start)
+        for got, ref, info, ref_info in ((u1, ref1, first, ref_first),
+                                         (u2, ref2, second, ref_second)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(info.correction, ref_info.correction)
+            assert info.iterations == ref_info.iterations
+            assert info.increment == ref_info.increment
+            assert info.contraction_ratios == ref_info.contraction_ratios
+            assert info.residual_bound == ref_info.residual_bound
+
+    @pytest.mark.parametrize("scheme_name", ["s1", "s2", "s3", "s4", "gauss2"])
+    @pytest.mark.parametrize("name", ["heat-2d", "ou", "wave"])
+    def test_rows_evaluated_and_transformed(self, name, scheme_name, monkeypatch, rng):
+        # s rows in the first iteration, then s - 1 in each later one and
+        # in the update: s + k (s - 1) for k iterations; without c_1 = 0
+        # every iteration and the update see all s rows
+        problem = STEP_PROBLEMS[name]()
+        scheme = END_ROW_SCHEMES[scheme_name]
+        base_g = WaveCubic(problem) if name == "wave" else PowerNonlinearity(3.0, -1.0)
+        evals, transformed = [], []
+
+        class Counted:
+            def eval(self, t, v):
+                evals.append(len(v))
+                return base_g.eval(t, v)
+
+        stage_modes = problem.stage_modes
+
+        def counted_modes(G):
+            transformed.append(len(G))
+            return stage_modes(G)
+
+        monkeypatch.setattr(problem, "stage_modes", counted_modes)
+        plan = plan_step(0.002, scheme, problem, 3.0)
+        u = 0.3 * random_state(problem, rng)
+        _, info = step(u, 0.0, Counted(), plan)
+        _, warm = step(u, 0.0, Counted(), plan, info.correction)
+        s = scheme.s
+        per_row = s if scheme_name == "gauss2" else s - 1
+        calls = [[s] + [per_row] * k for k in (info.iterations, warm.iterations)]
+        expected = [rows for step_calls in calls for rows in step_calls if rows]
+        assert evals == transformed == expected
+        if s == 1:
+            assert evals == [1, 1]  # one g.eval a step
+        assert max(info.iterations, warm.iterations) >= (1 if s == 1 else 2)
 
 
 class TestSchemeSpec:

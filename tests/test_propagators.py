@@ -10,7 +10,8 @@ from conftest import decode, random_state
 from expsplit.errors import FixedPointDivergenceError, ValidationError
 from expsplit.integrator import SchemeSpec, internal_stages, plan_step
 from expsplit.lagrange import NodeSet, build_lagrange, eval_basis
-from expsplit.nonlinearities import AdvectionNonlinearity, ZeroNonlinearity
+from expsplit.nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
+                                     WaveCubic, ZeroNonlinearity)
 from expsplit.phi import stage_weights_diagonal
 from expsplit.propagators import (HeatTorusProblem, OUProblem, SmoothingProfile,
                                   WaveProblem, gaussian_smoothing_constant,
@@ -792,6 +793,56 @@ class TestStageConvolve:
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         with pytest.raises(ValidationError):
             hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,)), [hp.zeros()])
+
+
+# name -> problem of the row-independence test: folded and modal 1D heat,
+# 2D heat, OU and wave
+ROW_PROBLEMS = {
+    "heat-1d-n64": HeatTorusProblem(dim=1, n=64),
+    "heat-1d-n128": HeatTorusProblem(dim=1, n=128),
+    "heat-2d-n16": HeatTorusProblem(dim=2, n=16),
+    "heat-2d-n128": HeatTorusProblem(dim=2, n=128),
+    "ou-n256": OUProblem(n=256),
+    "wave": WaveProblem(n_modes=32),
+}
+
+
+class TestRowIndependence:
+    """A step transforms stage 1 once and the other rows apart from it, so
+    row i of stage_modes and of g.eval must depend on row i alone."""
+
+    @given(st.sampled_from(sorted(ROW_PROBLEMS)), st.integers(1, 8),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_rows_equal_rows_alone(self, name, k, seed):
+        problem = ROW_PROBLEMS[name]
+        g = WaveCubic(problem) if name == "wave" else PowerNonlinearity(3.0, -1.0)
+        rng = np.random.default_rng(seed)
+        X = np.stack([problem.random_field(rng) for _ in range(k)])
+        t = rng.random(k)
+        G = g.eval(t, X)
+        modes = problem.stage_modes(G)
+        for i in range(k):
+            assert np.array_equal(G[i], g.eval(t[i], X[i]))
+            assert np.array_equal(modes[i], problem.stage_modes(G[i:i + 1])[0])
+            assert np.array_equal(modes[i], problem.stage_modes(G[i:])[0])
+
+    @pytest.mark.parametrize("name", sorted(ROW_PROBLEMS))
+    def test_stage_modes_checks_the_grid(self, name):
+        problem = ROW_PROBLEMS[name]
+        grid = problem.zeros().shape
+        for G in (np.zeros(grid), np.zeros((2,) + grid[:-1] + (grid[-1] + 1,))):
+            with pytest.raises(ValidationError):
+                problem.stage_modes(G)
+        lag = build_lagrange(NodeSet((0.0, 1.0)))
+        op = problem.convolve_op(0.01, lag, (0.0, 1.0))
+        modes = problem.stage_modes(np.ones((2,) + grid))
+        with pytest.raises(ValidationError):
+            problem.convolve_modes(op, modes[:1])
+        with pytest.raises(ValidationError):
+            problem.convolve_modes(op, modes[..., :-1])
+        assert np.array_equal(problem.convolve_modes(op, modes),
+                              problem.stage_convolve(op, np.ones((2,) + grid)))
 
 
 def gauss_scheme(s):

@@ -39,6 +39,7 @@ STEP_CASES = {
     "heat1d-n128-s2": ("heat-frac-s2", {"n": 128}, 2, 1 / 640),
     "heat2d-n32-s2": ("heat-torus-2d", {"n": 32}, 2, 1 / 100),
     "heat2d-n128-s2": ("heat-torus-2d", {"n": 128}, 2, 0.002),
+    "heat2d-n128-s4": ("heat-torus-2d", {"n": 128}, 4, 0.002),
     "ou-n256-s4": ("ou-1d", {"n": 256}, 4, 1 / 5120),
     "ou-n512-s4": ("ou-1d", {"n": 512}, 4, 1 / 5120),
     "wave-32modes-s2": ("wave-dirichlet-1d", {"n_modes": 32}, 2, 1 / 160),
