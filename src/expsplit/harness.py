@@ -3,13 +3,15 @@
 A study runs the stepper over a geometric step-size sweep, measures
 terminal V-norm errors against a refined reference trajectory, fits
 empirical orders, and compares with the a-priori bound chain.
+The study work that does not depend on the scheme is memoized for the
+most recent study, keyed on the declared inputs (_reference_key).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +20,7 @@ from .errors import StripViolationError, StudyFailedError, ValidationError
 from .gronwall import AprioriConstants, apriori_error_bound, derivative_l1_norm, \
     taylor_kernel_bound
 from .integrator import SchemeSpec, run, run_windowed
-from .nonlinearities import StripMonitor, ZeroNonlinearity, estimate_lipschitz, \
-    stored_state
+from .nonlinearities import StripMonitor, ZeroNonlinearity, estimate_lipschitz
 from .propagators import DiagonalPropagator, measure_smoothing
 
 __all__ = ["StudyPlan", "ConvergenceReport", "ReferenceSolution",
@@ -66,6 +67,9 @@ class StudyPlan:
     seed: int = 0
 
     def validate(self):
+        if not 0.0 < self.eoc_tol < math.inf:
+            raise ValidationError(
+                f"eoc_tol must be positive and finite, got {self.eoc_tol}")
         hs = sorted(float(h) for h in self.h_list)
         if len(hs) < 2:
             raise ValidationError("need at least two step sizes")
@@ -83,7 +87,8 @@ class StudyPlan:
 @dataclass
 class ReferenceSolution:
     """Reference trajectory sampled at spacing dt (the finest sweep h), its
-    states one (len(times), *grid) array; at_time takes one t or an array."""
+    states one (len(times), *grid) array; nonlinearities.stored_state looks
+    up the rows at one t or an array of them."""
 
     times: np.ndarray
     states: np.ndarray
@@ -91,9 +96,6 @@ class ReferenceSolution:
     # step; for order q it over-estimates the stored run's error by about 2^q
     self_check_diff: float
     h_ref: float  # the stored run's step; 0 for an exact flow
-
-    def at_time(self, t):
-        return stored_state(self.times, self.states, t)
 
 
 @dataclass
@@ -190,7 +192,7 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
     stride, samples = round(stride), round(samples)
     times = np.round(np.arange(samples + 1) * sample_dt, 12)
     if isinstance(g, ZeroNonlinearity):
-        u_0 = np.asarray(u_0, dtype=problem.zeros().dtype)
+        u_0 = np.asarray(u_0, dtype=problem.dtype)
         return ReferenceSolution(times=times, self_check_diff=0.0, h_ref=0.0,
                                  states=problem.apply_nodes(problem.flow_op(times), u_0))
     if samples * stride < 2:
@@ -220,41 +222,26 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
         factor *= 2
 
 
-def _feed(digest, obj):
-    """Hash obj by content: values, array dtype/shape/bytes, and for other
-    objects the class plus every attribute, recursively."""
-    if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
-        digest.update(f"{obj.dtype.str}{obj.shape}".encode())
-        digest.update(np.ascontiguousarray(obj).tobytes())
-    elif obj is None or isinstance(obj, (bool, int, float, complex, str, np.generic)):
-        digest.update(f"{type(obj).__name__}:{obj!r};".encode())
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        digest.update(f"{type(obj).__name__}[{len(obj)}".encode())
-        for item in obj:
-            _feed(digest, item)
-        digest.update(b"]")
-    elif hasattr(obj, "__dict__") and not isinstance(
-            obj, (type, types.FunctionType, types.MethodType, types.ModuleType)):
-        cls = type(obj)
-        digest.update(f"{cls.__module__}.{cls.__qualname__}{{".encode())
-        for name, value in sorted(vars(obj).items()):
-            digest.update(f"{name}=".encode())
-            _feed(digest, value)
-        digest.update(b"}")
-    else:
-        raise TypeError(f"cannot key a reference on a {type(obj).__name__}")
-
-
 def _reference_key(problem, g, u_0, T, h_min, h_ref, seed):
-    """Short hex digest of everything a study's reference context depends
-    on, the module constants of the ladder and the strip radius included;
-    "" when some input cannot be hashed by content or refers to itself."""
-    digest = hashlib.sha256()
-    try:
-        _feed(digest, (REFERENCE_STAGES, LADDER_TOL, STRIP_RADIUS_FRAC, problem, g,
-                       np.asarray(u_0), T, h_min, h_ref, seed))
-    except (TypeError, RecursionError):
+    """Short hex digest of the declared inputs of a study's reference
+    context: the module constants of the reference, the ladder and the
+    strip radius, the class and spec of the problem and of g, the
+    problem's profile_x (it sets kappa, and a caller may reassign it), u_0
+    by dtype, shape and bytes, and T, h_min, h_ref and seed.  It reads no
+    other attribute, so a problem may keep caches; "" when the problem or
+    g declares no spec."""
+    declared = [[f"{type(obj).__module__}.{type(obj).__qualname__}",
+                 getattr(obj, "spec", None)] for obj in (problem, g)]
+    if any(spec is None for _, spec in declared):
         return ""
+    u_0 = np.ascontiguousarray(u_0)
+    profile = problem.profile_x
+    text = json.dumps([REFERENCE_STAGES, LADDER_TOL, STRIP_RADIUS_FRAC, *declared,
+                       [profile.c, profile.alpha], u_0.dtype.str, u_0.shape,
+                       float(T), float(h_min), float(h_ref), int(seed)],
+                      sort_keys=True)
+    digest = hashlib.sha256(text.encode())
+    digest.update(u_0.tobytes())
     return digest.hexdigest()[:16]
 
 

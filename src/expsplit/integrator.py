@@ -317,7 +317,7 @@ def _start_record(u_0, T: float, N: int, propagator: Propagator,
     h = T / max(N, 1)
     u = np.asarray(u_0)
     # filled row by row: a stack made at the end would hold every state twice
-    states = np.empty((len(steps),) + u.shape, np.result_type(u, propagator.zeros()))
+    states = np.empty((len(steps),) + u.shape, np.result_type(u, propagator.dtype))
     states[0] = u
     return h, u, TrajectoryRecord(steps=steps, times=steps * h, states=states)
 

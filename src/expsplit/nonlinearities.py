@@ -47,7 +47,13 @@ class Nonlinearity:
     a stack gives (k, *grid), row m equal to eval(t[m], v[m]).  The
     stepper evaluates the stages of an iteration in one call, and the
     result is a new array: the stepper may write stage modes into it.
+
+    `spec` is the declared inputs: the config section that
+    build_nonlinearity rebuilds it from, with the bound problem's spec
+    under "problem"; None declares nothing (see Propagator.spec).
     """
+
+    spec = None
 
     def eval(self, t, v):
         raise NotImplementedError
@@ -55,6 +61,10 @@ class Nonlinearity:
 
 class ZeroNonlinearity(Nonlinearity):
     """g = 0: the purely linear problem."""
+
+    @property
+    def spec(self):
+        return {"kind": "none"}
 
     def eval(self, t, v):
         return np.zeros_like(v)
@@ -71,6 +81,10 @@ class PowerNonlinearity(Nonlinearity):
             raise ValidationError("power exponent must exceed 1")
         self.alpha = float(alpha)
         self.coeff = float(coeff)
+
+    @property
+    def spec(self):
+        return {"kind": "power", "alpha": self.alpha, "coeff": self.coeff}
 
     def eval(self, t, v):
         v = np.asarray(v)
@@ -98,6 +112,10 @@ class AdvectionNonlinearity(Nonlinearity):
         self.problem = problem
         self.k = np.fft.rfftfreq(problem.n, d=1.0 / problem.n)
 
+    @property
+    def spec(self):
+        return {"kind": "advection", "problem": self.problem.spec}
+
     def eval(self, t, v):
         pr = self.problem
         return np.asarray(v) * pr.from_modes(1j * self.k * pr.to_modes(v))
@@ -108,6 +126,10 @@ class WaveCubic(Nonlinearity):
 
     def __init__(self, problem):
         self.problem = problem
+
+    @property
+    def spec(self):
+        return {"kind": "wave_cubic", "problem": self.problem.spec}
 
     def eval(self, t, z):
         pr = self.problem

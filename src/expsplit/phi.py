@@ -46,7 +46,11 @@ def phi_many(max_k: int, z) -> np.ndarray:
 
 
 def phi(k: int, z):
-    """phi_k(z); relative accuracy ~1e-13 for |z| <= 50."""
+    """phi_k(z).  The relative error is below 1e-13 for k <= 4 on |z| <= 2
+    (real or imaginary) and on real z in [-120, -2], the ranges
+    tests/test_phi.py checks.  Just above the series switch |z| = 0.5 the
+    upward recurrence loses about a digit per order: at z = -0.502 it is
+    2.9e-12 for phi_6 and 6.3e-10 for phi_8."""
     if k < 0:
         raise ValidationError("phi order must be >= 0")
     res = phi_many(k, z)[k]

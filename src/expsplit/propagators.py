@@ -21,7 +21,6 @@ the t = 0 flow rows exactly and leaves the e_i h = 0 ends exactly zero.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -164,11 +163,13 @@ class Propagator:
     from the subclass's methods _flows(times) and _convolution(h, lag,
     ends), which see only live rows (and are not called when none is), and
     are applied by its kernels _flow(plan, V) and _convolve(plan, M, count,
-    live); _stage_modes(G) makes the stage modes, _modes_shape(grid) gives
-    the shape of one row of them and _grid_shape that of one state.  apply_nodes, stage_modes and
-    convolve_modes check the input's shape, copy the state into the t = 0
-    rows exactly and leave the e_i h = 0 ends exactly zero, so those rows
-    hold for any state, finite or not.
+    live); _stage_modes(G) makes the stage modes and _modes_shape(grid)
+    gives the shape of one row of them.  A problem sets `shape`, that of
+    one state, and `dtype`, the grid dtype (float unless it says
+    otherwise).  apply_nodes, stage_modes and convolve_modes check the
+    input's shape, copy the state into the t = 0 rows exactly and leave the
+    e_i h = 0 ends exactly zero, so those rows hold for any state, finite
+    or not.
 
     The base class also owns the norm couple: X is the grid L^p norm and V
     the grid L^r norm (p <= r) over the `dim` trailing axes with cell
@@ -176,11 +177,20 @@ class Propagator:
     trailing grid axes: one state gives a float, a stack (k, *grid) gives
     its k row norms in one call.  The stepper takes each increment and
     stage-scale norm of a step that way.
+
+    `spec` is the problem's declared inputs, plain values: the config
+    section that config.build_problem rebuilds it from.  A study's
+    reference key reads it and no other attribute, so a problem may keep
+    what it derives; None declares nothing, and such a problem's studies
+    build their own reference.
     """
 
     bound_m: float = 1.0
     profile_x: SmoothingProfile
     profile_w: SmoothingProfile
+    shape: tuple
+    dtype = np.dtype(float)
+    spec = None
 
     def __init__(self, p: float = 2.0, r: float = 2.0, w_choice: str = "V",
                  cell: float = 1.0, dim: int = 1):
@@ -189,7 +199,7 @@ class Propagator:
         if _inverse(r) > _inverse(p):
             raise ValidationError("need p <= r")
         self.p, self.r, self.w_choice = float(p), float(r), w_choice
-        self.cell, self.dim = cell, dim
+        self.cell, self.dim = cell, int(dim)
 
     def _set_profiles(self, c: float, alpha: float):
         """profile_x is rho(t) = c*t^(-alpha); profile_w is profile_x for
@@ -202,9 +212,8 @@ class Propagator:
         """The flows e^{t_m A} for the given times, ready for apply_nodes."""
         times = np.asarray(times, dtype=float)
         live = [m for m, t in enumerate(times) if t != 0.0]
-        zero = self.zeros()
         return (len(times), live, self._flows(times[live]) if live else None,
-                zero.shape, zero.dtype)
+                self.shape, self.dtype)
 
     def apply_nodes(self, op, V):
         """e^{t_m A} V_m for every time t_m of a flow_op, as (m, *grid); a
@@ -226,10 +235,9 @@ class Propagator:
     def apply(self, t: float, v):
         """e^{tA} v for one state v of the grid's shape, cast to the grid
         dtype: row 0 of the one-time flow, an exact copy at t = 0."""
-        zero = self.zeros()
-        v = np.asarray(v, dtype=zero.dtype)
-        if v.shape != zero.shape:
-            raise ValidationError(f"state shape {v.shape} != grid {zero.shape}")
+        v = np.asarray(v, dtype=self.dtype)
+        if v.shape != self.shape:
+            raise ValidationError(f"state shape {v.shape} != grid {self.shape}")
         return self.apply_nodes(self.flow_op((t,)), v)[0]
 
     def convolve_op(self, h: float, lag: LagrangeData, ends):
@@ -239,9 +247,8 @@ class Propagator:
         ends are the end points e_i as fractions of h (the nodes for the
         stage equations, (1.0,) for the update)."""
         live = [i for i, e in enumerate(ends) if e * h != 0.0]
-        zero = self.zeros()
         plan = self._convolution(h, lag, [ends[i] for i in live]) if live else None
-        return len(ends), live, plan, (lag.s,) + zero.shape, zero.dtype
+        return len(ends), live, plan, (lag.s,) + self.shape, self.dtype
 
     def stage_modes(self, G):
         """The stage values G, a (k, *grid) stack, in the form the
@@ -249,9 +256,8 @@ class Propagator:
         G alone, so rows transformed apart equal rows transformed together
         bit for bit."""
         G = np.asarray(G)
-        grid = self._grid_shape
-        if G.shape[1:] != grid:
-            raise ValidationError(f"stage stack shape {G.shape} is not (k, *{grid})")
+        if G.shape[1:] != self.shape:
+            raise ValidationError(f"stage stack shape {G.shape} is not (k, *{self.shape})")
         return self._stage_modes(G)
 
     def convolve_modes(self, op, M):
@@ -281,8 +287,7 @@ class Propagator:
         malloc, 2-vCPU Xeon)."""
         if len(live) == n_ends:
             return acc
-        zero = self.zeros()
-        out = np.zeros((n_ends,) + zero.shape, np.result_type(zero, acc))
+        out = np.zeros((n_ends,) + self.shape, np.result_type(self.dtype, acc))
         out[live] = acc
         return out
 
@@ -313,11 +318,6 @@ class Propagator:
         stage modes M, through _zero_ends."""
         raise NotImplementedError
 
-    @property
-    def _grid_shape(self):
-        """The shape of one state, that of zeros()."""
-        return self.zeros().shape
-
     def lp(self, v, p):
         return lp_norm(v, p, self.cell, self.dim)
 
@@ -331,7 +331,7 @@ class Propagator:
         return self.x_norm(v) if self.w_choice == "X" else self.v_norm(v)
 
     def zeros(self):
-        raise NotImplementedError
+        return np.zeros(self.shape, self.dtype)
 
     def random_field(self, rng):
         """A random state, smooth enough to keep pointwise nonlinearities
@@ -429,7 +429,7 @@ class DiagonalPropagator(Propagator):
         """The identity of the grid and its rows' modes: the grid matrix of
         a multiplier w is from_modes(w * modes), whose row c is the image
         of unit vector c, transposed."""
-        eye = np.eye(self.zeros().size)
+        eye = np.eye(math.prod(self.shape))
         return eye, self.to_modes(eye)
 
     def _flows(self, times):
@@ -439,7 +439,7 @@ class DiagonalPropagator(Propagator):
         eye, unit = self._unit_modes()
         # written into C order: a matrix-vector product rounds by its
         # operand's memory order, and the transposed images are F-ordered
-        op = np.empty((len(times),) + eye.shape, self.zeros().dtype)
+        op = np.empty((len(times),) + eye.shape, self.dtype)
         for row, w in zip(op, mult):
             row[...] = self.from_modes(w * unit).T
         return op
@@ -458,7 +458,7 @@ class DiagonalPropagator(Propagator):
         n, (n_ends, s) = len(eye), W.shape[:2]
         # block (i, j) maps stage value j to end i; each is written into
         # its place, so no (E, s, n, n) temporary is built
-        op = np.empty((n_ends, n, s, n), self.zeros().dtype)
+        op = np.empty((n_ends, n, s, n), self.dtype)
         for i, j in np.ndindex(n_ends, s):
             op[i, :, j] = self.from_modes(W[i, j] * unit).T
         return op.reshape(n_ends * n, s * n)
@@ -482,28 +482,6 @@ class DiagonalPropagator(Propagator):
         return self._zero_ends(n_ends, live, self.from_modes(acc))
 
 
-# random_field's fixed factors depend on the grid size alone; they are cached
-# by size, not kept on the problems, whose attributes key a study's reference
-
-@functools.lru_cache(maxsize=8)
-def _torus_waves(n: int):
-    """cos(k x) and sin(k x) on the n-point torus grid for k = 0..min(n // 4,
-    16), as (kmax + 1, n) tables: the x factors of the 2D random_field."""
-    kx = np.arange(min(n // 4, 16) + 1)[:, None] * (np.arange(n) * (2.0 * math.pi / n))
-    tables = np.cos(kx), np.sin(kx)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-@functools.lru_cache(maxsize=8)
-def _wave_decay(n: int):
-    """(1 + omega_k)^2 for the n wave modes: random_field's mode decay."""
-    decay = (1.0 + np.arange(1, n + 1).astype(float)) ** 2
-    decay.flags.writeable = False
-    return decay
-
-
 class HeatTorusProblem(DiagonalPropagator):
     """Heat semigroup on the d-torus (d in {1,2}), Fourier-diagonal.
 
@@ -524,7 +502,7 @@ class HeatTorusProblem(DiagonalPropagator):
             raise ValidationError("dim must be 1 or 2")
         if n < 4 or n & (n - 1):
             raise ValidationError("grid size must be a power of two >= 4")
-        self.n = n
+        self.n = int(n)
         self.dx = 2.0 * math.pi / n
         super().__init__(p, r, w_choice, cell=self.dx ** dim, dim=dim)
         # real fields: the modes are the rfft half spectrum of the last axis
@@ -543,6 +521,9 @@ class HeatTorusProblem(DiagonalPropagator):
             self.shape = (n, n)
             kx, ky = np.meshgrid(np.fft.fftfreq(n, d=1.0 / n), k_half, indexing="ij")
             self.ksq = kx ** 2 + ky ** 2
+            # random_field's x factors: cos(k x) and sin(k x) for k = 0..kmax
+            wave_x = np.arange(min(n // 4, 16) + 1)[:, None] * (np.arange(n) * self.dx)
+            self._cos_x, self._sin_x = np.cos(wave_x), np.sin(wave_x)
         self.eigenvalues = -self.ksq
         c, alpha = gaussian_smoothing_constant(dim, p, r)
         if p == r:
@@ -552,8 +533,9 @@ class HeatTorusProblem(DiagonalPropagator):
     bound_m = 1.0  # kernel has unit mass, Young on every L^p
 
     @property
-    def _grid_shape(self):
-        return self.shape  # without the zeros() of a 128 x 128 grid
+    def spec(self):
+        return {"kind": "heat", "dim": self.dim, "n": self.n, "p": self.p,
+                "r": self.r, "w_choice": self.w_choice}
 
     def _check(self, v):
         if np.shape(v)[-self.dim:] != self.shape:
@@ -573,9 +555,6 @@ class HeatTorusProblem(DiagonalPropagator):
             return np.fft.irfft(vh, self.n)
         return np.fft.irfft(np.fft.ifft(vh, axis=-2), self.n)
 
-    def zeros(self):
-        return np.zeros(self.shape)
-
     def grid(self):
         x = np.arange(self.n) * self.dx
         if self.dim == 1:
@@ -587,7 +566,7 @@ class HeatTorusProblem(DiagonalPropagator):
         # values and Lipschitz ratios bounded on V-balls
         if self.dim == 1:
             return rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
-        cos_x, sin_x = _torus_waves(self.n)
+        cos_x, sin_x = self._cos_x, self._sin_x
         terms = []
         for _ in range(8):
             kx = rng.integers(0, len(cos_x))
@@ -658,6 +637,7 @@ class OUProblem(Propagator):
         self.b, self.q = float(b), float(q)
         self.gamma = -float(b)
         self.box, self.n = float(box), int(n)
+        self.shape = (self.n,)
         self.x = np.linspace(-box, box, n, endpoint=False) + box / n
         self.dx = self.x[1] - self.x[0]
         super().__init__(p, r, w_choice, cell=self.dx)
@@ -679,8 +659,9 @@ class OUProblem(Propagator):
     bound_m = 1.05  # contraction up to quadrature/interpolation error
 
     @property
-    def _grid_shape(self):
-        return (self.n,)
+    def spec(self):
+        return {"kind": "ou", "b": self.b, "q": self.q, "box": self.box, "n": self.n,
+                "p": self.p, "r": self.r, "w_choice": self.w_choice}
 
     def q_t(self, t: float) -> float:
         g = self.gamma
@@ -796,9 +777,6 @@ class OUProblem(Propagator):
         rows = self._dilate(conv, first, weights, outside)
         return self._zero_ends(n_ends, live, rows.reshape(len(live), -1, self.n).sum(axis=1))
 
-    def zeros(self):
-        return np.zeros(self.n)
-
     def random_field(self, rng):
         return rng.standard_normal(len(self._ball_basis)) @ self._ball_basis
 
@@ -838,6 +816,7 @@ class WaveProblem(DiagonalPropagator):
         if n_modes < 2:
             raise ValidationError("need at least 2 modes")
         self.n = int(n_modes)
+        self.shape = (self.n,)
         self.alpha_w = float(alpha_w)
         self.dx = math.pi / (self.n + 1)
         super().__init__(cell=self.dx)
@@ -849,22 +828,21 @@ class WaveProblem(DiagonalPropagator):
         jk = np.outer(k, k) % (2 * (self.n + 1))
         self._sine = math.sqrt(2.0 / (self.n + 1)) * np.sin(math.pi * jk / (self.n + 1))
         self.eigenvalues = -1j * self.omega
+        self._decay = (1.0 + self.omega) ** 2  # random_field's mode decay
         self._set_profiles(self.bound_m, 0.0)
 
     bound_m = 1.0  # exact rotation in the energy pairing
+    dtype = np.dtype(complex)
 
     @property
-    def _grid_shape(self):
-        return (self.n,)
+    def spec(self):
+        return {"kind": "wave", "n_modes": self.n, "alpha_w": self.alpha_w}
 
     def to_modes(self, z):
         return np.asarray(z, dtype=complex)
 
     def from_modes(self, zh):
         return zh
-
-    def zeros(self):
-        return np.zeros(self.n, dtype=complex)
 
     # physical <-> modal packing -------------------------------------
     def _dst(self, u):
@@ -883,7 +861,7 @@ class WaveProblem(DiagonalPropagator):
     def random_field(self, rng):
         # the real parts, then the imaginary parts, of one draw
         parts = rng.standard_normal((2, self.n))
-        return (parts[0] + 1j * parts[1]) / _wave_decay(self.n)
+        return (parts[0] + 1j * parts[1]) / self._decay
 
 
 @dataclass

@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import expsplit
 from expsplit.propagators import DiagonalPropagator, SmoothingProfile
+
+
+def src_env(**extra):
+    """The environment of a subprocess that imports this expsplit, with the
+    variables of extra set."""
+    src = str(Path(expsplit.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 class ScalarProblem(DiagonalPropagator):
@@ -15,15 +27,17 @@ class ScalarProblem(DiagonalPropagator):
         self.profile_w = self.profile_x
 
     bound_m = 1.0
+    shape = (1,)
+
+    @property
+    def spec(self):
+        return {"kind": "scalar", "lam": self.lam}
 
     def to_modes(self, v):
         return np.asarray(v, dtype=complex)
 
     def from_modes(self, vh):
         return np.asarray(vh).real
-
-    def zeros(self):
-        return np.zeros(1)
 
     # row-wise, as the Propagator norms are: a stack gives its row norms
     def x_norm(self, v):

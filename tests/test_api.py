@@ -1,6 +1,8 @@
 """The documented API: the README's library sketch runs and every exported
 name resolves."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -20,6 +22,11 @@ def test_readme_library_sketch_runs(capsys):
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in expsplit.__all__ if not hasattr(expsplit, name)]
-    assert missing == []
-    assert len(set(expsplit.__all__)) == len(expsplit.__all__)
+    # the package and every submodule that declares __all__
+    names = [m.name for m in pkgutil.iter_modules(expsplit.__path__)]
+    assert "harness" in names
+    for module in [expsplit] + [importlib.import_module(f"expsplit.{n}") for n in names]:
+        exported = getattr(module, "__all__", [])
+        missing = [n for n in exported if not hasattr(module, n)]
+        assert missing == [], module.__name__
+        assert len(set(exported)) == len(exported), module.__name__

@@ -1,7 +1,6 @@
 import copy
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-import expsplit
+from conftest import src_env
 from expsplit import cli
 from expsplit import config as cfgmod
 from expsplit import harness
@@ -21,13 +20,6 @@ from expsplit.harness import ConvergenceReport, StudyPlan
 from expsplit.integrator import SchemeSpec
 from expsplit.nonlinearities import PowerNonlinearity, ZeroNonlinearity
 from expsplit.propagators import HeatTorusProblem, OUProblem, WaveProblem
-
-
-def src_env():
-    """The environment of a subprocess that imports this expsplit."""
-    src = str(Path(expsplit.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 # a value other than the default for every key the key check accepts
@@ -66,6 +58,30 @@ def accepted_keys():
 ACCEPTED_KEYS = accepted_keys()
 
 
+def feed_attributes(digest, obj):
+    """Hash obj by content: values, array dtype/shape/bytes, and for other
+    objects the class plus every attribute, recursively.  The builders'
+    specs are not hashed here: this oracle checks that a config key changes
+    what is built, which a spec derived from the same keys would not show."""
+    if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
+        digest.update(f"{obj.dtype.str}{obj.shape}".encode())
+        digest.update(np.ascontiguousarray(obj).tobytes())
+    elif obj is None or isinstance(obj, (bool, int, float, complex, str, np.generic)):
+        digest.update(f"{type(obj).__name__}:{obj!r};".encode())
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        digest.update(f"{type(obj).__name__}[{len(obj)}".encode())
+        for item in obj:
+            feed_attributes(digest, item)
+        digest.update(b"]")
+    else:
+        cls = type(obj)
+        digest.update(f"{cls.__module__}.{cls.__qualname__}{{".encode())
+        for name, value in sorted(vars(obj).items()):
+            digest.update(f"{name}=".encode())
+            feed_attributes(digest, value)
+        digest.update(b"}")
+
+
 def build_digest(cfg) -> str:
     """A content hash of everything the builders and the run section make
     of cfg."""
@@ -74,7 +90,7 @@ def build_digest(cfg) -> str:
              cfgmod.build_initial(cfg, problem), cfgmod.build_scheme(cfg),
              cfgmod.build_plan(cfg), cli._run_steps(cfg))
     digest = hashlib.sha256()
-    harness._feed(digest, built)
+    feed_attributes(digest, built)
     return digest.hexdigest()
 
 
@@ -502,6 +518,22 @@ class TestCliConvergence:
                          "--out", str(tmp_path / "out")])
             assert code == 2
             assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [".nan", "-0.5", "0", ".inf"])
+    def test_eoc_tol_not_positive_and_finite_exits_two(self, tmp_path, capsys, tol):
+        # before the check, .nan failed the study with an empty reason and
+        # -0.5 with "outside 1.000+--0.5", both exit 6
+        cfg = cfgmod._merge(cfgmod.resolve_config("heat-cubic-s1"), {
+            "run": {"t_final": 0.05}, "study": {"h_list": [1 / 40, 1 / 80]}})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(cfgmod.dump_config(cfg).replace(
+            "eoc_tol: 0.15", f"eoc_tol: {tol}"))
+        assert cfgmod.load_config(path)["study"]["eoc_tol"] != 0.15
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eoc_tol must be positive and finite")
+        assert not out.exists()
 
 
     def test_a_sweep_outside_the_strip_exits_4(self, tmp_path, capsys,

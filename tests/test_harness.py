@@ -1,11 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import ScalarProblem, random_state, src_env
 from expsplit import config as cfgmod
 from expsplit import harness
 from expsplit.errors import ContractionError, StudyFailedError, ValidationError
@@ -13,8 +15,9 @@ from expsplit.harness import (ConvergenceReport, StudyPlan, convergence_study,
                               order_prediction, reference_solution,
                               require_passed)
 from expsplit.integrator import SchemeSpec, run, run_windowed
-from expsplit.nonlinearities import (PowerNonlinearity, ZeroNonlinearity,
-                                     estimate_lipschitz)
+from expsplit.nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
+                                     WaveCubic, ZeroNonlinearity,
+                                     estimate_lipschitz, stored_state)
 from expsplit.propagators import (HeatTorusProblem, OUProblem, SmoothingProfile,
                                   WaveProblem)
 
@@ -64,6 +67,11 @@ class TestStudyPlanValidate:
         with pytest.raises(ValidationError):
             self.make_plan(h_list=[0.25, 0.2]).validate()
 
+    @pytest.mark.parametrize("tol", [math.nan, -0.5, 0.0, math.inf])
+    def test_eoc_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValidationError, match="eoc_tol must be positive"):
+            self.make_plan(eoc_tol=tol).validate()
+
 
 
 class TestReferenceSolution:
@@ -82,7 +90,7 @@ class TestReferenceSolution:
                                  1.0 / 6400, 1.0 / 100, 1.0)
         assert abs(ref.states[-1][0] - logistic_exact(0.1, 1.0)) < 1e-10
         # spot check an interior sample too
-        mid = ref.at_time(0.5)
+        mid = stored_state(ref.times, ref.states, 0.5)
         assert abs(mid[0] - logistic_exact(0.1, 0.5)) < 1e-10
         assert ref.self_check_diff < 1e-10
 
@@ -132,8 +140,8 @@ class TestReferenceSolution:
         pr = make_scalar()
         ref = reference_solution(pr, ZeroNonlinearity(), np.array([1.0]),
                                  1.0, 1.0 / 640, 0.1, 0.0)
-        with pytest.raises(ValidationError):
-            ref.at_time(0.037)
+        with pytest.raises(ValidationError, match="no reference state stored"):
+            stored_state(ref.times, ref.states, 0.037)
 
 
 # name -> problem of the exact-flow reference tests: a folded and a modal 1D
@@ -433,6 +441,10 @@ def reassign_profile(plan, pr, g, u0):
     return plan, pr, g, u0
 
 
+class SubclassedPower(PowerNonlinearity):
+    """The same arguments in another class, whose eval may differ."""
+
+
 # study inputs -> the same inputs with one change; heat studies start from
 # heat_study(n=16), the others from logistic_study
 MISSES = {
@@ -441,6 +453,8 @@ MISSES = {
     "profile_x-reassigned": reassign_profile,
     "nonlinearity-coeff": lambda plan, pr, g, u0: (
         plan, pr, PowerNonlinearity(alpha=2.0, coeff=0.9), u0),
+    "nonlinearity-class": lambda plan, pr, g, u0: (
+        plan, pr, SubclassedPower(alpha=2.0, coeff=1.0), u0),
     "u_0": lambda plan, pr, g, u0: (plan, pr, g, np.array([0.12])),
     "T": lambda plan, pr, g, u0: (replace(plan, horizon=0.25), pr, g, u0),
     "h_min": lambda plan, pr, g, u0: (
@@ -500,15 +514,6 @@ class TestReferenceMemo:
         assert len(ref_builds) == 2
         assert first.reference_key != second.reference_key
 
-    def test_unhashable_input_bypasses_the_memo(self, ref_builds, make_scalar):
-        plan, pr, g, u0 = logistic_study(make_scalar)
-        pr.callback = lambda: None  # no content to key on
-        first = convergence_study(plan, pr, g, u0)
-        second = convergence_study(plan, pr, g, u0)
-        assert len(ref_builds) == 2
-        assert first.reference_key == second.reference_key == ""
-        assert not harness._REFERENCE_MEMO
-
     def test_cached_reference_is_read_only(self, ref_builds, make_scalar):
         convergence_study(*logistic_study(make_scalar))
         ((ref, _, _),) = harness._REFERENCE_MEMO.values()
@@ -525,6 +530,126 @@ class TestReferenceMemo:
                 convergence_study(plan, pr, g, u0)
         assert len(ref_builds) == 2
         assert not harness._REFERENCE_MEMO
+
+
+class UndeclaredProblem(ScalarProblem):
+    """The scalar problem, declaring no inputs."""
+
+    spec = None
+
+
+class UndeclaredPower(PowerNonlinearity):
+    """A power nonlinearity declaring no inputs."""
+
+    spec = None
+
+
+def study_key(plan, problem, g, u0):
+    """The reference key of a study, from the inputs convergence_study
+    passes: its horizon, finest h, h_min / REF_FACTOR and seed."""
+    h_min = min(plan.h_list)
+    return harness._reference_key(problem, g, u0, plan.horizon, h_min,
+                                  h_min / harness.REF_FACTOR, plan.seed)
+
+
+def shipped_pairs():
+    """name -> (problem, nonlinearity) for every shipped problem class and
+    every shipped nonlinearity, each on a small grid."""
+    heat, wave = HeatTorusProblem(dim=1, n=16), WaveProblem(n_modes=8)
+    return {"heat-power": (heat, PowerNonlinearity(3.0, -1.0)),
+            "heat2d-power": (HeatTorusProblem(dim=2, n=8), PowerNonlinearity(3.0, -1.0)),
+            "heat-zero": (heat, ZeroNonlinearity()),
+            "heat-advection": (heat, AdvectionNonlinearity(heat)),
+            "ou-power": (OUProblem(n=32), PowerNonlinearity(2.5, 0.5)),
+            "wave-cubic": (wave, WaveCubic(wave))}
+
+
+KEY_SCRIPT = """
+from expsplit import config as cfgmod, harness
+for name in sorted(cfgmod.STUDY_PRESETS):
+    cfg = cfgmod.resolve_config(name)
+    problem, plan = cfgmod.build_problem(cfg), cfgmod.build_plan(cfg)
+    h_min = min(plan.h_list)
+    print(name, harness._reference_key(
+        problem, cfgmod.build_nonlinearity(cfg, problem),
+        cfgmod.build_initial(cfg, problem), plan.horizon, h_min,
+        h_min / harness.REF_FACTOR, plan.seed))
+"""
+
+
+def built_preset(name):
+    cfg = cfgmod.resolve_config(name)
+    problem = cfgmod.build_problem(cfg)
+    return cfg, (cfgmod.build_plan(cfg), problem, cfgmod.build_nonlinearity(cfg, problem),
+                 cfgmod.build_initial(cfg, problem))
+
+
+class TestReferenceKey:
+    def test_study_key_is_the_key_of_the_study(self, ref_builds, make_scalar):
+        for study in (built_preset("heat-linear")[1], logistic_study(make_scalar)):
+            assert convergence_study(*study).reference_key == study_key(*study)
+
+    @pytest.mark.parametrize("name", shipped_pairs())
+    def test_a_cache_attribute_keeps_the_key(self, name):
+        problem, g = shipped_pairs()[name]
+        plan = StudyPlan(problem_id=name, scheme=SchemeSpec.with_stages(2),
+                         h_list=[1 / 40, 1 / 80], horizon=0.05)
+        u0 = 0.3 * random_state(problem, np.random.default_rng(2))
+        key = study_key(plan, problem, g, u0)
+        for obj in (problem, g):
+            obj.callback = lambda: None  # no content to key on
+            obj._table = np.arange(3.0)
+        assert len(key) == 16
+        assert study_key(plan, problem, g, u0) == key
+
+    @pytest.mark.parametrize("undeclared", ["problem", "nonlinearity"])
+    def test_an_undeclared_class_bypasses_the_memo(self, ref_builds, make_scalar,
+                                                   undeclared):
+        plan, pr, g, u0 = logistic_study(make_scalar)
+        if undeclared == "problem":
+            pr = UndeclaredProblem(lam=-1.0)
+        else:
+            g = UndeclaredPower(alpha=2.0, coeff=1.0)
+        first = convergence_study(plan, pr, g, u0)
+        second = convergence_study(plan, pr, g, u0)
+        assert len(ref_builds) == 2
+        assert first.reference_key == second.reference_key == ""
+        assert not harness._REFERENCE_MEMO
+        declared = convergence_study(*logistic_study(make_scalar))
+        assert declared.summary() | {"reference_key": ""} == first.summary()
+
+    def test_wave_cubic_of_another_alpha_w_misses(self):
+        wave, other = WaveProblem(n_modes=8), WaveProblem(n_modes=8, alpha_w=2.0)
+        plan = StudyPlan(problem_id="wave", scheme=SchemeSpec.with_stages(2),
+                         h_list=[1 / 20, 1 / 40], horizon=0.1)
+        u0 = wave.encode(0.1 * np.sin(wave.x), np.zeros(8))
+        keys = {study_key(plan, wave, WaveCubic(p), u0) for p in (wave, other)}
+        keys.add(study_key(plan, other, WaveCubic(other), u0))
+        assert len(keys) == 3
+
+    @pytest.mark.parametrize("name", sorted(cfgmod.STUDY_PRESETS))
+    def test_every_preset_spec_rebuilds_its_study(self, name):
+        cfg, (plan, problem, g, u0) = built_preset(name)
+        assert problem.spec == cfg["problem"]
+        assert {k: v for k, v in g.spec.items() if k != "problem"} == cfg["nonlinearity"]
+        rebuilt = cfgmod.build_problem({"problem": problem.spec})
+        g_rebuilt = cfgmod.build_nonlinearity({"nonlinearity": g.spec}, rebuilt)
+        assert (rebuilt.spec, g_rebuilt.spec) == (problem.spec, g.spec)
+        assert study_key(plan, rebuilt, g_rebuilt, u0) == study_key(plan, problem, g, u0)
+
+    def test_numpy_integers_declare_plain_values(self):
+        heat = HeatTorusProblem(dim=np.int64(1), n=np.int64(16))
+        assert json.loads(json.dumps(heat.spec)) == HeatTorusProblem(dim=1, n=16).spec
+
+    def test_preset_keys_are_the_same_in_every_process(self):
+        outputs = [subprocess.run([sys.executable, "-c", KEY_SCRIPT], check=True,
+                                  capture_output=True, text=True,
+                                  env=src_env(PYTHONHASHSEED=seed)).stdout
+                   for seed in ("1", "2")]
+        here = "".join(f"{name} {study_key(*built_preset(name)[1])}\n"
+                       for name in sorted(cfgmod.STUDY_PRESETS))
+        assert outputs == [here, here]
+        assert len(set(here.split()[1::2])) == 5  # heat-cubic-s1 and -s2 share one
 
 
 def preset_study(preset, n_h=3):

@@ -1,7 +1,10 @@
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expsplit.errors import ValidationError
 from expsplit.lagrange import NodeSet, build_lagrange
@@ -15,6 +18,64 @@ def phi_quadrature(k, z, n_nodes=64):
     wt = 0.5 * w
     vals = np.exp((1.0 - theta) * z) * theta ** (k - 1) / math.factorial(k - 1)
     return np.sum(wt * vals)
+
+
+# phi_many's relative accuracy on phi_0..phi_4, the orders an s <= 4 scheme
+# reads; the largest error measured is 7.0e-14 (phi_4 at z = 0.5 + 4e-9,
+# just above the series switch, where the upward recurrence starts)
+PHI_REL_TOL = 1e-13
+PHI_ORACLE = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+def phi_series_exact(k, x, imaginary):
+    """phi_k(z) = sum_m z^m/(m+k)! for z = x or z = i x, summed exactly in
+    fractions up to a term below 1e-40 and rounded once."""
+    x = Fraction(x)
+    re, im = Fraction(0), Fraction(0)
+    m = 0
+    while m == 0 or float(abs(x)) ** m / math.factorial(m + k) >= 1e-40:
+        term = x ** m / math.factorial(m + k)
+        if not imaginary:
+            re += term
+        elif m % 2 == 0:  # i^m = (-1)^(m/2)
+            re += term if m % 4 == 0 else -term
+        else:  # i^m = i (-1)^((m-1)/2)
+            im += term if m % 4 == 1 else -term
+        m += 1
+    return complex(float(re), float(im))
+
+
+def phi_closed_form_decimal(k, x):
+    """phi_k(x) = (e^x - sum_{m<k} x^m/m!)/x^k at 50 digits, for x away from
+    0: near 0 the difference cancels to noise even at this precision."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d = decimal.Decimal(x)
+        head = sum(d ** m / math.factorial(m) for m in range(k))
+        return float((d.exp() - head) / d ** k)
+
+
+def assert_phi_close(z, exact):
+    got = phi_many(4, z)
+    for k in range(5):
+        assert abs(got[k] - exact[k]) <= PHI_REL_TOL * abs(exact[k]), (k, z)
+
+
+class TestPhiOracle:
+    @PHI_ORACLE
+    @given(x=st.floats(-2.0, 2.0), imaginary=st.booleans())
+    def test_series_range_against_exact_sums(self, x, imaginary):
+        z = complex(0.0, x) if imaginary else x
+        assert_phi_close(z, [phi_series_exact(k, x, imaginary) for k in range(5)])
+
+    @PHI_ORACLE
+    @given(x=st.floats(-120.0, -2.0))
+    def test_negative_axis_against_decimal(self, x):
+        assert_phi_close(x, [phi_closed_form_decimal(k, x) for k in range(5)])
+
+    def test_zero(self):
+        assert_phi_close(0.0, [1.0 / math.factorial(k) for k in range(5)])
+        assert_phi_close(0j, [1.0 / math.factorial(k) for k in range(5)])
 
 
 class TestPhiValues:
