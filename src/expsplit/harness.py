@@ -180,8 +180,8 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
     a check takes a run over N // 2 steps, whose step T / (N // 2) is
     slightly longer than 2 h_ref when N is odd.  A failed last rung or
     check raises, and so does a reference of one step, which has no such
-    run.  Linear problems short-circuit to the exact flow, one
-    flow op over the sample times, with h_ref and the diff 0.
+    run.  Linear problems short-circuit to the exact flow: u_0, one
+    flow op over the later times, h_ref and the diff 0.
     """
     stride = sample_dt / h_ref
     if abs(stride - round(stride)) > 1e-9:
@@ -193,8 +193,9 @@ def reference_solution(problem, g, u_0, T: float, h_ref: float,
     times = np.round(np.arange(samples + 1) * sample_dt, 12)
     if isinstance(g, ZeroNonlinearity):
         u_0 = np.asarray(u_0, dtype=problem.dtype)
+        flows = problem.apply_nodes(problem.flow_op(times[1:]), u_0)
         return ReferenceSolution(times=times, self_check_diff=0.0, h_ref=0.0,
-                                 states=problem.apply_nodes(problem.flow_op(times), u_0))
+                                 states=np.concatenate((u_0[None], flows)))
     if samples * stride < 2:
         raise ValidationError(f"a reference of {samples * stride} steps has no "
                               "run over half as many to check it against")

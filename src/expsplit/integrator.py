@@ -4,22 +4,24 @@ One step computes the stage values U_i as the fixed point of
   Phi(x)_i = e^{c_i h A} u_n + int_0^{c_i h} e^{(c_i h - tau)A}
              sum_j ell_j(tau) g(t_n + c_j h, x_j) dtau
 by plain iteration from the anchor x_i = e^{c_i h A} u_n plus a start.
-run extrapolates the start from the converged corrections
-c_n = U - e^{c_i h A} u_{n-1} of the last two steps: 2 c_n - c_{n-1}, with
-the anchor alone on a run's first step and c_1 alone on its second (Phi
-contracts on the whole ball, so the start changes the iteration count,
-not the stopping rule). The step then advances
+With c_1 = 0 stage 1 is u_n itself (Hochbruck & Ostermann, Acta Numerica
+19 (2010), section 2), so a step's flow op, stage op, start and correction
+cover the unknown stages alone, from StepPlan.fixed on.  run extrapolates
+the start from the converged corrections c_n = U - e^{c_i h A} u_{n-1} of
+the last two steps: 2 c_n - c_{n-1}, with the anchor alone on a run's
+first step and c_1 alone on its second (Phi contracts on the whole ball,
+so the start changes the iteration count, not the stopping rule). The
+step then advances
   u_{n+1} = e^{hA} u_n + int_0^h e^{(h-tau)A} sum_j ell_j(tau) g(., U_j) dtau,
 with e^{hA} u_n the last row of the anchor's flow: stage s's when c_s = 1,
 an extra row at h otherwise.  The s stages travel as one (s, *grid) array.
-With c_1 = 0 stage 1 is u_n, so its g row is fixed (Hochbruck & Ostermann,
-Acta Numerica 19 (2010), section 2): the first iteration makes one g.eval
-and one stage_modes transform of the whole stack, and every later
-iteration and the update make them on rows 2..s only and reuse row 1's
-modes, so an s = 1 step evaluates g once.  Each iteration then makes one
-convolution of the stage modes, and its increments are normed on rows
-2..s in one v_norm call (on the whole stack when c_1 != 0); the anchor is
-normed only when the stage-scale floor of the tolerance decides a test.
+The first iteration evaluates g on the whole stack and transforms it once;
+every later iteration and the update do so on the unknown rows only.  Each
+iteration makes one convolution of the stage modes and norms its
+increments in one v_norm call; the anchor is normed only when the
+stage-scale floor of the tolerance decides a test.  Exponential Euler
+(s = 1, c_1 = 0) has no unknown stage and iterates nothing, but a
+non-finite u_n stops it as a non-finite increment would.
 A failed run keeps the rows it reached, with status contraction or divergence.
 Every operator a step of size h applies is built once, into a StepPlan,
 and only while the contraction certificate
@@ -100,10 +102,12 @@ class SchemeSpec:
 class StepPlan:
     """The operators of a step of size h with one scheme, built once.
 
-    offsets are the node times c_i h; node_flow is the flow op of the
-    offsets, followed by h when the last node is not 1, so its last row is
-    always e^{hA}; stage_rows and update_row are convolve ops with the nodes
-    and with (1.0,) as end points.
+    offsets are the node times c_i h.  fixed is 1 when c_1 = 0, so that
+    stage 1 is u_n, and 0 otherwise; the rows from fixed on are unknown.
+    node_flow is the flow op of their offsets, followed by h when the last
+    node is not 1, so its last row is always e^{hA}; stage_rows is the
+    convolve op with their nodes as end points (None when there are none,
+    s = 1 with c_1 = 0), and update_row the one with (1.0,).
     """
 
     propagator: Propagator
@@ -114,8 +118,6 @@ class StepPlan:
     update_row: object
     kappa: float
     tol: float
-    # 1 when c_1 = 0: stage 1 is u_n and its g row is known from the first
-    # iteration on; 0 otherwise
     fixed: int
 
 
@@ -127,7 +129,7 @@ class StageInfo:
     increment: float = float("nan")  # V-norm of the last stage update
     contraction_ratios: list = field(default_factory=list)
     residual_bound: float = float("nan")
-    correction: object = None  # final stages minus their anchor
+    correction: object = None  # final unknown stages minus their anchor
     flow_end: object = None  # e^{hA} u_n, the last row of the anchor flow
     # stage_modes of g at the last iterate but one, which gave the final
     # stages; row 1 is g(t_n, u_n)'s when c_1 = 0.  step takes it out and
@@ -204,14 +206,15 @@ def plan_step(h: float, scheme: SchemeSpec, propagator: Propagator,
     kappa = contraction_certificate(h, scheme, propagator, lipschitz)
     s = scheme.s
     nodes = scheme.nodes.nodes
+    fixed = int(nodes[0] == 0.0)
     offsets = h * np.asarray(nodes)
+    flow_times = offsets[fixed:] if nodes[-1] == 1.0 else np.append(offsets[fixed:], h)
     return StepPlan(
         propagator=propagator, s=s, offsets=offsets,
-        node_flow=propagator.flow_op(offsets if nodes[-1] == 1.0
-                                     else np.append(offsets, h)),
-        stage_rows=propagator.convolve_op(h, scheme.lag, nodes),
+        node_flow=propagator.flow_op(flow_times),
+        stage_rows=propagator.convolve_op(h, scheme.lag, nodes[fixed:]) if fixed < s else None,
         update_row=propagator.convolve_op(h, scheme.lag, (1.0,)),
-        kappa=kappa, tol=min(1e-12, h ** (s + 1)), fixed=int(nodes[0] == 0.0))
+        kappa=kappa, tol=min(1e-12, h ** (s + 1)), fixed=fixed)
 
 
 def _floors(tol: float, scale: float):
@@ -229,26 +232,30 @@ def _stops(inc: float, tol: float, kappa: float) -> bool:
 
 
 def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
-    """Solve the stage equations from the anchor plus start (an (s, *grid)
-    correction, or None; its row 1 is not read when c_1 = 0); returns
-    ((s, *grid) stages, StageInfo)."""
+    """Solve the stage equations from the anchor plus start (a correction
+    of the unknown rows, plan.fixed..s-1, or None); returns ((s, *grid)
+    stages, StageInfo)."""
     propagator, kappa, s, fixed = plan.propagator, plan.kappa, plan.s, plan.fixed
     times = t_n + plan.offsets
     anchor = propagator.apply_nodes(plan.node_flow, u_n)
-    base = anchor[:s]
-    stages = base
-    if start is not None:
-        stages = base + start
-        if fixed:
-            stages[0] = base[0]  # stage 1 is u_n whatever the start
+    base = anchor[:s - fixed]
+    rows = base if start is None else base + start
+    # u_n itself as stage 1 when c_1 = 0, in a new array that the solve
+    # overwrites with the final stages
+    stages = np.concatenate((np.asarray(u_n)[None][:fixed], rows))
     # the first iteration transforms the whole stack; later ones write the
     # unknown rows' modes into the same array
     modes = propagator.stage_modes(g.eval(times, stages))
     info = StageInfo(flow_end=anchor[-1], g_modes=modes)
-    # the increments are normed on the unknown rows 2..s, or on stage 1 when
-    # it is the only one (s = 1): 0 then, or nan for a non-finite u_n
-    free = min(fixed, s - 1)
-    later, rows = times[free:], stages[free:]
+    if fixed == s:
+        # no unknown stage: one iteration, of increment u_n - u_n (0 or nan)
+        if not np.isfinite(u_n).all():
+            raise FixedPointDivergenceError(
+                f"stage iteration diverged at t={t_n:.6g} (non-finite increment)")
+        info.iterations, info.increment, info.residual_bound = 1, 0.0, 0.0
+        info.correction = base  # no rows
+        return stages, info
+    later = times[fixed:]
     # the floors at scale 1 are lower bounds of the true ones (scale >= 1):
     # a stop or an unrecorded ratio there is one at the true floors too, so
     # the anchor is normed only when a test stays open
@@ -256,14 +263,10 @@ def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
     tol, ratio_floor = _floors(plan.tol, 1.0)
     prev_inc = 0.0  # no ratio on the first iteration
     for it in range(1, FP_MAX_ITER + 1):
-        if it > 1:  # only when s >= 2: an s = 1 solve stops at once
-            modes[free:] = propagator.stage_modes(g.eval(later, rows))
+        if it > 1:
+            modes[fixed:] = propagator.stage_modes(g.eval(later, rows))
         info.correction = propagator.convolve_modes(plan.stage_rows, modes)
-        # whole: row 1 of the correction is an exact zero; stacks assembled
-        # from the new rows alone raised the peak RSS of a 128 x 128 heat
-        # run (where arrays land, see Propagator._zero_ends)
-        stages = base + info.correction
-        new_rows = stages[free:]
+        new_rows = base + info.correction
         inc = float(np.max(propagator.v_norm(new_rows - rows)))
         if not np.isfinite(inc):
             raise FixedPointDivergenceError(
@@ -272,7 +275,9 @@ def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
         info.iterations = it
         info.increment = inc
         if scale is None and (prev_inc > ratio_floor or not _stops(inc, tol, kappa)):
-            scale = max(float(np.max(propagator.v_norm(base))), 1.0)
+            # the stage anchors: u_n itself, then the unknown rows' flows
+            anchors = np.concatenate((stages[:fixed], base))
+            scale = max(float(np.max(propagator.v_norm(anchors))), 1.0)
             tol, ratio_floor = _floors(plan.tol, scale)
         if prev_inc > ratio_floor:
             info.contraction_ratios.append(inc / prev_inc)
@@ -287,6 +292,7 @@ def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
             f"{FP_MAX_ITER} iterations at t={t_n:.6g} "
             f"(last increment {inc:.3e}, kappa={kappa:.3f})")
     info.residual_bound = inc * kappa / (1.0 - kappa)
+    stages[fixed:] = rows
     return stages, info
 
 

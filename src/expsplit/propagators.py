@@ -14,9 +14,9 @@ with W one of the two, and declares a power-law smoothing profile
 rho(t) = c*t^(-alpha) bounding the X->V operator norm.  The
 spatial discretization is chosen so that e^{tA} is exact (spectral) or
 near-exact (quadrature), so time-stepping error dominates in studies.
-Each problem supplies only the kernels of its two step operators, the
-flows and the stage convolutions; Propagator checks their inputs, copies
-the t = 0 flow rows exactly and leaves the e_i h = 0 ends exactly zero.
+Each problem supplies only the plans and kernels of its two step
+operators, the flows and the stage convolutions; Propagator checks their
+inputs.  The stepper asks for no t = 0 flow and no e_i h = 0 end.
 """
 
 from __future__ import annotations
@@ -145,31 +145,24 @@ class Propagator:
 
     A stepper needs two operators from it, each split into a build and an
     apply, so it builds them once per step size and applies them at every
-    step: flow_op(times) is applied by apply_nodes(op, V), and
-    convolve_op(h, lag, ends) by stage_convolve(op, G).  Stages travel as
-    one (s, *grid) array, and apply(t, v), the one-time flow of one state,
-    is the one-row case of the first pair.  stage_convolve is split where
-    it transforms its input: stage_modes(G) gives the stacked stage values
-    in the form the kernel reads, row i from row i of G alone, and
-    convolve_modes(op, M) applies the op to them, so a stepper can keep
-    the modes of a stage that does not change and transform only the
-    others.
+    step.  flow_op(times) is the plan of the flows e^{t_m A}, and
+    apply_nodes(op, v) propagates one state to every time; apply(t, v), the
+    one-time flow, is its one-row case, and an exact copy at t = 0.
+    convolve_op(h, lag, ends) is the stage convolution, applied to stage
+    values in two halves: stage_modes(G) gives a (k, *grid) stack in the
+    form the kernel reads, row i from row i of G alone, and
+    convolve_modes(op, M) applies the op to the modes of the s stages, so
+    a stepper can keep the modes of a stage that does not change and
+    transform only the others.  Stages travel as one (s, *grid) array.
 
-    The base class owns the bookkeeping of both ops.  An op is the tuple
-    (count, live, plan, shape, dtype): the number of rows, the indices of
-    the live rows (t != 0 for a flow, e_i h != 0 for an end), the plan of
-    the live rows alone, the shape of the input it takes (a grid state,
-    or the (s, *grid) stage stack) and the grid dtype.  The plans come
-    from the subclass's methods _flows(times) and _convolution(h, lag,
-    ends), which see only live rows (and are not called when none is), and
-    are applied by its kernels _flow(plan, V) and _convolve(plan, M, count,
-    live); _stage_modes(G) makes the stage modes and _modes_shape(grid)
-    gives the shape of one row of them.  A problem sets `shape`, that of
-    one state, and `dtype`, the grid dtype (float unless it says
-    otherwise).  apply_nodes, stage_modes and convolve_modes check the
-    input's shape, copy the state into the t = 0 rows exactly and leave the
-    e_i h = 0 ends exactly zero, so those rows hold for any state, finite
-    or not.
+    Each op computes every row it is asked for.  A flow op is the
+    subclass's plan _flows(times), applied to one state by _flow(plan, v);
+    a convolve op is (s, plan), the stage count and _convolution(h, lag,
+    ends), applied by _convolve(plan, M) to the stage modes, which
+    _stage_modes(G) makes, with _modes_shape() the shape of one row.  A
+    problem sets `shape`, that of one state, and `dtype`, the grid dtype
+    (float unless it says otherwise); apply_nodes, stage_modes and
+    convolve_modes check their input's shape.
 
     The base class also owns the norm couple: X is the grid L^p norm and V
     the grid L^r norm (p <= r) over the `dim` trailing axes with cell
@@ -210,45 +203,30 @@ class Propagator:
 
     def flow_op(self, times):
         """The flows e^{t_m A} for the given times, ready for apply_nodes."""
-        times = np.asarray(times, dtype=float)
-        live = [m for m, t in enumerate(times) if t != 0.0]
-        return (len(times), live, self._flows(times[live]) if live else None,
-                self.shape, self.dtype)
+        return self._flows(np.asarray(times, dtype=float))
 
-    def apply_nodes(self, op, V):
-        """e^{t_m A} V_m for every time t_m of a flow_op, as (m, *grid); a
-        single state V is propagated to every time.  The t = 0 rows are
-        exact copies of the state."""
-        m, live, plan, shape, dtype = op
-        V = np.asarray(V)
-        if V.shape not in (shape, (m,) + shape):
-            raise ValidationError(
-                f"state shape {V.shape} is neither {shape} nor {(m,) + shape}")
-        if live and len(live) == m:
-            return self._flow(plan, V)
-        out = np.empty((m,) + shape, np.result_type(V, dtype))
-        out[...] = V  # exact on the t = 0 rows, the live ones are overwritten
-        if live:
-            out[live] = self._flow(plan, V if V.shape == shape else V[live])
-        return out
+    def apply_nodes(self, op, v):
+        """e^{t_m A} v for every time t_m of a flow_op, as (m, *grid)."""
+        v = np.asarray(v)
+        if v.shape != self.shape:
+            raise ValidationError(f"state shape {v.shape} != grid {self.shape}")
+        return self._flow(op, v)
 
     def apply(self, t: float, v):
         """e^{tA} v for one state v of the grid's shape, cast to the grid
-        dtype: row 0 of the one-time flow, an exact copy at t = 0."""
+        dtype: an exact copy at t = 0."""
         v = np.asarray(v, dtype=self.dtype)
-        if v.shape != self.shape:
-            raise ValidationError(f"state shape {v.shape} != grid {self.shape}")
+        if t == 0.0 and v.shape == self.shape:
+            return v.copy()
         return self.apply_nodes(self.flow_op((t,)), v)[0]
 
     def convolve_op(self, h: float, lag: LagrangeData, ends):
-        """Operator of stage_convolve whose row i is
+        """Operator of convolve_modes whose row i is
         int_0^{e_i h} e^{(e_i h - tau) A} sum_j ell_j(tau) G_j dtau.
 
-        ends are the end points e_i as fractions of h (the nodes for the
-        stage equations, (1.0,) for the update)."""
-        live = [i for i, e in enumerate(ends) if e * h != 0.0]
-        plan = self._convolution(h, lag, [ends[i] for i in live]) if live else None
-        return len(ends), live, plan, (lag.s,) + self.shape, self.dtype
+        ends are the end points e_i as fractions of h (the unknown stages'
+        nodes for the stage equations, (1.0,) for the update)."""
+        return lag.s, self._convolution(h, lag, ends)
 
     def stage_modes(self, G):
         """The stage values G, a (k, *grid) stack, in the form the
@@ -263,45 +241,23 @@ class Propagator:
     def convolve_modes(self, op, M):
         """Apply a convolve_op to stage_modes of the s stage values;
         returns (len(ends), *grid)."""
-        n_ends, live, plan, shape, dtype = op
+        s, plan = op
         M = np.asarray(M)
-        modes = shape[:1] + self._modes_shape(shape[1:])
+        modes = (s,) + self._modes_shape()
         if M.shape != modes:
             raise ValidationError(f"stage modes shape {M.shape} != {modes}")
-        if not live:
-            return np.zeros((n_ends,) + shape[1:], dtype)
-        return self._convolve(plan, M, n_ends, live)
-
-    def stage_convolve(self, op, G):
-        """Apply a convolve_op to the s stage values G, stacked as
-        (s, *grid); returns (len(ends), *grid)."""
-        return self.convolve_modes(op, self.stage_modes(G))
-
-    def _zero_ends(self, n_ends: int, live, acc):
-        """The (n_ends, *grid) result of a stage convolution whose live rows
-        are acc, zero on the ends with e_i h = 0.  Each kernel calls it
-        while its temporaries are still alive: where the output lands sets
-        how often glibc trims the heap and faults its pages in again, and
-        allocated after the kernel returned it took 27.9k minor page faults
-        against 13.2k in a 128 x 128 heat run of s = 2 (run-heat2d; glibc
-        malloc, 2-vCPU Xeon)."""
-        if len(live) == n_ends:
-            return acc
-        out = np.zeros((n_ends,) + self.shape, np.result_type(self.dtype, acc))
-        out[live] = acc
-        return out
+        return self._convolve(plan, M)
 
     def _flows(self, times):
-        """The plan of the flows at the times t != 0."""
+        """The plan of the flows at the times."""
         raise NotImplementedError
 
-    def _flow(self, plan, V):
-        """The rows of a _flows plan applied to V: one state for every
-        row, or one state per row."""
+    def _flow(self, plan, v):
+        """The rows of a _flows plan applied to the state v."""
         raise NotImplementedError
 
     def _convolution(self, h: float, lag: LagrangeData, ends):
-        """The plan of the stage convolution for the ends with e_i h != 0."""
+        """The plan of the stage convolution for the ends."""
         raise NotImplementedError
 
     def _stage_modes(self, G):
@@ -309,13 +265,13 @@ class Propagator:
         the kernels read a transform of it."""
         return G
 
-    def _modes_shape(self, grid):
-        """The shape of one row of the stage modes of a grid of this shape."""
-        return grid
+    def _modes_shape(self):
+        """The shape of one row of the stage modes."""
+        return self.shape
 
-    def _convolve(self, plan, M, n_ends: int, live):
+    def _convolve(self, plan, M):
         """The stage convolution of a _convolution plan applied to the
-        stage modes M, through _zero_ends."""
+        stage modes M."""
         raise NotImplementedError
 
     def lp(self, v, p):
@@ -380,14 +336,14 @@ def _gauss_legendre(h: float, lag: LagrangeData, ends, q: int):
 
 def quadrature_convolve(problem: Propagator, h: float, lag: LagrangeData, ends,
                         G, q: int):
-    """The rows of stage_convolve by q-node Gauss-Legendre quadrature, all
-    E*q interpolants formed in one product and propagated by one
-    apply_nodes call: the oracle that the exact kernels are tested
+    """The rows of a stage convolution by q-node Gauss-Legendre
+    quadrature, all E*q interpolants formed in one product and each
+    propagated by apply: the oracle that the exact kernels are tested
     against."""
     times, basis, wts = _gauss_legendre(h, lag, ends, q)
     G = np.asarray(G)
     interp = (basis @ G.reshape(len(G), -1)).reshape((-1,) + G.shape[1:])
-    rows = problem.apply_nodes(problem.flow_op(times), interp)
+    rows = np.array([problem.apply(t, v) for t, v in zip(times, interp)])
     rows = rows.reshape(wts.shape + rows.shape[1:])
     return np.sum(wts.reshape(wts.shape + (1,) * (rows.ndim - 2)) * rows, axis=1)
 
@@ -398,10 +354,10 @@ class DiagonalPropagator(Propagator):
     Subclasses set self.eigenvalues (ndarray over modes) and implement
     to_modes / from_modes on the trailing grid axes, so a stack of states
     transforms in one call.  A flow plan holds the multipliers
-    exp(outer(times, eigenvalues)) of its live times, and a flow transforms
-    just those rows (a single state once).  The stage modes are to_modes
-    of the stage stack, and a convolution plan holds the exact
-    phi-function weights (E, s, modes) of its live ends.  With real
+    exp(outer(times, eigenvalues)), and a flow transforms the state once
+    and its rows back.  The stage modes are to_modes of the stage stack,
+    and a convolution plan holds the exact phi-function weights
+    (E, s, modes) of its ends.  With real
     eigenvalues the weights are stored as real numbers, each repeated for
     the real and imaginary part of its mode, and applied to a float view of
     the stage modes.
@@ -444,10 +400,10 @@ class DiagonalPropagator(Propagator):
             row[...] = self.from_modes(w * unit).T
         return op
 
-    def _flow(self, plan, V):
+    def _flow(self, plan, v):
         if self.folded:
-            return _matvec_rows(plan, V)
-        return self.from_modes(plan * self.to_modes(V))
+            return _matvec_rows(plan, v)
+        return self.from_modes(plan * self.to_modes(v))
 
     def _convolution(self, h, lag, ends):
         W = stage_weights_diagonal(self.eigenvalues, h, lag, tuple(ends))
@@ -466,20 +422,19 @@ class DiagonalPropagator(Propagator):
     def _stage_modes(self, G):
         return G if self.folded else self.to_modes(G)
 
-    def _modes_shape(self, grid):
-        return grid if self.folded else self.eigenvalues.shape
+    def _modes_shape(self):
+        return self.shape if self.folded else self.eigenvalues.shape
 
-    def _convolve(self, plan, modes, n_ends, live):
+    def _convolve(self, plan, modes):
         if self.folded:
-            acc = (plan @ modes.reshape(-1)).reshape((-1,) + modes.shape[1:])
-            return self._zero_ends(n_ends, live, acc)
+            return (plan @ modes.reshape(-1)).reshape((-1,) + modes.shape[1:])
         if plan.dtype.kind == "f":
             # the complex einsum's bits from a real one that allocates
             # only its output
             acc = np.einsum("ij...,j...->i...", plan, modes.view(float)).view(complex)
         else:
             acc = np.einsum("ij...,j...->i...", plan, modes)
-        return self._zero_ends(n_ends, live, self.from_modes(acc))
+        return self.from_modes(acc)
 
 
 class HeatTorusProblem(DiagonalPropagator):
@@ -615,9 +570,9 @@ class OUProblem(Propagator):
     maps to one of variance e^{2bt} sigma^2 + 2 q (e^{2bt}-1)/(2b).
     Convolution is trapezoid quadrature on the grid (via FFT), dilation
     is 4-point cubic interpolation with zero extension outside the box.
-    A flow applies this to a stack of rows in one kernel (one rfft/irfft
-    pass, one gathered dilation); a single state is transformed once for
-    all its times.  The stage convolution is Gauss-Legendre quadrature of
+    A flow applies this to one state for all its times in one kernel (one
+    rfft of the state, one irfft over the rows, one gathered dilation).
+    The stage convolution is Gauss-Legendre quadrature of
     s + 2 nodes in tau on each [0, e_i h] but, the rfft being linear, takes
     one rfft of the s stage values, forms the E*q interpolants in modal form
     and makes one irfft over them, then one gathered dilation whose
@@ -674,7 +629,7 @@ class OUProblem(Propagator):
         """The per-row kernel of the flows at `times`: the rows above the
         kernel-variance cutoff (None for all), their Gaussian symbols, and
         the 4-point dilation stencils with their out-of-box masks."""
-        if min(times) < 0.0:
+        if min(times, default=0.0) < 0.0:
             raise ValidationError("t must be >= 0")
         n, dx = self.n, self.dx
         xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
@@ -703,21 +658,20 @@ class OUProblem(Propagator):
             # first stencil point, as an index into the flattened stack
             first.append(j - 1 + r * n)
             inside.append((pos >= 0.0) & (pos <= n - 1))
-        return (smooth if len(smooth) < len(times) else None,
+        return (None if 0 < len(smooth) == len(times) else smooth,
                 np.array(symbols) if symbols else None,
-                np.array(first, dtype=np.intp),
+                np.array(first, dtype=np.intp).reshape(-1, n),
                 np.array(weights).reshape(-1, 4, n).transpose(1, 0, 2).copy(),
                 ~np.array(inside, dtype=bool))
 
     def _smooth(self, rows, modes, smooth):
         """The rows after the Gaussian convolution: the inverse rfft of
-        modes (the symbol-weighted spectra of the rows above the cutoff)
-        in those rows, the physical rows elsewhere (rows is read only when
-        smooth is not None)."""
+        modes (the symbol-weighted spectra of the rows above the cutoff),
+        written over those rows of the physical rows `rows`; when every
+        row is above the cutoff (smooth None) rows is not read."""
         conv = np.fft.irfft(modes, self.n)
         if smooth is None:
             return conv
-        rows = np.array(rows)
         rows[smooth] = conv
         return rows
 
@@ -734,37 +688,34 @@ class OUProblem(Propagator):
         out[outside] = 0.0
         return out
 
-    def _flow(self, plan, V):
-        """One rfft/irfft pass over the rows with a Gaussian symbol, then
-        one gathered 4-point dilation; rows below the kernel-variance
-        cutoff are pure dilation.  A single state is transformed once for
-        all times: identical rows transform identically."""
+    def _flow(self, plan, v):
+        """One rfft of the state, one irfft over the rows with a Gaussian
+        symbol, then one gathered 4-point dilation; rows below the
+        kernel-variance cutoff are pure dilation of the state."""
         smooth, symbol, first, weights, outside = plan
-        conv = V
-        if V.ndim == 1 and (symbol is None or smooth is not None):
-            # the physical rows are read: a stack of the state, one per time
-            conv = np.repeat(V[None], len(first), axis=0)
+        # the state once per time, where some row is pure dilation
+        rows = None if smooth is None else np.repeat(v[None], len(first), axis=0)
         if symbol is not None:
-            spectra = np.fft.rfft(V if V.ndim == 1 or smooth is None else V[smooth])
-            conv = self._smooth(conv, spectra * symbol, smooth)
-        return self._dilate(conv, first, weights, outside)
+            rows = self._smooth(rows, np.fft.rfft(v) * symbol, smooth)
+        return self._dilate(rows, first, weights, outside)
 
     def _convolution(self, h, lag, ends):
-        """The Lagrange basis values as (m, s) for the m = E*q quadrature
-        rows, and the _flows plan of their times with each row's
-        quadrature weight folded into its dilation stencil."""
+        """The end count E, the Lagrange basis values as (m, s) for the
+        m = E*q quadrature rows, and the _flows plan of their times with
+        each row's quadrature weight folded into its dilation stencil."""
         times, basis, wts = _gauss_legendre(h, lag, ends, lag.s + 2)
         smooth, symbol, first, weights, outside = self._flows(times)
-        return basis, smooth, symbol, first, weights * wts.reshape(1, -1, 1), outside
+        return (len(ends), basis, smooth, symbol, first,
+                weights * wts.reshape(1, -1, 1), outside)
 
-    def _convolve(self, plan, G, n_ends, live):
+    def _convolve(self, plan, G):
         """One rfft of the s stage values, their interpolants formed in
         modal form by one (m, s) product and weighted by the row symbols,
         one irfft over the m rows and one gathered dilation, whose
         quadrature-weighted rows are summed end by end.  Rows below the
         kernel-variance cutoff dilate the physical interpolant, so the
         stage modes G are the physical stage values themselves."""
-        basis, smooth, symbol, first, weights, outside = plan
+        n_ends, basis, smooth, symbol, first, weights, outside = plan
         if symbol is None:
             conv = basis @ G
         else:
@@ -775,7 +726,7 @@ class OUProblem(Propagator):
             modes = (modal @ spectra.view(float)).view(complex) * symbol
             conv = self._smooth(None if smooth is None else basis @ G, modes, smooth)
         rows = self._dilate(conv, first, weights, outside)
-        return self._zero_ends(n_ends, live, rows.reshape(len(live), -1, self.n).sum(axis=1))
+        return rows.reshape(n_ends, -1, self.n).sum(axis=1)
 
     def random_field(self, rng):
         return rng.standard_normal(len(self._ball_basis)) @ self._ball_basis

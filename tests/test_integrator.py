@@ -11,6 +11,7 @@ from conftest import ScalarProblem, random_state
 from expsplit import config as cfgmod
 from expsplit.errors import (ContractionError, FixedPointDivergenceError,
                              ValidationError)
+from expsplit.harness import reference_solution
 from expsplit.integrator import (FP_MAX_ITER, WINDOW_MAX, SchemeSpec, StageInfo,
                                  contraction_certificate, internal_stages,
                                  plan_step, run, run_windowed, step)
@@ -30,13 +31,18 @@ MODAL_GRIDS = {
 
 
 def eager_stages(u_n, t_n, g, plan, start=None):
-    """Reference copy of the stage solve that norms the stage stack up front
-    on every call: the stage-scale floors are set before the first
-    iteration, from a flow op of the node offsets alone."""
-    propagator, kappa, tol = plan.propagator, plan.kappa, plan.tol
+    """Reference copy of the stage solve that works on the whole stage
+    stack: it norms the anchors up front on every call, so the stage-scale
+    floors are set before the first iteration, and every iteration
+    evaluates g on all s rows and takes the increments of all of them.
+    The anchors are one-time flows of u_n, stage 1 u_n itself when c_1 = 0;
+    start and the correction hold the unknown rows, from plan.fixed on."""
+    propagator, kappa, tol, fixed = plan.propagator, plan.kappa, plan.tol, plan.fixed
     times = t_n + plan.offsets
-    base = propagator.apply_nodes(propagator.flow_op(plan.offsets), u_n)
-    stages = base if start is None else base + start
+    base = np.stack([propagator.apply(t, u_n) for t in plan.offsets])
+    stages = base.copy()
+    if start is not None:
+        stages[fixed:] += start
     info = StageInfo()
     scale = max(float(np.max(propagator.v_norm(base))), 1.0)
     tol = max(tol, 1e-14 * scale)
@@ -44,8 +50,13 @@ def eager_stages(u_n, t_n, g, plan, start=None):
     prev_inc = None
     for it in range(1, FP_MAX_ITER + 1):
         G = g.eval(times, stages)
-        info.correction = propagator.stage_convolve(plan.stage_rows, G)
-        new_stages = base + info.correction
+        new_stages = base.copy()
+        if fixed < plan.s:
+            info.correction = propagator.convolve_modes(
+                plan.stage_rows, propagator.stage_modes(G))
+            new_stages[fixed:] += info.correction
+        else:
+            info.correction = base[:0]
         inc = float(np.max(propagator.v_norm(new_stages - stages)))
         stages = new_stages
         info.iterations = it
@@ -70,7 +81,7 @@ def eager_step(u_n, t_n, g, plan, start=None):
     propagator = plan.propagator
     flow_end = propagator.apply_nodes(plan.node_flow, u_n)[-1]
     G = g.eval(t_n + plan.offsets, stages)
-    (conv,) = propagator.stage_convolve(plan.update_row, G)
+    (conv,) = propagator.convolve_modes(plan.update_row, propagator.stage_modes(G))
     return flow_end + conv, info
 
 
@@ -129,14 +140,10 @@ class TestInternalStages:
         g = cfgmod.build_nonlinearity(cfg, pr)
         u = np.asarray(cfgmod.build_initial(cfg, pr))
         h = 1e-3
-        op = pr.flow_op((0.0, h))
-        assert np.array_equal(pr.apply_nodes(op, u)[0], u)
-        V = np.stack([u, 2.0 * u])
-        assert np.array_equal(pr.apply_nodes(op, V)[0], u)
-        # every row has t = 0, and a wrongly shaped state is still refused
+        # the flow op holds the unknown stages' times alone and takes one state
         with pytest.raises(ValidationError):
-            pr.apply_nodes(pr.flow_op((0.0, 0.0)), np.stack([u] * 3))
-        for s in (2, 3, 4):
+            pr.apply_nodes(pr.flow_op((0.5 * h, h)), np.stack([u, 2.0 * u]))
+        for s in (1, 2, 3, 4):
             stages, _ = internal_stages(u, 0.0, g,
                                         plan_step(h, SchemeSpec.with_stages(s), pr, 3.0))
             assert np.array_equal(stages[0], u)
@@ -293,27 +300,44 @@ class TestRun:
         assert rec.states.shape == (5, 32)
         assert np.array_equal(rec.times, rec.steps * 0.025)
 
-    # a run's one abort after its first step; the strip is a study verdict
-    @pytest.mark.parametrize("abort", ["divergence"])
-    def test_abort_keeps_exactly_the_rows_reached(self, abort):
-        # steps 1-7 run as in a clean run; step 8 (t = 0.2) fails
-        hp = HeatTorusProblem(dim=1, n=32)
-        scheme, u = SchemeSpec.with_stages(2), 0.5 * np.sin(hp.grid())
+    # a run's one abort after its first step; the strip is a study verdict.
+    # With s = 2 step 8 (t = 0.175) evaluates g past t = 0.18 at its second
+    # stage and fails.  An s = 1 run evaluates g at t_n alone: step 9 (t =
+    # 0.2) makes u_9 non-finite and stores it, and step 10 stops on u_9
+    @pytest.mark.parametrize("abort,name,s,failure_step,kept", [
+        pytest.param("divergence", "heat", 2, 7, [0, 3, 6], id="divergence"),
+        pytest.param("divergence", "heat", 1, 9, [0, 3, 6, 9], id="divergence-s1-heat"),
+        pytest.param("divergence", "ou", 1, 9, [0, 3, 6, 9], id="divergence-s1-ou"),
+    ])
+    def test_abort_keeps_exactly_the_rows_reached(self, abort, name, s, failure_step,
+                                                  kept):
+        # the steps before the failing one run as in a clean run
+        if name == "heat":  # folded
+            pr = HeatTorusProblem(dim=1, n=32)
+            u = 0.5 * np.sin(pr.grid())
+        else:
+            pr = OUProblem(n=128)
+            u = 0.5 * np.exp(-pr.x ** 2)
+        scheme = SchemeSpec.with_stages(s)
         g = PowerNonlinearity(alpha=3.0, coeff=-1.0)
-        clean = run(u, 0.25, 10, scheme, hp, g, 3.0, store_stride=3)
+        clean = run(u, 0.25, 10, scheme, pr, g, 3.0, store_stride=3)
 
         class NanLate(PowerNonlinearity):
             def eval(self, t, v):
                 out = super().eval(t, v)
                 return np.full_like(out, np.nan) if np.max(t) > 0.18 else out
 
-        rec = run(u, 0.25, 10, scheme, hp, NanLate(3.0, coeff=-1.0), 3.0,
-                  store_stride=3)
-        assert (rec.status, rec.failure_step) == (abort, 7)
-        assert np.array_equal(rec.steps, [0, 3, 6])
-        assert np.array_equal(rec.times, clean.times[:3])
-        assert rec.states.shape == (3, 32)
-        assert np.array_equal(rec.states, clean.states[:3])
+        with np.errstate(invalid="ignore"):
+            rec = run(u, 0.25, 10, scheme, pr, NanLate(3.0, coeff=-1.0), 3.0,
+                      store_stride=3)
+        assert (rec.status, rec.failure_step) == (abort, failure_step)
+        assert f"t={failure_step * 0.025:.6g} (non-finite increment)" in rec.error
+        assert np.array_equal(rec.steps, kept)
+        assert np.array_equal(rec.times, clean.times[:len(kept)])
+        assert rec.states.shape == (len(kept),) + pr.shape
+        assert np.array_equal(rec.states[:3], clean.states[:3])
+        if len(kept) > 3:  # s = 1: the non-finite state its last step started from
+            assert not np.isfinite(rec.states[3]).all()
 
     def test_trace_rows_align_with_stored_steps(self):
         hp = HeatTorusProblem(dim=1, n=32)
@@ -669,6 +693,73 @@ class TestFixedFirstStage:
         if s == 1:
             assert evals == [1, 1]  # one g.eval a step
         assert max(info.iterations, warm.iterations) >= (1 if s == 1 else 2)
+
+
+# name -> problem whose op requests are spied on: folded and modal 1D heat,
+# 2D heat, OU and wave
+REQUEST_PROBLEMS = {
+    "heat-1d-folded": lambda: HeatTorusProblem(dim=1, n=64),
+    "heat-1d-modal": lambda: HeatTorusProblem(dim=1, n=128),
+    "heat-2d": lambda: HeatTorusProblem(dim=2, n=16),
+    "ou": lambda: OUProblem(n=128),
+    "wave": lambda: WaveProblem(n_modes=16),
+}
+
+
+class TestOpRequests:
+    """The ops compute every row they are given, so the stepper and the
+    exact reference ask for no t = 0 flow and no e_i h = 0 end: stage 1 is
+    u_n itself when c_1 = 0, and row 0 of an exact reference is u_0."""
+
+    @staticmethod
+    def spy(monkeypatch, problem):
+        """Lists that collect the times of every flow_op call and the
+        (h, ends) of every convolve_op call on problem."""
+        times, ends = [], []
+        flow_op, convolve_op = problem.flow_op, problem.convolve_op
+
+        def spied_flow_op(t):
+            times.append(np.array(t, dtype=float))
+            return flow_op(t)
+
+        def spied_convolve_op(h, lag, e):
+            ends.append((h, tuple(e)))
+            return convolve_op(h, lag, e)
+
+        monkeypatch.setattr(problem, "flow_op", spied_flow_op)
+        monkeypatch.setattr(problem, "convolve_op", spied_convolve_op)
+        return times, ends
+
+    @pytest.mark.parametrize("scheme_name", ["s1", "s2", "s3", "s4", "gauss2"])
+    @pytest.mark.parametrize("name", sorted(REQUEST_PROBLEMS))
+    def test_plan_step_requests_no_zero_rows(self, name, scheme_name, monkeypatch, rng):
+        problem = REQUEST_PROBLEMS[name]()
+        scheme = END_ROW_SCHEMES[scheme_name]
+        times, ends = self.spy(monkeypatch, problem)
+        h = 0.01
+        plan = plan_step(h, scheme, problem, 3.0)
+        # the unknown stages' flows, then e^{hA} when c_s != 1; their stage
+        # ends, then the update's
+        unknown = scheme.nodes.nodes[plan.fixed:]
+        flows = unknown if unknown[-1:] == (1.0,) else unknown + (1.0,)
+        assert len(times) == 1 and np.array_equal(times[0], h * np.array(flows))
+        assert ends == ([(h, unknown)] if unknown else []) + [(h, (1.0,))]
+        assert all(t != 0.0 for t in times[0])
+        assert all(e * h != 0.0 for h, row_ends in ends for e in row_ends)
+        # a step applies the ops it has and builds none
+        g = WaveCubic(problem) if name == "wave" else PowerNonlinearity(3.0, -1.0)
+        step(0.3 * random_state(problem, rng), 0.0, g, plan)
+        assert len(times) == 1 and len(ends) == len(unknown[:1]) + 1
+
+    @pytest.mark.parametrize("name", sorted(REQUEST_PROBLEMS))
+    def test_exact_reference_requests_no_zero_time(self, name, monkeypatch, rng):
+        problem = REQUEST_PROBLEMS[name]()
+        u0 = 0.3 * random_state(problem, rng)
+        times, ends = self.spy(monkeypatch, problem)
+        ref = reference_solution(problem, ZeroNonlinearity(), u0, 0.1, 0.0125, 0.025, 0.0)
+        assert len(times) == 1 and np.array_equal(times[0], ref.times[1:])
+        assert np.all(times[0] != 0.0) and not ends
+        assert np.array_equal(ref.states[0], u0)
 
 
 class TestSchemeSpec:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import decode, random_state
 from expsplit.errors import FixedPointDivergenceError, ValidationError
+from expsplit.harness import reference_solution
 from expsplit.integrator import SchemeSpec, internal_stages, plan_step
 from expsplit.lagrange import NodeSet, build_lagrange, eval_basis
 from expsplit.nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
@@ -17,6 +18,12 @@ from expsplit.propagators import (HeatTorusProblem, OUProblem, SmoothingProfile,
                                   WaveProblem, gaussian_smoothing_constant,
                                   lp_norm, measure_smoothing,
                                   quadrature_convolve)
+
+def convolve(problem, op, G):
+    """A convolve op applied to the stage values G, through their stage
+    modes."""
+    return problem.convolve_modes(op, problem.stage_modes(G))
+
 
 # (problem, largest h*|lambda| drawn).  Heat reaches h*|lambda| ~ 102 in the
 # heat-frac-s2 preset (n=128, h=1/40).  The wave spectrum is imaginary, and
@@ -139,23 +146,35 @@ class TestApply:
 
     @pytest.mark.parametrize("case", sorted(APPLY_PROBLEMS))
     def test_rows_of_a_stacked_flow(self, case):
+        # each row of a multi-row flow is the one-time flow of its time
         pr = APPLY_PROBLEMS[case]()
         rng = np.random.default_rng(11)
-        times = (0.0, 1e-3, 0.05, 0.3)
-        V = np.stack([pr.random_field(rng) for _ in times])
-        blown = V.copy()
-        blown.reshape(len(times), -1)[:, 1] = np.inf  # a non-finite state
+        times = (1e-3, 0.05, 0.3)
+        v = pr.random_field(rng)
+        blown = v.copy()
+        blown.reshape(-1)[1] = np.inf  # a non-finite state
         op = pr.flow_op(times)
         with np.errstate(invalid="ignore", over="ignore"):
-            for W in (V, blown):
-                rows = pr.apply_nodes(op, W)
-                for t, v, row in zip(times, W, rows):
-                    out = pr.apply(t, v)
+            for w in (v, blown):
+                rows = pr.apply_nodes(op, w)
+                assert rows.shape == (len(times),) + pr.shape
+                for t, row in zip(times, rows):
+                    out = pr.apply(t, w)
                     assert out.dtype == pr.zeros().dtype
                     assert np.array_equal(out, row, equal_nan=True)
-                    if t == 0.0:  # an exact copy on every grid, as apply(0, v) is
-                        assert np.array_equal(row, v)
-                assert np.array_equal(pr.apply_nodes(op, W[0])[0], W[0])
+                # an exact copy on every grid, finite or not
+                assert np.array_equal(pr.apply(0.0, w), w, equal_nan=True)
+
+
+    @pytest.mark.parametrize("case", sorted(APPLY_PROBLEMS))
+    def test_flow_of_no_times_has_no_rows(self, case):
+        # an op computes the rows it is given, none for no times; an exact
+        # reference over T = 0 is u_0 alone
+        pr = APPLY_PROBLEMS[case]()
+        v = pr.random_field(np.random.default_rng(2))
+        assert pr.apply_nodes(pr.flow_op(()), v).shape == (0,) + pr.shape
+        ref = reference_solution(pr, ZeroNonlinearity(), v, 0.0, 0.01, 0.01, 0.0)
+        assert np.array_equal(ref.states, v[None])
 
 
 class TestNormCouple:
@@ -477,28 +496,33 @@ class TestOUBatched:
 
     @given(st.lists(OU_TIMES, min_size=1, max_size=24), st.integers(0, 2 ** 32 - 1))
     @example(times=[0.0, 1e-16, 1e-3, 2.0], seed=0)
+    @example(times=[0.0, 0.0], seed=2)
     @settings(max_examples=60, deadline=None)
     def test_apply_rows_equals_scalar_apply(self, times, seed):
+        # one rfft of the state serves every time, bit for bit; a t = 0 row
+        # is computed, the dilation by e^0 = 1 to rounding
         ou = self.ou
-        V = np.random.default_rng(seed).standard_normal((len(times), ou.n))
-        rows = ou.apply_nodes(ou.flow_op(times), V)
-        assert rows.shape == V.shape
-        for t, v, row in zip(times, V, rows):
-            assert np.array_equal(row, ou.apply(t, v))
+        v = np.random.default_rng(seed).standard_normal(ou.n)
+        rows = ou.apply_nodes(ou.flow_op(times), v)
+        assert rows.shape == (len(times), ou.n)
+        for t, row in zip(times, rows):
             if t == 0.0:
-                assert np.array_equal(row, v)
+                assert np.max(np.abs(row - v)) <= 1e-14 * np.max(np.abs(v))
+            else:
+                assert np.array_equal(row, ou.apply(t, v))
 
     @pytest.mark.parametrize("times", [(1e-16, 1e-3, 0.02), (1e-3, 3e-16, 2.0),
                                        (2e-16, 1e-17), (1e-4, 0.5)],
                              ids=["cutoff-first", "cutoff-between", "all-below",
                                   "all-above"])
-    def test_single_state_flow_equals_repeated_stack(self, times):
-        # one state is read as a stack only where some row is pure dilation
+    def test_cutoff_patterns_equal_one_time_flows(self, times):
+        # the state is repeated as a stack only where some row is pure
+        # dilation; every pattern of rows above and below the cutoff gives
+        # the one-time flows
         ou = self.ou
         v = np.random.default_rng(3).standard_normal(ou.n) * np.exp(-ou.x ** 2 / 8.0)
-        op = ou.flow_op(times)
-        got = ou.apply_nodes(op, v)
-        assert np.array_equal(got, ou.apply_nodes(op, np.repeat(v[None], len(times), 0)))
+        got = ou.apply_nodes(ou.flow_op(times), v)
+        assert np.array_equal(got, np.stack([ou.apply(t, v) for t in times]))
 
     def per_node_convolve(self, h, lag, ends, G):
         """The stage convolution written out one apply per Gauss-Legendre
@@ -513,8 +537,7 @@ class TestOUBatched:
             basis = np.array([[eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
                               for tq in tau])
             interp = np.tensordot(basis, G, axes=(1, 0))
-            rows.append(ou.zeros() if t_end == 0.0 else
-                        sum(wt[k] * ou.apply(t_end - tau[k], interp[k])
+            rows.append(sum(wt[k] * ou.apply(t_end - tau[k], interp[k])
                             for k in range(len(tau))))
         return np.array(rows)
 
@@ -523,19 +546,17 @@ class TestOUBatched:
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_stage_convolve_equals_per_node_applies(self, s, at_nodes, log_h, seed):
+        # the stage op's ends are the nodes after c_1 = 0
         ou = self.ou
         lag = SchemeSpec.with_stages(s).lag
-        ends = lag.node_set.nodes if at_nodes else (1.0,)
+        ends = lag.node_set.nodes[1:] if at_nodes and s > 1 else (1.0,)
         h = math.exp(log_h)
         rng = np.random.default_rng(seed)
         G = rng.standard_normal((s, ou.n)) * np.exp(-ou.x ** 2 / 8.0)
-        out = ou.stage_convolve(ou.convolve_op(h, lag, ends), G)
+        out = convolve(ou, ou.convolve_op(h, lag, ends), G)
         assert out.shape == (len(ends), ou.n)
-        for e, row, ref in zip(ends, out, self.per_node_convolve(h, lag, ends, G)):
-            if e == 0.0:
-                assert not np.any(row)
-            else:
-                assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for row, ref in zip(out, self.per_node_convolve(h, lag, ends, G)):
+            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("s", [2, 4])
     def test_tiny_step_stage_rows_are_pure_dilation(self, s):
@@ -550,30 +571,16 @@ class TestOUBatched:
         spikes[:, at] = np.arange(1.0, s + 1.0)
         smooth = np.random.default_rng(s).standard_normal((s, ou.n)) \
             * np.exp(-ou.x ** 2 / 8.0)
-        for ends in (lag.node_set.nodes, (1.0,)):
+        for ends in (lag.node_set.nodes[1:], (1.0,)):
             op = ou.convolve_op(h, lag, ends)
             for G in (spikes, smooth):
-                out = ou.stage_convolve(op, G)
+                out = convolve(ou, op, G)
                 ref = self.per_node_convolve(h, lag, ends, G)
                 assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-            for e, row in zip(ends, ou.stage_convolve(op, spikes)):
+            for row in convolve(ou, op, spikes):
                 touched = np.flatnonzero(row)
-                assert (len(touched) == 0) == (e == 0.0)
+                assert len(touched) > 0
                 assert np.all(np.abs(touched - at) <= 2)
-
-    @given(st.lists(OU_TIMES, min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1))
-    @example(times=[0.0, 1e-16, 1e-3, 2.0], seed=0)
-    @example(times=[1e-16, 2e-15], seed=1)
-    @example(times=[0.0, 0.0], seed=2)
-    @settings(max_examples=40, deadline=None)
-    def test_single_state_equals_broadcast_stack(self, times, seed):
-        # one rfft of the state serves every time, bit for bit
-        ou = self.ou
-        v = np.random.default_rng(seed).standard_normal(ou.n)
-        op = ou.flow_op(times)
-        rows = ou.apply_nodes(op, v)
-        assert rows.shape == (len(times), ou.n)
-        assert np.array_equal(rows, ou.apply_nodes(op, np.stack([v] * len(times))))
 
     @pytest.mark.parametrize("s,bad", [(2, 0), (4, 2), (4, 3)])
     def test_nan_stage_value_diverges(self, s, bad):
@@ -597,29 +604,34 @@ class TestOUBatched:
         ou = self.ou
         spike = ou.zeros()
         spike[ou.n // 3] = 1.0
-        rows = ou.apply_nodes(ou.flow_op((1e-16, 0.0, 0.01)), np.stack([spike] * 3))
+        rows = ou.apply_nodes(ou.flow_op((1e-16, 0.01)), spike)
         assert 0 < np.count_nonzero(rows[0]) <= 4
-        assert np.array_equal(rows[1], spike)
-        assert np.count_nonzero(rows[2]) > 4
+        assert np.count_nonzero(rows[1]) > 4
+        assert np.array_equal(ou.apply(0.0, spike), spike)
 
     def test_negative_node_time_rejected(self):
         u = np.exp(-self.ou.x ** 2)
         with pytest.raises(ValidationError, match="t must be >= 0"):
             self.ou.apply_nodes(self.ou.flow_op((-0.1 * 0.5,)), u)
         with pytest.raises(ValidationError, match="t must be >= 0"):
-            self.ou.apply_nodes(self.ou.flow_op((0.1, -1e-300)), np.stack([u, u]))
+            self.ou.apply_nodes(self.ou.flow_op((0.1, -1e-300)), u)
 
     def test_wrongly_shaped_stack_rejected(self):
+        # a flow takes one state; a stack of them, one per time, is refused
         ou = self.ou
-        with pytest.raises(ValidationError):
-            ou.apply_nodes(ou.flow_op((0.1, 0.2)), np.zeros((3, ou.n)))
+        for m in (2, 3):
+            with pytest.raises(ValidationError):
+                ou.apply_nodes(ou.flow_op((0.1, 0.2)), np.zeros((m, ou.n)))
         with pytest.raises(ValidationError):
             ou.apply_nodes(ou.flow_op((0.1,)), np.zeros((1, ou.n + 1)))
         with pytest.raises(ValidationError):
-            ou.apply_nodes(ou.flow_op([c * 0.1 for c in (0.0, 0.5)]), np.zeros(ou.n - 1))
+            ou.apply_nodes(ou.flow_op([c * 0.1 for c in (0.5, 1.0)]), np.zeros(ou.n - 1))
         lag = build_lagrange(NodeSet((0.0, 1.0)))
+        op = ou.convolve_op(0.1, lag, (1.0,))
         with pytest.raises(ValidationError):
-            ou.stage_convolve(ou.convolve_op(0.1, lag, (1.0,)), np.zeros((2, ou.n // 2)))
+            convolve(ou, op, np.zeros((2, ou.n // 2)))
+        with pytest.raises(ValidationError):
+            convolve(ou, op, np.zeros((3, ou.n)))
 
 
 class TestWave:
@@ -719,8 +731,7 @@ class TestStageConvolve:
     def test_zero_values_give_zero(self):
         hp = HeatTorusProblem(dim=1, n=64)
         lag = build_lagrange(NodeSet((0.0, 1.0)))
-        (out,) = hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,)),
-                                   [hp.zeros(), hp.zeros()])
+        (out,) = convolve(hp, hp.convolve_op(0.1, lag, (1.0,)), [hp.zeros(), hp.zeros()])
         assert hp.v_norm(out) == 0.0
 
     def test_constant_integrand_single_node(self, make_scalar):
@@ -728,9 +739,9 @@ class TestStageConvolve:
         lag = build_lagrange(NodeSet((0.5,)))
         g1 = np.array([2.0])
         h = 0.2
-        (out,) = pr.stage_convolve(pr.convolve_op(h, lag, lag.node_set.nodes), [g1])
+        (out,) = convolve(pr, pr.convolve_op(h, lag, lag.node_set.nodes), [g1])
         assert out[0] == pytest.approx(0.5 * h * 2.0, rel=1e-13)
-        (fin,) = pr.stage_convolve(pr.convolve_op(h, lag, (1.0,)), [g1])
+        (fin,) = convolve(pr, pr.convolve_op(h, lag, (1.0,)), [g1])
         assert fin[0] == pytest.approx(h * 2.0, rel=1e-13)
 
     def test_heat_matches_direct_quadrature(self):
@@ -739,7 +750,7 @@ class TestStageConvolve:
         x = hp.grid()
         k, h = 3, 0.01
         g = [np.cos(k * x), np.sin(k * x)]
-        (out,) = hp.stage_convolve(hp.convolve_op(h, lag, (1.0,)), g)
+        (out,) = convolve(hp, hp.convolve_op(h, lag, (1.0,)), g)
         xq, wq = np.polynomial.legendre.leggauss(64)
         tau = 0.5 * h * (xq + 1.0)
         wt = 0.5 * h * wq
@@ -769,7 +780,7 @@ class TestStageConvolve:
         if np.iscomplexobj(pr.zeros()):
             g = g + 1j * rng.standard_normal(g.shape)
         g = np.stack([gj / pr.v_norm(gj) for gj in g])  # every mode excited
-        exact = pr.stage_convolve(pr.convolve_op(h, lag, ends), g)
+        exact = convolve(pr, pr.convolve_op(h, lag, ends), g)
         generic = quadrature_convolve(pr, h, lag, ends, g, 32)
         assert exact.shape == generic.shape == (len(ends),) + grid
         for row_exact, row_generic in zip(exact, generic):
@@ -792,7 +803,7 @@ class TestStageConvolve:
         hp = HeatTorusProblem(dim=1, n=64)
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         with pytest.raises(ValidationError):
-            hp.stage_convolve(hp.convolve_op(0.1, lag, (1.0,)), [hp.zeros()])
+            convolve(hp, hp.convolve_op(0.1, lag, (1.0,)), [hp.zeros()])
 
 
 # name -> problem of the row-independence test: folded and modal 1D heat,
@@ -835,14 +846,13 @@ class TestRowIndependence:
             with pytest.raises(ValidationError):
                 problem.stage_modes(G)
         lag = build_lagrange(NodeSet((0.0, 1.0)))
-        op = problem.convolve_op(0.01, lag, (0.0, 1.0))
+        op = problem.convolve_op(0.01, lag, (0.5, 1.0))
         modes = problem.stage_modes(np.ones((2,) + grid))
         with pytest.raises(ValidationError):
             problem.convolve_modes(op, modes[:1])
         with pytest.raises(ValidationError):
             problem.convolve_modes(op, modes[..., :-1])
-        assert np.array_equal(problem.convolve_modes(op, modes),
-                              problem.stage_convolve(op, np.ones((2,) + grid)))
+        assert problem.convolve_modes(op, modes).shape == (2,) + grid
 
 
 def gauss_scheme(s):
@@ -862,42 +872,38 @@ class TestFold:
         rng = np.random.default_rng(100 * n + s)
         for h in (1e-3, 1 / 40, 0.3):
             plan = plan_step(h, scheme, hp, 1e-12)
-            times = np.append(plan.offsets, h) if scheme.nodes.nodes[-1] != 1.0 \
-                else plan.offsets
-            # the flow op folds only its rows with t != 0
-            m, live, mats, _, _ = plan.node_flow
-            assert (m, live) == (len(times), [k for k, t in enumerate(times) if t != 0.0])
-            assert mats.shape == (len(live), n, n)
-            V = rng.standard_normal((len(times), n))
-            flows = hp.apply_nodes(plan.node_flow, V)
+            # the ops of the unknown stages, after c_1 = 0, and of h
+            nodes = scheme.nodes.nodes[plan.fixed:]
+            times = h * np.array(nodes if nodes[-1:] == (1.0,) else nodes + (1.0,))
+            mats = plan.node_flow
+            assert mats.shape == (len(times), n, n)
+            v = rng.standard_normal(n)
+            flows = hp.apply_nodes(plan.node_flow, v)
             ref = np.fft.irfft(np.exp(np.multiply.outer(times, hp.eigenvalues))
-                               * np.fft.rfft(V), n)
-            for t, v, row, r in zip(times, V, flows, ref):
-                if t == 0.0:
-                    assert np.array_equal(row, v)  # an exact copy
+                               * np.fft.rfft(v), n)
+            for row, r in zip(flows, ref):
                 assert np.max(np.abs(row - r)) <= 1e-14 * np.max(np.abs(r))
             G = rng.standard_normal((s, n))
-            for ends, op in ((scheme.nodes.nodes, plan.stage_rows), ((1.0,), plan.update_row)):
-                n_ends, live, mat, _, _ = op
-                assert (n_ends, live) == (len(ends), [i for i, e in enumerate(ends) if e])
-                assert mat is None if not live else mat.shape == (len(live) * n, s * n)
-                out = hp.stage_convolve(op, G)
+            assert (plan.stage_rows is None) == (not nodes)
+            for ends, op in ((nodes, plan.stage_rows), ((1.0,), plan.update_row)):
+                if not ends:
+                    continue
+                stages, mat = op
+                assert (stages, mat.shape) == (s, (len(ends) * n, s * n))
+                out = convolve(hp, op, G)
                 W = stage_weights_diagonal(hp.eigenvalues, h, scheme.lag, ends)
                 ref = np.fft.irfft(np.einsum("ij...,j...->i...", W, np.fft.rfft(G)), n)
-                for e, row, r in zip(ends, out, ref):
-                    if e == 0.0:
-                        assert np.all(row == 0.0)
-                    else:
-                        assert np.max(np.abs(row - r)) <= 1e-14 * np.max(np.abs(r))
+                for row, r in zip(out, ref):
+                    assert np.max(np.abs(row - r)) <= 1e-14 * np.max(np.abs(r))
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_stacked_flow_rows_equal_rows_alone(self, n):
         hp = HeatTorusProblem(dim=1, n=n)
-        times = (0.0, 1e-3, 0.05, 0.3, 1.0)
-        V = np.random.default_rng(5).standard_normal((len(times), n))
-        rows = hp.apply_nodes(hp.flow_op(times), V)
-        for t, v, row in zip(times, V, rows):
-            assert np.array_equal(hp.apply_nodes(hp.flow_op((t,)), v[None])[0], row)
+        times = (1e-3, 0.05, 0.3, 1.0)
+        v = np.random.default_rng(5).standard_normal(n)
+        rows = hp.apply_nodes(hp.flow_op(times), v)
+        for t, row in zip(times, rows):
+            assert np.array_equal(hp.apply_nodes(hp.flow_op((t,)), v)[0], row)
             assert np.array_equal(hp.apply(t, v), row)
 
     def test_stage_matrix_build_peaks_near_its_size(self):
@@ -907,11 +913,12 @@ class TestFold:
         lag = SchemeSpec.with_stages(4).lag
         tracemalloc.start()
         try:
-            op = hp.convolve_op(0.01, lag, lag.node_set.nodes)
+            # the ends of the unknown stages, c = 1/3, 2/3, 1
+            op = hp.convolve_op(0.01, lag, lag.node_set.nodes[1:])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        mat = op[2]  # the ends c = 1/3, 2/3, 1: c = 0 has no block row
+        mat = op[1]
         assert mat.shape == (192, 256)
         assert peak < 1.5 * mat.nbytes
 
@@ -920,15 +927,13 @@ class TestFold:
         hp = HeatTorusProblem(dim=dim, n=n)
         assert not hp.folded
         lag = build_lagrange(NodeSet((0.0, 1.0)))
-        # the ops hold multipliers and weights over the modes of their live
-        # rows (t != 0, e != 0), not grid matrices
+        # the ops hold multipliers and weights over the modes of their
+        # rows, not grid matrices
         modes = hp.eigenvalues.shape
-        m, live, mult, shape, _ = hp.flow_op((0.0, 0.1))
-        assert (m, live, shape, mult.shape) == (2, [1], hp.shape, (1,) + modes)
-        n_ends, live, W, shape, _ = hp.convolve_op(0.1, lag, (0.0, 1.0))
-        assert (n_ends, live, shape) == (2, [1], (2,) + hp.shape)
+        assert hp.flow_op((0.05, 0.1)).shape == (2,) + modes
+        s, W = hp.convolve_op(0.1, lag, (0.5, 1.0))
         # real weights, one per float of a complex mode
-        assert W.shape == (1, 2) + modes[:-1] + (2 * modes[-1],)
+        assert (s, W.shape) == (2, (2, 2) + modes[:-1] + (2 * modes[-1],))
 
 
 # name -> modal heat grid of the real-weight stage product
@@ -949,30 +954,26 @@ class TestModalOps:
         scheme = SchemeSpec.with_stages(s) if nodes == "default" else gauss_scheme(s)
         G = np.random.default_rng(s).standard_normal((s,) + hp.shape)
         h = 1 / 40
+        # an end at 0 is computed like any other: its weights are zero
         for ends in (scheme.nodes.nodes, (1.0,), (0.0, 1.0, 0.0)):
-            out = hp.stage_convolve(hp.convolve_op(h, scheme.lag, ends), G)
+            out = convolve(hp, hp.convolve_op(h, scheme.lag, ends), G)
             W = stage_weights_diagonal(hp.eigenvalues, h, scheme.lag, ends)
             ref = hp.from_modes(np.einsum("ij...,j...->i...", W, hp.to_modes(G)))
             assert out.shape == ref.shape and out.dtype == ref.dtype
-            for e, row, r in zip(ends, out, ref):
-                if e == 0.0:
-                    assert np.all(row == 0.0)
-                else:
-                    assert np.array_equal(row, r)
+            assert np.array_equal(out, ref)
 
     def test_wave_keeps_complex_weights(self):
         wp = WaveProblem(n_modes=32)
         lag = SchemeSpec.with_stages(3).lag
         ends = lag.node_set.nodes
         op = wp.convolve_op(0.1, lag, ends)
-        assert np.iscomplexobj(op[2])
+        assert np.iscomplexobj(op[1])
         rng = np.random.default_rng(4)
         G = rng.standard_normal((3, wp.n)) + 1j * rng.standard_normal((3, wp.n))
-        out = wp.stage_convolve(op, G)
+        out = convolve(wp, op, G)
         W = stage_weights_diagonal(wp.eigenvalues, 0.1, lag, ends)
         ref = np.einsum("ij...,j...->i...", W, G)
-        assert np.all(out[0] == 0.0)
-        assert np.array_equal(out[1:], ref[1:])
+        assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_2d_transforms_equal_rfft2(self, n):
@@ -985,19 +986,22 @@ class TestModalOps:
 
     @pytest.mark.parametrize("case", sorted(APPLY_PROBLEMS))
     def test_all_zero_ops_check_shapes(self, case):
+        # ops of t = 0 and e = 0 alone check their inputs as any op does,
+        # and the zero-length integral is computed as exact zeros
         pr = APPLY_PROBLEMS[case]()
         grid = pr.zeros().shape
         flow = pr.flow_op((0.0, 0.0))
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         conv = pr.convolve_op(0.1, lag, (0.0,))
         bad_grid = grid[:-1] + (grid[-1] + 1,)
-        for V in (np.zeros(bad_grid), np.zeros((3,) + grid), np.zeros((2,) + bad_grid)):
+        for V in (np.zeros(bad_grid), np.zeros((2,) + grid), np.zeros((3,) + grid),
+                  np.zeros((2,) + bad_grid)):
             with pytest.raises(ValidationError):
                 pr.apply_nodes(flow, V)
         for G in (np.zeros((2,) + bad_grid), np.zeros((1,) + grid), np.zeros(grid)):
             with pytest.raises(ValidationError):
-                pr.stage_convolve(conv, G)
-        assert np.array_equal(pr.stage_convolve(conv, np.ones((2,) + grid)),
+                convolve(pr, conv, G)
+        assert np.array_equal(convolve(pr, conv, np.ones((2,) + grid)),
                               np.zeros((1,) + grid))
 
 

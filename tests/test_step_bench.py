@@ -11,7 +11,8 @@ the first correction, and the third, which starts from the extrapolation
 of the first two.  Three cases time a study's reference trajectory with the
 benchmark's h_ref: a halving ladder solved by windows of steps on heat and
 wave, steps of h_ref on OU.  Two cases time OU's stage convolution alone,
-the stage op and the update op of a 4-stage step.  One case times both
+the stage op and the update op of a 4-stage step, each applied to the
+stage modes of all four stage values.  One case times both
 Lipschitz estimates of the benchmark's wave study, and one its step-size
 sweep: a run and a strip check per h.
 Run only these with ``pytest tests/test_step_bench.py``;
@@ -119,15 +120,19 @@ def test_run_lipschitz_estimate(benchmark):
 @pytest.mark.parametrize("op_name", ["stage_rows", "update_row"])
 def test_ou_stage_convolve(benchmark, op_name):
     # the stage convolution alone, on the 4-stage OU step of the
-    # ou-n256-s4 case: 3 live ends x 6 nodes for the stage op, 6 for the
-    # update
+    # ou-n256-s4 case: the ends c = 1/3, 2/3, 1 of the unknown stages x 6
+    # nodes for the stage op, 6 for the update
     u0, t0, g, plan = _step_args(*STEP_CASES["ou-n256-s4"])
-    stages = plan.propagator.apply_nodes(plan.node_flow, u0)[:plan.s]
+    propagator = plan.propagator
+    stages = np.concatenate([u0[None], propagator.apply_nodes(plan.node_flow, u0)])
     G = g.eval(t0 + plan.offsets, stages)
     op = getattr(plan, op_name)
-    expected = plan.propagator.stage_convolve(op, G)
-    got = benchmark.pedantic(plan.propagator.stage_convolve, args=(op, G),
-                             rounds=200, iterations=1, warmup_rounds=5)
+
+    def convolve():
+        return propagator.convolve_modes(op, propagator.stage_modes(G))
+
+    expected = convolve()
+    got = benchmark.pedantic(convolve, rounds=200, iterations=1, warmup_rounds=5)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
 
