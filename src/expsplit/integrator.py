@@ -21,7 +21,7 @@ iteration makes one convolution of the stage modes and norms its
 increments in one v_norm call; the anchor is normed only when the
 stage-scale floor of the tolerance decides a test.  Exponential Euler
 (s = 1, c_1 = 0) has no unknown stage and iterates nothing, but a
-non-finite u_n stops it as a non-finite increment would.
+non-finite u_n or g(t_n, u_n) stops it as a non-finite increment would.
 A failed run keeps the rows it reached, with status contraction or divergence.
 Every operator a step of size h applies is built once, into a StepPlan,
 and only while the contraction certificate
@@ -248,8 +248,9 @@ def internal_stages(u_n, t_n: float, g, plan: StepPlan, start=None):
     modes = propagator.stage_modes(g.eval(times, stages))
     info = StageInfo(flow_end=anchor[-1], g_modes=modes)
     if fixed == s:
-        # no unknown stage: one iteration, of increment u_n - u_n (0 or nan)
-        if not np.isfinite(u_n).all():
+        # no unknown stage: one iteration, of increment u_n - u_n (0 or nan);
+        # a non-finite g(t_n, u_n) would make the update non-finite
+        if not (np.isfinite(u_n).all() and np.isfinite(modes).all()):
             raise FixedPointDivergenceError(
                 f"stage iteration diverged at t={t_n:.6g} (non-finite increment)")
         info.iterations, info.increment, info.residual_bound = 1, 0.0, 0.0

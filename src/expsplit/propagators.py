@@ -29,7 +29,7 @@ import numpy as np
 import numpy.fft, numpy.polynomial, numpy.random  # noqa: E401, F401
 
 from .errors import ValidationError
-from .lagrange import LagrangeData, eval_basis
+from .lagrange import LagrangeData
 from .phi import stage_weights_diagonal
 
 __all__ = [
@@ -321,17 +321,17 @@ def _gauss_legendre(h: float, lag: LagrangeData, ends, q: int):
     """q-node Gauss-Legendre quadrature of the stage integrals, nodes tau_k
     on each [0, e_i h]: the m = E*q times e_i h - tau_k, the Lagrange basis
     values ell_j(tau_k) as (m, s) and the weights as (E, q), end by end."""
-    s = lag.s
+    if h <= 0.0:
+        raise ValidationError("h must be positive")
     x, w = np.polynomial.legendre.leggauss(q)
-    times, wts, basis = [], [], []
-    for e in ends:
-        t_end = e * h
-        tau = 0.5 * t_end * (x + 1.0)
-        times.extend(t_end - tq for tq in tau)
-        wts.append(0.5 * t_end * w)
-        basis.extend([eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
-                     for tq in tau)
-    return times, np.array(basis).reshape(-1, s), np.array(wts).reshape(-1, q)
+    t_end = (np.asarray(ends, dtype=float) * h)[:, None]
+    tau = 0.5 * t_end * (x + 1.0)
+    # the Horner sums of eval_basis in sigma = tau/h, at every node at once
+    sigma = (tau / h).reshape(-1, 1)
+    basis = np.zeros((len(sigma), lag.s))
+    for a in lag.monomial_coeffs[:, ::-1].T:
+        basis = basis * sigma + a
+    return (t_end - tau).ravel(), basis, 0.5 * t_end * w
 
 
 def quadrature_convolve(problem: Propagator, h: float, lag: LagrangeData, ends,
@@ -571,7 +571,9 @@ class OUProblem(Propagator):
     Convolution is trapezoid quadrature on the grid (via FFT), dilation
     is 4-point cubic interpolation with zero extension outside the box.
     A flow applies this to one state for all its times in one kernel (one
-    rfft of the state, one irfft over the rows, one gathered dilation).
+    rfft of the state, one irfft over the rows, one gathered dilation);
+    every row, however short its time, takes its Gaussian symbol and then
+    the dilation.
     The stage convolution is Gauss-Legendre quadrature of
     s + 2 nodes in tau on each [0, e_i h] but, the rfft being linear, takes
     one rfft of the s stage values, forms the E*q interpolants in modal form
@@ -626,54 +628,30 @@ class OUProblem(Propagator):
         return math.sqrt(max(2.0 * self.q_t(t), 0.0))
 
     def _flows(self, times):
-        """The per-row kernel of the flows at `times`: the rows above the
-        kernel-variance cutoff (None for all), their Gaussian symbols, and
-        the 4-point dilation stencils with their out-of-box masks."""
+        """The flows at the m `times`: their Gaussian symbols as (m, n//2+1),
+        and their 4-point dilation stencils as first indices (m, n), weights
+        (4, m, n) and out-of-box masks (m, n)."""
         if min(times, default=0.0) < 0.0:
             raise ValidationError("t must be >= 0")
         n, dx = self.n, self.dx
         xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
-        smooth, symbols, first, weights, inside = [], [], [], [], []
-        for r, t in enumerate(times):
-            q_t = self.q_t(t)
-            # below the cutoff the kernel is a near-delta whose symbol is 1
-            # to rounding: the row is pure dilation
-            if q_t >= 1e-14:
-                # Gaussian kernel applied through its exact Fourier symbol on
-                # the periodic box; for widths above ~3 dx this matches the
-                # grid-sampled kernel to rounding, and it stays exact (-> 1)
-                # as t -> 0 where pointwise sampling loses the kernel mass
-                smooth.append(r)
-                symbols.append(np.exp(-q_t * xi ** 2))
-            # 4-point cubic Lagrange interpolation at the dilated points
-            y = np.exp(self.gamma * t) * self.x
-            pos = (y - self.x[0]) / dx
-            j = np.clip(np.floor(pos).astype(int), 1, n - 3)
-            f = pos - j
-            w0 = -f * (f - 1.0) * (f - 2.0) / 6.0
-            w1 = (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0
-            w2 = -(f + 1.0) * f * (f - 2.0) / 2.0
-            w3 = (f + 1.0) * f * (f - 1.0) / 6.0
-            weights.append((w0, w1, w2, w3))
-            # first stencil point, as an index into the flattened stack
-            first.append(j - 1 + r * n)
-            inside.append((pos >= 0.0) & (pos <= n - 1))
-        return (None if 0 < len(smooth) == len(times) else smooth,
-                np.array(symbols) if symbols else None,
-                np.array(first, dtype=np.intp).reshape(-1, n),
-                np.array(weights).reshape(-1, 4, n).transpose(1, 0, 2).copy(),
-                ~np.array(inside, dtype=bool))
-
-    def _smooth(self, rows, modes, smooth):
-        """The rows after the Gaussian convolution: the inverse rfft of
-        modes (the symbol-weighted spectra of the rows above the cutoff),
-        written over those rows of the physical rows `rows`; when every
-        row is above the cutoff (smooth None) rows is not read."""
-        conv = np.fft.irfft(modes, self.n)
-        if smooth is None:
-            return conv
-        rows[smooth] = conv
-        return rows
+        # Gaussian kernel applied through its exact Fourier symbol on the
+        # periodic box; for widths above ~3 dx this matches the grid-sampled
+        # kernel to rounding, and it stays exact (-> 1) as t -> 0 where
+        # pointwise sampling loses the kernel mass
+        q_t = np.array([self.q_t(t) for t in times])
+        symbols = np.exp(-q_t[:, None] * xi ** 2)
+        # 4-point cubic Lagrange interpolation at the dilated points
+        pos = (np.exp(self.gamma * times)[:, None] * self.x - self.x[0]) / dx
+        j = np.clip(np.floor(pos).astype(int), 1, n - 3)
+        f = pos - j
+        weights = np.stack((-f * (f - 1.0) * (f - 2.0) / 6.0,
+                            (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0,
+                            -(f + 1.0) * f * (f - 2.0) / 2.0,
+                            (f + 1.0) * f * (f - 1.0) / 6.0))
+        # first stencil point, as an index into the flattened stack
+        first = j - 1 + n * np.arange(len(times))[:, None]
+        return symbols, first, weights, ~((pos >= 0.0) & (pos <= n - 1))
 
     @staticmethod
     def _dilate(conv, first, weights, outside):
@@ -689,43 +667,29 @@ class OUProblem(Propagator):
         return out
 
     def _flow(self, plan, v):
-        """One rfft of the state, one irfft over the rows with a Gaussian
-        symbol, then one gathered 4-point dilation; rows below the
-        kernel-variance cutoff are pure dilation of the state."""
-        smooth, symbol, first, weights, outside = plan
-        # the state once per time, where some row is pure dilation
-        rows = None if smooth is None else np.repeat(v[None], len(first), axis=0)
-        if symbol is not None:
-            rows = self._smooth(rows, np.fft.rfft(v) * symbol, smooth)
-        return self._dilate(rows, first, weights, outside)
+        """One rfft of the state, one irfft of its products with the row
+        symbols, then one gathered 4-point dilation."""
+        symbols, *stencils = plan
+        return self._dilate(np.fft.irfft(np.fft.rfft(v) * symbols, self.n), *stencils)
 
     def _convolution(self, h, lag, ends):
         """The end count E, the Lagrange basis values as (m, s) for the
         m = E*q quadrature rows, and the _flows plan of their times with
         each row's quadrature weight folded into its dilation stencil."""
         times, basis, wts = _gauss_legendre(h, lag, ends, lag.s + 2)
-        smooth, symbol, first, weights, outside = self._flows(times)
-        return (len(ends), basis, smooth, symbol, first,
-                weights * wts.reshape(1, -1, 1), outside)
+        symbols, first, weights, outside = self._flows(times)
+        return len(ends), basis, symbols, first, weights * wts.reshape(1, -1, 1), outside
 
     def _convolve(self, plan, G):
         """One rfft of the s stage values, their interpolants formed in
         modal form by one (m, s) product and weighted by the row symbols,
         one irfft over the m rows and one gathered dilation, whose
-        quadrature-weighted rows are summed end by end.  Rows below the
-        kernel-variance cutoff dilate the physical interpolant, so the
-        stage modes G are the physical stage values themselves."""
-        n_ends, basis, smooth, symbol, first, weights, outside = plan
-        if symbol is None:
-            conv = basis @ G
-        else:
-            # rfft(basis @ G) = basis @ rfft(G): the product runs on the
-            # real and imaginary parts as one real matrix
-            spectra = np.fft.rfft(G)
-            modal = basis if smooth is None else basis[smooth]
-            modes = (modal @ spectra.view(float)).view(complex) * symbol
-            conv = self._smooth(None if smooth is None else basis @ G, modes, smooth)
-        rows = self._dilate(conv, first, weights, outside)
+        quadrature-weighted rows are summed end by end."""
+        n_ends, basis, symbols, *stencils = plan
+        # rfft(basis @ G) = basis @ rfft(G): the product runs on the real and
+        # imaginary parts as one real matrix
+        modes = (basis @ np.fft.rfft(G).view(float)).view(complex) * symbols
+        rows = self._dilate(np.fft.irfft(modes, self.n), *stencils)
         return rows.reshape(n_ends, -1, self.n).sum(axis=1)
 
     def random_field(self, rng):

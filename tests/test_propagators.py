@@ -15,9 +15,9 @@ from expsplit.nonlinearities import (AdvectionNonlinearity, PowerNonlinearity,
                                      WaveCubic, ZeroNonlinearity)
 from expsplit.phi import stage_weights_diagonal
 from expsplit.propagators import (HeatTorusProblem, OUProblem, SmoothingProfile,
-                                  WaveProblem, gaussian_smoothing_constant,
-                                  lp_norm, measure_smoothing,
-                                  quadrature_convolve)
+                                  WaveProblem, _gauss_legendre,
+                                  gaussian_smoothing_constant, lp_norm,
+                                  measure_smoothing, quadrature_convolve)
 
 def convolve(problem, op, G):
     """A convolve op applied to the stage values G, through their stage
@@ -484,8 +484,9 @@ class TestOU:
             self.ou.apply(-0.1, np.zeros(self.ou.n))
 
 
-# OU flow times for the batched kernel: exact zeros, times below the
-# kernel-variance cutoff (pure dilation), step-sized times, and times whose
+# OU flow times for the batched kernel: exact zeros, times whose kernel
+# variance q_t is below 1e-14 (a symbol of 1 to rounding, so the row is
+# dilation after an FFT round trip), step-sized times, and times whose
 # dilation e^{gamma t} x carries most grid points out of the box
 OU_TIMES = st.one_of(st.just(0.0), st.floats(1e-18, 4e-15),
                      st.floats(1e-5, 0.05), st.floats(0.5, 3.0))
@@ -516,9 +517,9 @@ class TestOUBatched:
                              ids=["cutoff-first", "cutoff-between", "all-below",
                                   "all-above"])
     def test_cutoff_patterns_equal_one_time_flows(self, times):
-        # the state is repeated as a stack only where some row is pure
-        # dilation; every pattern of rows above and below the cutoff gives
-        # the one-time flows
+        # every row takes the same kernel, whether its kernel variance is
+        # above or below 1e-14: every mix of such rows in one flow gives the
+        # one-time flows
         ou = self.ou
         v = np.random.default_rng(3).standard_normal(ou.n) * np.exp(-ou.x ** 2 / 8.0)
         got = ou.apply_nodes(ou.flow_op(times), v)
@@ -559,10 +560,10 @@ class TestOUBatched:
             assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("s", [2, 4])
-    def test_tiny_step_stage_rows_are_pure_dilation(self, s):
-        # every quadrature time of h = 1e-15 is under the kernel-variance
-        # cutoff: the rows dilate the interpolant with no FFT round trip,
-        # so a spike in the stage values stays on its stencil
+    def test_tiny_step_stage_rows_match_per_node_applies(self, s):
+        # every quadrature time of h = 1e-15 has a kernel variance below
+        # 1e-14, a symbol of 1 to rounding: the rows still match the
+        # per-node applies, for a spike in the stage values and a smooth one
         ou, h = self.ou, 1e-15
         assert ou.q_t(h) < 1e-14
         lag = SchemeSpec.with_stages(s).lag
@@ -577,10 +578,6 @@ class TestOUBatched:
                 out = convolve(ou, op, G)
                 ref = self.per_node_convolve(h, lag, ends, G)
                 assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-            for row in convolve(ou, op, spikes):
-                touched = np.flatnonzero(row)
-                assert len(touched) > 0
-                assert np.all(np.abs(touched - at) <= 2)
 
     @pytest.mark.parametrize("s,bad", [(2, 0), (4, 2), (4, 3)])
     def test_nan_stage_value_diverges(self, s, bad):
@@ -598,23 +595,18 @@ class TestOUBatched:
                 pytest.raises(FixedPointDivergenceError, match="non-finite"):
             internal_stages(u, 0.0, NanInOneStage(), plan)
 
-    def test_tiny_time_rows_skip_the_fft(self):
-        # an FFT round trip would leave rounding noise at every grid point;
-        # pure dilation of a spike touches only its 4-point stencil
-        ou = self.ou
-        spike = ou.zeros()
-        spike[ou.n // 3] = 1.0
-        rows = ou.apply_nodes(ou.flow_op((1e-16, 0.01)), spike)
-        assert 0 < np.count_nonzero(rows[0]) <= 4
-        assert np.count_nonzero(rows[1]) > 4
-        assert np.array_equal(ou.apply(0.0, spike), spike)
-
     def test_negative_node_time_rejected(self):
         u = np.exp(-self.ou.x ** 2)
         with pytest.raises(ValidationError, match="t must be >= 0"):
             self.ou.apply_nodes(self.ou.flow_op((-0.1 * 0.5,)), u)
         with pytest.raises(ValidationError, match="t must be >= 0"):
             self.ou.apply_nodes(self.ou.flow_op((0.1, -1e-300)), u)
+
+    def test_nonpositive_step_rejected(self):
+        lag = build_lagrange(NodeSet((0.0, 1.0)))
+        for h in (0.0, -0.1):
+            with pytest.raises(ValidationError, match="h must be positive"):
+                self.ou.convolve_op(h, lag, (1.0,))
 
     def test_wrongly_shaped_stack_rejected(self):
         # a flow takes one state; a stack of them, one per time, is refused
@@ -632,6 +624,99 @@ class TestOUBatched:
             convolve(ou, op, np.zeros((2, ou.n // 2)))
         with pytest.raises(ValidationError):
             convolve(ou, op, np.zeros((3, ou.n)))
+
+
+def assert_same_bits(got, want):
+    """got and want have the same dtype, shape and bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def loop_flows(ou, times):
+    """An OU flow plan built time by time, one list entry per row: the
+    oracle of the plan that OUProblem._flows builds as arrays."""
+    n, dx = ou.n, ou.dx
+    xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
+    symbols, first, weights, inside = [], [], [], []
+    for r, t in enumerate(times):
+        q_t = ou.q_t(t)
+        symbols.append(np.exp(-q_t * xi ** 2))
+        y = np.exp(ou.gamma * t) * ou.x
+        pos = (y - ou.x[0]) / dx
+        j = np.clip(np.floor(pos).astype(int), 1, n - 3)
+        f = pos - j
+        w0 = -f * (f - 1.0) * (f - 2.0) / 6.0
+        w1 = (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0
+        w2 = -(f + 1.0) * f * (f - 2.0) / 2.0
+        w3 = (f + 1.0) * f * (f - 1.0) / 6.0
+        weights.append((w0, w1, w2, w3))
+        first.append(j - 1 + r * n)
+        inside.append((pos >= 0.0) & (pos <= n - 1))
+    return (np.array(symbols).reshape(-1, len(xi)),
+            np.array(first, dtype=np.intp).reshape(-1, n),
+            np.array(weights).reshape(-1, 4, n).transpose(1, 0, 2).copy(),
+            ~np.array(inside, dtype=bool).reshape(-1, n))
+
+
+def loop_gauss_legendre(h, lag, ends, q):
+    """The Gauss-Legendre times, basis values and weights built end by end
+    and node by node through eval_basis: the oracle of _gauss_legendre."""
+    s = lag.s
+    x, w = np.polynomial.legendre.leggauss(q)
+    times, wts, basis = [], [], []
+    for e in ends:
+        t_end = e * h
+        tau = 0.5 * t_end * (x + 1.0)
+        times.extend(t_end - tq for tq in tau)
+        wts.append(0.5 * t_end * w)
+        basis.extend([eval_basis(lag, j, tq, h) for j in range(1, s + 1)]
+                     for tq in tau)
+    return (np.array(times, dtype=float), np.array(basis).reshape(-1, s),
+            np.array(wts).reshape(-1, q))
+
+
+class TestOUPlanOracle:
+    """The array-built OU plans equal the time-by-time ones bit for bit:
+    np.exp and the stencil arithmetic round a stack of rows as they round
+    each row alone."""
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @given(st.lists(OU_TIMES, max_size=24))
+    @example(times=[])
+    @example(times=[0.0, 1e-16, 1e-3, 2.0])
+    @settings(max_examples=40, deadline=None)
+    def test_flow_plan_equals_time_loop(self, n, times):
+        ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=n)
+        times = np.asarray(times, dtype=float)
+        got = ou.flow_op(times)
+        want = loop_flows(ou, times)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+        assert got[0].shape == (len(times), n // 2 + 1)
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("gauss", [False, True], ids=["default", "gauss"])
+    @given(st.floats(math.log(1 / 10240), math.log(1 / 20)))
+    @example(log_h=math.log(1 / 5120))
+    @settings(max_examples=10, deadline=None)
+    def test_convolution_plan_equals_loops(self, n, s, gauss, log_h):
+        ou, h = OUProblem(b=-1.0, q=2.0, box=12.0, n=n), math.exp(log_h)
+        lag = (gauss_scheme(s) if gauss else SchemeSpec.with_stages(s)).lag
+        for ends in (lag.node_set.nodes, (1.0,)):
+            q = lag.s + 2
+            times, basis, wts = loop_gauss_legendre(h, lag, ends, q)
+            for a, b in zip(_gauss_legendre(h, lag, ends, q), (times, basis, wts)):
+                assert_same_bits(a, b)
+            symbols, first, weights, outside = loop_flows(ou, times)
+            count, plan = ou.convolve_op(h, lag, ends)
+            assert (count, plan[0]) == (s, len(ends))
+            want = (basis, symbols, first, weights * wts.reshape(1, -1, 1), outside)
+            assert len(plan) == 1 + len(want)
+            for a, b in zip(plan[1:], want):
+                assert_same_bits(a, b)
 
 
 class TestWave:

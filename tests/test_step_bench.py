@@ -12,7 +12,9 @@ of the first two.  Three cases time a study's reference trajectory with the
 benchmark's h_ref: a halving ladder solved by windows of steps on heat and
 wave, steps of h_ref on OU.  Two cases time OU's stage convolution alone,
 the stage op and the update op of a 4-stage step, each applied to the
-stage modes of all four stage values.  One case times both
+stage modes of all four stage values.  Two cases time the build of an
+OU step plan, at s = 1 and s = 4, and check it against an untimed build
+array by array.  One case times both
 Lipschitz estimates of the benchmark's wave study, and one its step-size
 sweep: a run and a strip check per h.
 Run only these with ``pytest tests/test_step_bench.py``;
@@ -135,6 +137,34 @@ def test_ou_stage_convolve(benchmark, op_name):
     got = benchmark.pedantic(convolve, rounds=200, iterations=1, warmup_rounds=5)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+
+
+def _leaves(plan):
+    """The arrays and numbers of a step plan, its ops' tuples flattened."""
+    stack = [v for k, v in sorted(vars(plan).items()) if k != "propagator"]
+    leaves = []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        else:
+            leaves.append(np.asarray(item))
+    return leaves
+
+
+@pytest.mark.parametrize("s", [1, 4])
+def test_ou_plan_step(benchmark, s):
+    # the plans of the study-ou workload: every s = 1 sweep cell builds one,
+    # and a 4-stage reference run builds one at h_ref
+    *_, plan = _step_args("ou-1d", {"n": 256}, s, 1 / 5120)
+    args = (1 / 5120, SchemeSpec.with_stages(s), plan.propagator, 3.0)
+    expected = _leaves(plan)
+    got = _leaves(benchmark.pedantic(plan_step, args=args, rounds=100, iterations=1,
+                                     warmup_rounds=5))
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
 
 
 # (preset, problem overrides) of a study context's strip estimate on the
