@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -135,30 +135,11 @@ class ConvergenceReport:
             yield f"{h:.8g},{self.n_list[i]},{e},{q},{b}"
 
     def summary(self) -> dict:
-        return {
-            "problem": self.problem_id,
-            "stages": self.s,
-            "w_choice": self.w_choice,
-            "h": list(self.h_list),
-            "errors": list(self.errors),
-            "max_errors": list(self.max_errors),
-            "eoc": list(self.eoc),
-            "median_eoc": self.median_eoc,
-            "predicted_order": self.predicted_order,
-            "bounds": list(self.bounds),
-            "f_norm": self.f_norm,
-            "lipschitz": self.lipschitz,
-            "kappa": list(self.kappa),
-            "max_ratio_per_h": list(self.max_ratio_per_h),
-            "max_contraction_ratio": self.max_contraction_ratio,
-            "strip_radius": self.strip_radius,
-            "reference_check": self.reference_check,
-            "reference_h": self.reference_h,
-            "reference_key": self.reference_key,
-            "exact_linear": self.exact_linear,
-            "passed": self.passed,
-            "abort_reason": self.abort_reason,
-        }
+        """Every field but n_list, with problem_id, s and h_list named
+        problem, stages and h: the study.json of a study."""
+        names = {"problem_id": "problem", "s": "stages", "h_list": "h"}
+        return {names.get(k, k): v for k, v in asdict(self).items()
+                if k != "n_list"}
 
 
 def reference_solution(problem, g, u_0, T: float, h_ref: float,
@@ -305,12 +286,8 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
     report.lipschitz = lipschitz
 
     linear = isinstance(g, ZeroNonlinearity)
-
-    if not linear:
-        report.f_norm = derivative_l1_norm(g.eval(ref.times, ref.states), h_min,
-                                           plan.scheme.s, problem.w_norm)
-    else:
-        report.f_norm = 0.0
+    report.f_norm = 0.0 if linear else derivative_l1_norm(
+        g.eval(ref.times, ref.states), h_min, plan.scheme.s, problem.w_norm)
 
     consts = AprioriConstants(
         m_bound=problem.bound_m, c_ell=plan.scheme.lag.c_ell,
@@ -354,22 +331,17 @@ def convergence_study(plan: StudyPlan, problem, g, u_0) -> ConvergenceReport:
             f"not below 1e-2 * min error {min(report.errors):.3e}")
 
     report.eoc = [math.log2(a / b) for a, b in zip(report.errors, report.errors[1:])]
-    finest = report.eoc[-3:] if len(report.eoc) >= 3 else report.eoc
-    report.median_eoc = float(_median(finest))
-    decreasing = all(a > b for a, b in zip(report.errors, report.errors[1:]))
-    dominated = all(b >= e for e, b in zip(report.errors, report.bounds))
-    report.passed = (abs(report.median_eoc - report.predicted_order) <= plan.eoc_tol
-                     and decreasing and dominated)
-    if not report.passed:
-        bits = []
-        if abs(report.median_eoc - report.predicted_order) > plan.eoc_tol:
-            bits.append(f"median EOC {report.median_eoc:.3f} outside "
-                        f"{report.predicted_order:.3f}+-{plan.eoc_tol}")
-        if not decreasing:
-            bits.append("errors not strictly decreasing")
-        if not dominated:
-            bits.append("a-priori bound violated")
-        report.abort_reason = "; ".join(bits)
+    report.median_eoc = float(_median(report.eoc[-3:]))
+    reasons = []
+    if not abs(report.median_eoc - report.predicted_order) <= plan.eoc_tol:
+        reasons.append(f"median EOC {report.median_eoc:.3f} outside "
+                       f"{report.predicted_order:.3f}+-{plan.eoc_tol}")
+    if not all(a > b for a, b in zip(report.errors, report.errors[1:])):
+        reasons.append("errors not strictly decreasing")
+    if not all(b >= e for e, b in zip(report.errors, report.bounds)):
+        reasons.append("a-priori bound violated")
+    report.passed = not reasons
+    report.abort_reason = "; ".join(reasons)
     return report
 
 

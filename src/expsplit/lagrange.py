@@ -38,13 +38,14 @@ class NodeSet:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangeData:
     """Monomial representation of the Lagrange basis for a node set.
 
     monomial_coeffs[j, k] is the coefficient of sigma^k in ell_j(sigma),
     sigma = tau/h.  c_ell bounds |ell_j| uniformly on [0, 1] (hence on
-    [0, h] for every h).
+    [0, h] for every h).  Two instances are equal only if they are the
+    same object.
     """
 
     node_set: NodeSet
@@ -54,12 +55,6 @@ class LagrangeData:
     @property
     def s(self) -> int:
         return self.node_set.s
-
-    def __hash__(self):  # usable as a cache key
-        return hash(self.node_set.nodes)
-
-    def __eq__(self, other):
-        return isinstance(other, LagrangeData) and self.node_set.nodes == other.node_set.nodes
 
 
 def default_nodes(s: int) -> NodeSet:
@@ -74,12 +69,9 @@ def default_nodes(s: int) -> NodeSet:
 
 def _basis_coeffs(nodes: np.ndarray) -> np.ndarray:
     """Monomial coefficients of the cardinal basis at the reference nodes."""
-    s = len(nodes)
-    if s == 1:
-        return np.array([[1.0]])
     # Vandermonde solve; condition is mild for s <= 8.
-    V = np.vander(nodes, s, increasing=True)
-    return np.linalg.solve(V, np.eye(s)).T
+    V = np.vander(nodes, len(nodes), increasing=True)
+    return np.linalg.solve(V, np.eye(len(nodes))).T
 
 
 def _refine_max(coeffs: np.ndarray) -> float:
@@ -131,11 +123,7 @@ def eval_basis(data: LagrangeData, j: int, tau: float, h: float) -> float:
         raise ValidationError(f"stage index {j} out of range 1..{data.s}")
     if h <= 0.0:
         raise ValidationError("h must be positive")
-    sigma = tau / h
-    acc = 0.0
-    for a in data.monomial_coeffs[j - 1][::-1]:
-        acc = acc * sigma + a
-    return acc
+    return np.polynomial.polynomial.polyval(tau / h, data.monomial_coeffs[j - 1])
 
 
 def moment_residual(data: LagrangeData, tau: float, h: float, k: int) -> float:
@@ -146,9 +134,8 @@ def moment_residual(data: LagrangeData, tau: float, h: float, k: int) -> float:
     """
     if k < 0 or k >= data.s:
         raise ValidationError(f"moment order {k} not guaranteed for s={data.s}")
-    total = 0.0
-    for j in range(1, data.s + 1):
-        cj = data.node_set.nodes[j - 1]
-        total += eval_basis(data, j, tau, h) * (cj * h - tau) ** k
-    target = 1.0 if k == 0 else 0.0
-    return total - target
+    if h <= 0.0:
+        raise ValidationError("h must be positive")
+    basis = np.polynomial.polynomial.polyval(tau / h, data.monomial_coeffs.T)
+    nodes = np.asarray(data.node_set.nodes)
+    return basis @ (nodes * h - tau) ** k - (1.0 if k == 0 else 0.0)

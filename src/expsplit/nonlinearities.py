@@ -89,13 +89,10 @@ class PowerNonlinearity(Nonlinearity):
     def eval(self, t, v):
         v = np.asarray(v)
         a = np.abs(v)
-        if self.alpha >= 2.0:
-            # a power of at least 1: 0 maps to 0 with no warning to silence
-            return self.coeff * a ** (self.alpha - 1.0) * v
-        # 0^(alpha-1)*0 := 0, also for alpha < 2 where the power blows up
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.coeff * a ** (self.alpha - 1.0) * v
-        return np.where(a == 0.0, 0.0, out)
+        # 0^(alpha-1) is 0 for every alpha > 1, so no power warns; below
+        # alpha = 2 zeros map to +0.0 whatever the signs of coeff and v
+        out = self.coeff * a ** (self.alpha - 1.0) * v
+        return out if self.alpha >= 2.0 else np.where(a == 0.0, 0.0, out)
 
     def derivative_bound(self, radius: float) -> float:
         """max |F'| on |u| <= radius: alpha * radius^(alpha-1)."""

@@ -326,11 +326,9 @@ def _gauss_legendre(h: float, lag: LagrangeData, ends, q: int):
     x, w = np.polynomial.legendre.leggauss(q)
     t_end = (np.asarray(ends, dtype=float) * h)[:, None]
     tau = 0.5 * t_end * (x + 1.0)
-    # the Horner sums of eval_basis in sigma = tau/h, at every node at once
-    sigma = (tau / h).reshape(-1, 1)
-    basis = np.zeros((len(sigma), lag.s))
-    for a in lag.monomial_coeffs[:, ::-1].T:
-        basis = basis * sigma + a
+    # eval_basis in sigma = tau/h, every basis function at every node at once
+    basis = np.polynomial.polynomial.polyval((tau / h).reshape(-1, 1),
+                                             lag.monomial_coeffs.T, tensor=False)
     return (t_end - tau).ravel(), basis, 0.5 * t_end * w
 
 
@@ -631,7 +629,7 @@ class OUProblem(Propagator):
         """The flows at the m `times`: their Gaussian symbols as (m, n//2+1),
         and their 4-point dilation stencils as first indices (m, n), weights
         (4, m, n) and out-of-box masks (m, n)."""
-        if min(times, default=0.0) < 0.0:
+        if not (times >= 0.0).all():
             raise ValidationError("t must be >= 0")
         n, dx = self.n, self.dx
         xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)

@@ -2,7 +2,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -369,6 +369,42 @@ class TestConvergenceStudy:
         assert report.summary()["w_choice"] == "X"
 
 
+def listed_summary(report):
+    """The study.json mapping written out field by field: every field but
+    n_list, with problem_id, s and h_list named problem, stages and h."""
+    return {
+        "problem": report.problem_id,
+        "stages": report.s,
+        "w_choice": report.w_choice,
+        "h": list(report.h_list),
+        "errors": list(report.errors),
+        "max_errors": list(report.max_errors),
+        "eoc": list(report.eoc),
+        "median_eoc": report.median_eoc,
+        "predicted_order": report.predicted_order,
+        "bounds": list(report.bounds),
+        "f_norm": report.f_norm,
+        "lipschitz": report.lipschitz,
+        "kappa": list(report.kappa),
+        "max_ratio_per_h": list(report.max_ratio_per_h),
+        "max_contraction_ratio": report.max_contraction_ratio,
+        "strip_radius": report.strip_radius,
+        "reference_check": report.reference_check,
+        "reference_h": report.reference_h,
+        "reference_key": report.reference_key,
+        "exact_linear": report.exact_linear,
+        "passed": report.passed,
+        "abort_reason": report.abort_reason,
+    }
+
+
+@dataclass
+class ManifestReport(ConvergenceReport):
+    """A report with one field more, as a later study.json field adds."""
+
+    manifest: dict = field(default_factory=dict)
+
+
 class TestReport:
     def test_require_passed_raises_on_failure(self):
         report = ConvergenceReport(problem_id="x", passed=False,
@@ -385,6 +421,22 @@ class TestReport:
         assert lines[0] == "h,N,error,eoc,bound"
         assert len(lines) == 3
         assert lines[2].startswith("0.1,10,2.5")
+
+    def test_summary_equals_the_listed_fields(self):
+        heat = short_heat_study("heat-cubic-s2")
+        failed = convergence_study(replace(heat[0], eoc_tol=1e-9), *heat[1:])
+        assert not failed.passed and failed.abort_reason.startswith("median EOC")
+        for report in (convergence_study(*heat), failed,
+                       convergence_study(*preset_study("ou-cubic-s1", n_h=2))):
+            assert report.errors and report.kappa
+            summary = report.summary()
+            assert summary == listed_summary(report)
+            assert json.dumps(summary, sort_keys=True) == json.dumps(
+                listed_summary(report), sort_keys=True)
+
+    def test_a_subclass_field_joins_the_summary(self):
+        report = ManifestReport(problem_id="x", s=2, manifest={"seed": 0})
+        assert report.summary() == listed_summary(report) | {"manifest": {"seed": 0}}
 
     def test_summary_round_trips_key_fields(self):
         report = ConvergenceReport(problem_id="x", s=3, median_eoc=2.9,

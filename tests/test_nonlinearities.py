@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,23 @@ class TestPower:
         out = g.eval(np.zeros(4), X)
         assert np.array_equal(out, ref)
         assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+    def test_eval_below_two_warns_on_no_value(self, alpha):
+        # 0^(alpha-1) is 0 for alpha > 1: zeros, subnormals, infinities and
+        # NaN pass through the power with no warning to silence
+        g = PowerNonlinearity(alpha=alpha, coeff=-0.7)
+        tiny = np.nextafter(0.0, 1.0)
+        X = np.array([[0.0, -0.0, tiny, -tiny, 1e-310],
+                      [np.inf, -np.inf, np.nan, 1.0, -2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = g.eval(np.zeros(2), X)
+        assert np.array_equal(out[0, :2], [0.0, 0.0])
+        assert not np.signbit(out[0, :2]).any()
+        assert np.array_equal(out[1, :2], [-np.inf, np.inf])
+        assert np.isnan(out[1, 2])
+        assert np.array_equal(out[1, 3:], [-0.7, 0.7 * 2.0 ** alpha])
 
     def test_odd_symmetry(self, rng):
         g = PowerNonlinearity(alpha=3.0, coeff=2.0)

@@ -602,6 +602,13 @@ class TestOUBatched:
         with pytest.raises(ValidationError, match="t must be >= 0"):
             self.ou.apply_nodes(self.ou.flow_op((0.1, -1e-300)), u)
 
+    @pytest.mark.parametrize("times", [(math.nan,), (math.nan, -1.0), (0.1, math.nan)],
+                             ids=["nan", "nan-then-negative", "nan-last"])
+    def test_nan_node_time_rejected(self, times):
+        # a NaN is not >= 0 wherever it stands among the times
+        with pytest.raises(ValidationError, match="t must be >= 0"):
+            self.ou.flow_op(times)
+
     def test_nonpositive_step_rejected(self):
         lag = build_lagrange(NodeSet((0.0, 1.0)))
         for h in (0.0, -0.1):
