@@ -149,7 +149,7 @@ class Propagator:
     apply_nodes(op, v) propagates one state to every time; apply(t, v), the
     one-time flow, is its one-row case, and an exact copy at t = 0.
     convolve_op(h, lag, ends) is the stage convolution, applied to stage
-    values in two halves: stage_modes(G) gives a (k, *grid) stack in the
+    values in two halves: stage_modes(G) gives a (k, *modes) stack in the
     form the kernel reads, row i from row i of G alone, and
     convolve_modes(op, M) applies the op to the modes of the s stages, so
     a stepper can keep the modes of a stage that does not change and
@@ -159,7 +159,9 @@ class Propagator:
     subclass's plan _flows(times), applied to one state by _flow(plan, v);
     a convolve op is (s, plan), the stage count and _convolution(h, lag,
     ends), applied by _convolve(plan, M) to the stage modes, which
-    _stage_modes(G) makes, with _modes_shape() the shape of one row.  A
+    _stage_modes(G) makes, with _modes_shape() the shape of one row: the
+    stack itself by default, a transform of it where the kernels read one
+    (to_modes on modal diagonal grids, the rfft of each row on OU).  A
     problem sets `shape`, that of one state, and `dtype`, the grid dtype
     (float unless it says otherwise); apply_nodes, stage_modes and
     convolve_modes check their input's shape.
@@ -571,11 +573,15 @@ class OUProblem(Propagator):
     A flow applies this to one state for all its times in one kernel (one
     rfft of the state, one irfft over the rows, one gathered dilation);
     every row, however short its time, takes its Gaussian symbol and then
-    the dilation.
-    The stage convolution is Gauss-Legendre quadrature of
-    s + 2 nodes in tau on each [0, e_i h] but, the rfft being linear, takes
-    one rfft of the s stage values, forms the E*q interpolants in modal form
-    and makes one irfft over them, then one gathered dilation whose
+    the dilation.  The irfft writes its m rows before a zero row, and the
+    dilation is one gather of all four stencil points from them, weighted
+    and summed; a point dilated out of the box gathers the zero row with
+    weight 0, so it is 0.0 whatever the rows hold.
+    The stage modes are the rfft of each stage value, so a stepper
+    transforms a fixed stage once.  The stage convolution is
+    Gauss-Legendre quadrature of s + 2 nodes in tau on each [0, e_i h]
+    but, the rfft being linear, forms the E*q interpolants from the stage
+    modes and makes one irfft over them, then one gathered dilation whose
     stencils carry the quadrature weights.
     """
 
@@ -620,74 +626,94 @@ class OUProblem(Propagator):
 
     def q_t(self, t: float) -> float:
         g = self.gamma
-        return self.q * (math.exp(2.0 * g * t) - 1.0) / (2.0 * g)
+        try:
+            grow = math.exp(2.0 * g * t)
+        except OverflowError:
+            # a time this long dilates every grid point out of the box
+            return math.inf
+        return self.q * (grow - 1.0) / (2.0 * g)
 
     def kernel_width(self, t: float) -> float:
         return math.sqrt(max(2.0 * self.q_t(t), 0.0))
 
     def _flows(self, times):
         """The flows at the m `times`: their Gaussian symbols as (m, n//2+1),
-        and their 4-point dilation stencils as first indices (m, n), weights
-        (4, m, n) and out-of-box masks (m, n)."""
+        and their 4-point dilation stencils as gather indices (4, m, n) into
+        the flattened rows followed by one zero row, and weights (4, m, n).
+        A point dilated out of the box gathers the zero row with weight 0."""
         if not (times >= 0.0).all():
             raise ValidationError("t must be >= 0")
-        n, dx = self.n, self.dx
+        m, n, dx = len(times), self.n, self.dx
         xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
-        # Gaussian kernel applied through its exact Fourier symbol on the
-        # periodic box; for widths above ~3 dx this matches the grid-sampled
-        # kernel to rounding, and it stays exact (-> 1) as t -> 0 where
-        # pointwise sampling loses the kernel mass
         q_t = np.array([self.q_t(t) for t in times])
-        symbols = np.exp(-q_t[:, None] * xi ** 2)
-        # 4-point cubic Lagrange interpolation at the dilated points
-        pos = (np.exp(self.gamma * times)[:, None] * self.x - self.x[0]) / dx
-        j = np.clip(np.floor(pos).astype(int), 1, n - 3)
-        f = pos - j
-        weights = np.stack((-f * (f - 1.0) * (f - 2.0) / 6.0,
-                            (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0,
-                            -(f + 1.0) * f * (f - 2.0) / 2.0,
-                            (f + 1.0) * f * (f - 1.0) / 6.0))
-        # first stencil point, as an index into the flattened stack
-        first = j - 1 + n * np.arange(len(times))[:, None]
-        return symbols, first, weights, ~((pos >= 0.0) & (pos <= n - 1))
+        # a long time overflows q_t, the dilation and the stencil weights to
+        # inf; its points all leave the box, and its symbol keeps the limit
+        # 1 at xi = 0, where -inf * 0 is nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Gaussian kernel applied through its exact Fourier symbol on the
+            # periodic box; for widths above ~3 dx this matches the
+            # grid-sampled kernel to rounding, and it stays exact (-> 1) as
+            # t -> 0 where pointwise sampling loses the kernel mass
+            symbols = np.exp(-q_t[:, None] * xi ** 2)
+            # 4-point cubic Lagrange interpolation at the dilated points; pos
+            # is clipped before the cast, which then floors it
+            pos = (np.exp(self.gamma * times)[:, None] * self.x - self.x[0]) / dx
+            j = np.clip(pos, 1, n - 3).astype(int)
+            f = pos - j
+            weights = np.stack((-f * (f - 1.0) * (f - 2.0) / 6.0,
+                                (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0,
+                                -(f + 1.0) * f * (f - 2.0) / 2.0,
+                                (f + 1.0) * f * (f - 1.0) / 6.0))
+        symbols[:, 0] = 1.0
+        outside = ~((pos >= 0.0) & (pos <= n - 1))
+        # stencil point k of every point, as an index into the flattened
+        # (m + 1, n) stack of the rows and the zero row; a point outside
+        # the box starts its stencil at the zero row's first entry
+        first = np.where(outside, m * n, j - 1 + n * np.arange(m)[:, None])
+        np.copyto(weights, 0.0, where=outside)
+        return symbols, first + np.arange(4)[:, None, None], weights
 
-    @staticmethod
-    def _dilate(conv, first, weights, outside):
-        """The gathered 4-point dilation of every row of conv, zero outside
-        the box."""
-        # point k of every stencil is one gather from the stack shifted by k
-        flat = conv.ravel()
-        out = flat.take(first) * weights[0] + flat[1:].take(first) * weights[1]
-        out += flat[2:].take(first) * weights[2]
-        out += flat[3:].take(first) * weights[3]
-        # a mask, not zero weights: 0 * inf would be nan
-        out[outside] = 0.0
-        return out
+    def _dilate(self, modes, index, weights):
+        """One irfft of the m rows of modes, written before a zero row, then
+        their gathered 4-point dilations, zero outside the box: one take,
+        weighted in place and summed over the stencil."""
+        m = len(modes)
+        rows = np.empty((m + 1, self.n))
+        rows[m] = 0.0
+        np.fft.irfft(modes, self.n, out=rows[:m])
+        taken = rows.ravel().take(index)
+        taken *= weights
+        return taken.sum(axis=0)
 
     def _flow(self, plan, v):
         """One rfft of the state, one irfft of its products with the row
         symbols, then one gathered 4-point dilation."""
-        symbols, *stencils = plan
-        return self._dilate(np.fft.irfft(np.fft.rfft(v) * symbols, self.n), *stencils)
+        symbols, *stencil = plan
+        return self._dilate(np.fft.rfft(v) * symbols, *stencil)
 
     def _convolution(self, h, lag, ends):
         """The end count E, the Lagrange basis values as (m, s) for the
         m = E*q quadrature rows, and the _flows plan of their times with
         each row's quadrature weight folded into its dilation stencil."""
         times, basis, wts = _gauss_legendre(h, lag, ends, lag.s + 2)
-        symbols, first, weights, outside = self._flows(times)
-        return len(ends), basis, symbols, first, weights * wts.reshape(1, -1, 1), outside
+        symbols, index, weights = self._flows(times)
+        return len(ends), basis, symbols, index, weights * wts.reshape(1, -1, 1)
 
-    def _convolve(self, plan, G):
-        """One rfft of the s stage values, their interpolants formed in
-        modal form by one (m, s) product and weighted by the row symbols,
-        one irfft over the m rows and one gathered dilation, whose
-        quadrature-weighted rows are summed end by end."""
-        n_ends, basis, symbols, *stencils = plan
+    def _stage_modes(self, G):
+        return np.fft.rfft(G)
+
+    def _modes_shape(self):
+        return (self.n // 2 + 1,)
+
+    def _convolve(self, plan, M):
+        """The interpolants of the stage modes M formed in modal form by one
+        (m, s) product and weighted by the row symbols, one irfft over the m
+        rows and one gathered dilation, whose quadrature-weighted rows are
+        summed end by end."""
+        n_ends, basis, symbols, *stencil = plan
         # rfft(basis @ G) = basis @ rfft(G): the product runs on the real and
         # imaginary parts as one real matrix
-        modes = (basis @ np.fft.rfft(G).view(float)).view(complex) * symbols
-        rows = self._dilate(np.fft.irfft(modes, self.n), *stencils)
+        rows = self._dilate((basis @ M.view(float)).view(complex) * symbols, *stencil)
         return rows.reshape(n_ends, -1, self.n).sum(axis=1)
 
     def random_field(self, rng):

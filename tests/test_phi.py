@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expsplit.errors import ValidationError
 from expsplit.lagrange import NodeSet, build_lagrange
@@ -24,6 +24,10 @@ def phi_quadrature(k, z, n_nodes=64):
 # reads; the largest error measured is 7.0e-14 (phi_4 at z = 0.5 + 4e-9,
 # just above the series switch, where the upward recurrence starts)
 PHI_REL_TOL = 1e-13
+# phi_5, which an s = 5 scheme also reads, loses most of a digit more there:
+# the largest error found by a scan of z just above |z| = 0.5 on both axes
+# is 7.1e-13, at z = 0.5 + 4.3e-9
+PHI5_REL_TOL = 1e-12
 PHI_ORACLE = settings(max_examples=150, derandomize=True, deadline=None)
 
 
@@ -61,6 +65,11 @@ def assert_phi_close(z, exact):
         assert abs(got[k] - exact[k]) <= PHI_REL_TOL * abs(exact[k]), (k, z)
 
 
+def assert_phi5_close(z, exact):
+    got = phi_many(5, z)[5]
+    assert abs(got - exact) <= PHI5_REL_TOL * abs(exact), z
+
+
 class TestPhiOracle:
     @PHI_ORACLE
     @given(x=st.floats(-2.0, 2.0), imaginary=st.booleans())
@@ -72,6 +81,19 @@ class TestPhiOracle:
     @given(x=st.floats(-120.0, -2.0))
     def test_negative_axis_against_decimal(self, x):
         assert_phi_close(x, [phi_closed_form_decimal(k, x) for k in range(5)])
+
+    @PHI_ORACLE
+    @given(x=st.floats(-2.0, 2.0), imaginary=st.booleans())
+    # just above the series switch, where the scan found its largest error
+    @example(x=0.5000000043472312, imaginary=False)
+    def test_phi5_series_range_against_exact_sums(self, x, imaginary):
+        assert_phi5_close(complex(0.0, x) if imaginary else x,
+                          phi_series_exact(5, x, imaginary))
+
+    @PHI_ORACLE
+    @given(x=st.floats(-120.0, -2.0))
+    def test_phi5_negative_axis_against_decimal(self, x):
+        assert_phi5_close(x, phi_closed_form_decimal(5, x))
 
     def test_zero(self):
         assert_phi_close(0.0, [1.0 / math.factorial(k) for k in range(5)])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -483,6 +484,17 @@ class TestOU:
         with pytest.raises(ValidationError):
             self.ou.apply(-0.1, np.zeros(self.ou.n))
 
+    @pytest.mark.parametrize("t", [50.0, 400.0, 1000.0])
+    def test_long_time_flow_is_zero_without_warnings(self, t):
+        # every grid point leaves the box: at t = 50 the dilated positions
+        # pass the int range, at 400 q_t overflows, at 1000 so does e^{gamma t}
+        ou = OUProblem(n=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ou.apply(t, np.exp(-ou.x ** 2))
+            assert math.isinf(ou.q_t(t)) == (t > 50.0)
+        assert_same_bits(out, np.zeros(ou.n))
+
 
 # OU flow times for the batched kernel: exact zeros, times whose kernel
 # variance q_t is below 1e-14 (a symbol of 1 to rounding, so the row is
@@ -640,9 +652,11 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def loop_flows(ou, times):
-    """An OU flow plan built time by time, one list entry per row: the
-    oracle of the plan that OUProblem._flows builds as arrays."""
+def loop_stencils(ou, times):
+    """An OU flow plan built time by time in the masked layout that the
+    dilation used before its zero row: the symbols (m, n//2+1), the first
+    stencil indices (m, n) into the flattened rows, the weights (4, m, n)
+    and the out-of-box masks (m, n)."""
     n, dx = ou.n, ou.dx
     xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
     symbols, first, weights, inside = [], [], [], []
@@ -664,6 +678,33 @@ def loop_flows(ou, times):
             np.array(first, dtype=np.intp).reshape(-1, n),
             np.array(weights).reshape(-1, 4, n).transpose(1, 0, 2).copy(),
             ~np.array(inside, dtype=bool).reshape(-1, n))
+
+
+def loop_flows(ou, times):
+    """The oracle of the plan that OUProblem._flows builds as arrays: the
+    symbols, the gather indices (4, m, n) of every stencil point into the
+    m flattened rows and a zero row after them, and the weights (4, m, n);
+    a point outside the box indexes the zero row with weight 0."""
+    symbols, first, weights, outside = loop_stencils(ou, times)
+    index = np.array([[np.where(out, len(times) * ou.n + k, row + k)
+                       for row, out in zip(first, outside)] for k in range(4)],
+                     dtype=np.intp).reshape(4, -1, ou.n)
+    weights[:, outside] = 0.0
+    return symbols, index, weights
+
+
+def masked_dilate(conv, first, weights, outside):
+    """The 4-point dilation of every row of conv from a loop_stencils plan:
+    four gathers from the stack, then a mask that zeroes the points outside
+    the box.  The oracle of OUProblem's one-gather dilation."""
+    # point k of every stencil is one gather from the stack shifted by k
+    flat = conv.ravel()
+    out = flat.take(first) * weights[0] + flat[1:].take(first) * weights[1]
+    out += flat[2:].take(first) * weights[2]
+    out += flat[3:].take(first) * weights[3]
+    # a mask, not zero weights: 0 * inf would be nan
+    out[outside] = 0.0
+    return out
 
 
 def loop_gauss_legendre(h, lag, ends, q):
@@ -717,13 +758,82 @@ class TestOUPlanOracle:
             times, basis, wts = loop_gauss_legendre(h, lag, ends, q)
             for a, b in zip(_gauss_legendre(h, lag, ends, q), (times, basis, wts)):
                 assert_same_bits(a, b)
-            symbols, first, weights, outside = loop_flows(ou, times)
+            symbols, index, weights = loop_flows(ou, times)
             count, plan = ou.convolve_op(h, lag, ends)
             assert (count, plan[0]) == (s, len(ends))
-            want = (basis, symbols, first, weights * wts.reshape(1, -1, 1), outside)
+            want = (basis, symbols, index, weights * wts.reshape(1, -1, 1))
             assert len(plan) == 1 + len(want)
             for a, b in zip(plan[1:], want):
                 assert_same_bits(a, b)
+
+
+class TestOUZeroExtension:
+    """The one-gather dilation equals the masked four-gather one bit for
+    bit, and its zero row keeps the zero extension that the mask gave:
+    a point outside the box is 0.0 whatever the rows hold."""
+
+    @pytest.mark.parametrize("n", [128, 512])
+    @given(st.lists(OU_TIMES, min_size=1, max_size=24), st.integers(0, 2 ** 32 - 1))
+    @example(times=[0.0, 1e-16, 1e-3, 2.0, 3.0], seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_flow_equals_masked_dilation(self, n, times, seed):
+        ou = OUProblem(b=-1.0, q=2.0, box=12.0, n=n)
+        v = np.random.default_rng(seed).standard_normal(n)
+        symbols, *stencils = loop_stencils(ou, times)
+        want = masked_dilate(np.fft.irfft(np.fft.rfft(v) * symbols, n), *stencils)
+        assert_same_bits(ou.apply_nodes(ou.flow_op(times), v), want)
+
+    @pytest.mark.parametrize("n", [128, 512])
+    @pytest.mark.parametrize("s", [1, 4])
+    @given(st.booleans(), st.floats(math.log(1 / 10240), math.log(3.0)),
+           st.integers(0, 2 ** 32 - 1))
+    @example(at_nodes=True, log_h=math.log(2.0), seed=0)
+    @settings(max_examples=15, deadline=None)
+    def test_convolution_equals_masked_dilation(self, n, s, at_nodes, log_h, seed):
+        # steps up to h = 3 carry most quadrature rows' points out of the box
+        ou, h = OUProblem(b=-1.0, q=2.0, box=12.0, n=n), math.exp(log_h)
+        lag = SchemeSpec.with_stages(s).lag
+        ends = lag.node_set.nodes[1:] if at_nodes and s > 1 else (1.0,)
+        G = np.random.default_rng(seed).standard_normal((s, n))
+        times, basis, wts = _gauss_legendre(h, lag, ends, s + 2)
+        symbols, first, weights, outside = loop_stencils(ou, times)
+        modes = (basis @ np.fft.rfft(G).view(float)).view(complex) * symbols
+        rows = masked_dilate(np.fft.irfft(modes, n), first,
+                             weights * wts.reshape(1, -1, 1), outside)
+        want = rows.reshape(len(ends), -1, n).sum(axis=1)
+        assert_same_bits(convolve(ou, ou.convolve_op(h, lag, ends), G), want)
+
+    @staticmethod
+    def non_finite(ou, rows):
+        """rows of smooth states with an inf and a nan in each."""
+        out = np.exp(-ou.x ** 2) * np.ones((rows, 1))
+        out[:, ou.n // 3], out[:, ou.n // 2] = np.inf, np.nan
+        return out
+
+    def assert_zero_extended(self, got, outside):
+        # exactly +0.0 outside the box, and the inf and nan inside it
+        assert outside.any() and not outside.all()
+        assert_same_bits(got[outside], np.zeros(np.count_nonzero(outside)))
+        assert not np.isfinite(got[~outside]).any()
+
+    def test_flow_of_a_non_finite_state(self):
+        ou, times = OUProblem(n=256), (0.3, 1.0, 2.0)
+        (v,) = self.non_finite(ou, 1)
+        with np.errstate(invalid="ignore"):
+            got = ou.apply_nodes(ou.flow_op(times), v)
+        self.assert_zero_extended(got, loop_stencils(ou, times)[3])
+
+    @pytest.mark.parametrize("s", [1, 4])
+    def test_convolution_of_non_finite_stages(self, s):
+        # a summed row is outside the box where each of its quadrature rows is
+        ou, h = OUProblem(n=256), 2.0
+        lag = SchemeSpec.with_stages(s).lag
+        for ends in (lag.node_set.nodes[1:] if s > 1 else (1.0,), (1.0,)):
+            times = _gauss_legendre(h, lag, ends, s + 2)[0]
+            outside = loop_stencils(ou, times)[3].reshape(len(ends), -1, ou.n).all(axis=1)
+            with np.errstate(invalid="ignore"):
+                got = convolve(ou, ou.convolve_op(h, lag, ends), self.non_finite(ou, s))
+            self.assert_zero_extended(got, outside)
 
 
 class TestWave:
