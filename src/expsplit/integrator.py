@@ -8,10 +8,14 @@ With c_1 = 0 stage 1 is u_n itself (Hochbruck & Ostermann, Acta Numerica
 19 (2010), section 2), so a step's flow op, stage op, start and correction
 cover the unknown stages alone, from StepPlan.fixed on.  run extrapolates
 the start from the converged corrections c_n = U - e^{c_i h A} u_{n-1} of
-the last two steps: 2 c_n - c_{n-1}, with the anchor alone on a run's
-first step and c_1 alone on its second (Phi contracts on the whole ball,
-so the start changes the iteration count, not the stopping rule). The
-step then advances
+the last k = min(n, START_POINTS) steps: the polynomial through them at the
+next step, sum_{j=1..k} (-1)^(j+1) C(k, j) c_{n+1-j}.  So a run's first
+step starts at the anchor alone, its second at c_1, its third at
+2 c_2 - c_1 and every step from the fifth on at the cubic
+4 c_n - 6 c_{n-1} + 4 c_{n-2} - c_{n-3}, O(h^5) from its fixed point where
+the line is O(h^3) (Hairer & Wanner, Solving ODEs II, section IV.8).  Phi
+contracts on the whole ball, so the start changes the iteration count,
+not the stopping rule.  The step then advances
   u_{n+1} = e^{hA} u_n + int_0^h e^{(h-tau)A} sum_j ell_j(tau) g(., U_j) dtau,
 with e^{hA} u_n the last row of the anchor's flow: stage s's when c_s = 1,
 an extra row at h otherwise.  The s stages travel as one (s, *grid) array.
@@ -51,6 +55,7 @@ flow.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -67,6 +72,10 @@ __all__ = ["SchemeSpec", "StepPlan", "StageInfo", "TrajectoryRecord",
            "run", "run_windowed"]
 
 FP_MAX_ITER = 60  # fixed-point iterations (window sweeps) before divergence
+# corrections run's start extrapolates: on the study-ou reference (s = 4,
+# h = 1/5120) 3 points leave its 2h check run at 2 iterations a step and 4
+# bring both runs to 1; 5 or 6 only trim the short sweeps further
+START_POINTS = 4
 WINDOW_MAX = 32  # steps in one run_windowed window
 
 # the error, and with it the exit code, of each failed run status and of the
@@ -130,7 +139,9 @@ class StageInfo:
     contraction_ratios: list = field(default_factory=list)
     residual_bound: float = float("nan")
     correction: object = None  # final unknown stages minus their anchor
-    flow_end: object = None  # e^{hA} u_n, the last row of the anchor flow
+    # e^{hA} u_n, the last row of the anchor flow; step takes it out, so a
+    # run does not keep the anchor into the next step
+    flow_end: object = None
     # stage_modes of g at the last iterate but one, which gave the final
     # stages; row 1 is g(t_n, u_n)'s when c_1 = 0.  step takes it out and
     # refreshes the rest, so a run does not keep it into the next step
@@ -308,7 +319,8 @@ def step(u_n, t_n: float, g, plan: StepPlan, start=None):
         times = t_n + plan.offsets[fixed:]
         modes[fixed:] = propagator.stage_modes(g.eval(times, stages[fixed:]))
     (conv,) = propagator.convolve_modes(plan.update_row, modes)
-    return info.flow_end + conv, info
+    flow_end, info.flow_end = info.flow_end, None
+    return flow_end + conv, info
 
 
 def _start_record(u_0, T: float, N: int, propagator: Propagator,
@@ -340,6 +352,18 @@ def _fail(record: TrajectoryRecord, status: str, error: str, n: int):
     record.status, record.error, record.failure_step = status, error, n
 
 
+def _extrapolate(corrections):
+    """The start of run's next step from its corrections, oldest first (see
+    the module notes); None when there are none."""
+    k = len(corrections)
+    if k == 0:
+        return None
+    start = k * corrections[-1]
+    for j in range(2, k + 1):
+        start += (-1) ** (j + 1) * math.comb(k, j) * corrections[-j]
+    return start
+
+
 def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
         g, lipschitz: float, store_stride: int = 1) -> TrajectoryRecord:
     """N uniform steps of size h = T/N; returns the record even on abort:
@@ -356,20 +380,20 @@ def run(u_0, T: float, N: int, scheme: SchemeSpec, propagator: Propagator,
     record.kappa = plan.kappa
     steps, states = record.steps, record.states
     t_start = time.perf_counter()
-    # step n+1 starts from 2 c_n - c_{n-1}, the linear extrapolation of the
-    # last two corrections (O(h^3) from the fixed point where c_n alone is
-    # O(h^2)); step 1 starts from the anchor and step 2 from c_1
-    previous = correction = None
+    corrections = []  # the last START_POINTS converged ones, oldest first
     stored = 1
     for n in range(N):
         t_n = n * h
-        start = correction if previous is None else 2.0 * correction - previous
+        start = _extrapolate(corrections)
+        if len(corrections) == START_POINTS:
+            # the step then holds three corrections and the start, not four
+            del corrections[0]
         try:
             u, info = step(u, t_n, g, plan, start)
         except FixedPointDivergenceError as exc:
             _fail(record, "divergence", str(exc), n)
             break
-        previous, correction = correction, info.correction
+        corrections.append(info.correction)
         record.stage_iterations.append(info.iterations)
         record.contraction_ratios.extend(info.contraction_ratios)
         if n + 1 == steps[stored]:

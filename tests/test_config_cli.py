@@ -489,6 +489,17 @@ class TestCliConvergence:
         assert csv[0] == "h,N,error,eoc,bound"
         assert len(csv) == 1 + len(study["h"])
 
+    def test_nonlinear_errors_below_the_reference_are_rejected(self, tmp_path,
+                                                               capsys):
+        # a 5-stage sweep of the cubic heat study sits below the 4-stage
+        # reference's accuracy; only a linear study may skip the order check
+        code = main(["convergence", "--config", "heat-cubic-s2", "--stages", "5",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert "reference rejected" in err
+
     def test_study_json_records_reference_key(self, tmp_path):
         keys = []
         for run in ("a", "b"):

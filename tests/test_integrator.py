@@ -416,9 +416,10 @@ START_PROBLEMS = {
 
 
 class TestWarmStart:
-    """run starts each stage iteration from the linear extrapolation of the
-    last two corrections: the anchor on step 1, c_1 on step 2, then
-    2 c_n - c_{n-1}."""
+    """run starts each stage iteration from the polynomial extrapolation of
+    the last k <= 4 corrections: the anchor on step 1, c_1 on step 2,
+    2 c_2 - c_1 on step 3, the quadratic on step 4 and the cubic
+    4 c_n - 6 c_{n-1} + 4 c_{n-2} - c_{n-3} from step 5 on."""
 
     @staticmethod
     def make_case(name, rng):
@@ -461,31 +462,75 @@ class TestWarmStart:
         assert sum(rec.stage_iterations) < sum(iterations)
 
     @staticmethod
-    def one_point_iterations(u, T, N, scheme, problem, g, lip):
+    def line_started_iterations(u, T, N, scheme, problem, g, lip, points):
         """Iteration counts of N steps, each started from the previous
-        step's correction alone."""
+        step's correction alone (points = 1) or from the line through the
+        last two, 2 c_n - c_{n-1} (points = 2; c_1 alone on step 2)."""
         plan = plan_step(T / N, scheme, problem, lip)
-        correction, iterations = None, []
+        previous = correction = None
+        iterations = []
         for n in range(N):
-            u, info = step(u, n * (T / N), g, plan, correction)
-            correction = info.correction
+            start = correction if points == 1 or previous is None \
+                else 2.0 * correction - previous
+            u, info = step(u, n * (T / N), g, plan, start)
+            previous, correction = correction, info.correction
             iterations.append(info.iterations)
         return iterations
 
     @pytest.mark.parametrize("name", sorted(WARM_CASES))
     def test_extrapolated_start_saves_iterations(self, name, rng):
-        # 2 c_n - c_{n-1} is closer to the next step's correction than c_n;
-        # on the heat cases that saves iterations, on the others both
-        # starts stop after the same count
+        # the cubic through the last four corrections is closer to the next
+        # step's correction than c_n; on the heat cases that saves
+        # iterations, on the others both starts stop after the same count
         problem, g, scheme, lip, u, T, N = self.make_case(name, rng)
         rec = run(u, T, N, scheme, problem, g, lip)
         rec.raise_if_failed()
-        one_point = self.one_point_iterations(u, T, N, scheme, problem, g, lip)
+        one_point = self.line_started_iterations(u, T, N, scheme, problem, g,
+                                                 lip, points=1)
         assert rec.stage_iterations[:2] == one_point[:2]
         if name in ("heat-1d-s4", "heat-2d-s2"):
             assert sum(rec.stage_iterations) < sum(one_point)
         else:
             assert sum(rec.stage_iterations) <= sum(one_point)
+
+    @pytest.mark.parametrize("name", sorted(WARM_CASES))
+    def test_cubic_start_saves_iterations_over_the_line(self, name, rng):
+        # 2 c_n - c_{n-1} is O(h^3) from the next correction, the cubic
+        # O(h^5): on every case the cubic stops earlier in total
+        problem, g, scheme, lip, u, T, N = self.make_case(name, rng)
+        rec = run(u, T, N, scheme, problem, g, lip)
+        rec.raise_if_failed()
+        line = self.line_started_iterations(u, T, N, scheme, problem, g, lip,
+                                            points=2)
+        assert rec.stage_iterations[:3] == line[:3]
+        assert sum(rec.stage_iterations) < sum(line)
+
+    @pytest.mark.parametrize("name", sorted(WARM_CASES))
+    def test_first_three_steps_keep_the_line_starts(self, name, rng):
+        # with one and two corrections the polynomial is c_1 and 2 c_2 - c_1,
+        # bit for bit
+        problem, g, scheme, lip, u, T, N = self.make_case(name, rng)
+        rec = run(u, T, N, scheme, problem, g, lip)
+        rec.raise_if_failed()
+        plan = plan_step(T / N, scheme, problem, lip)
+        h = T / N
+        u1, first = step(u, 0.0, g, plan)
+        u2, second = step(u1, h, g, plan, first.correction)
+        u3, _ = step(u2, 2 * h, g, plan, 2.0 * second.correction - first.correction)
+        for n, expected in enumerate((u1, u2, u3), start=1):
+            assert np.array_equal(rec.states[n], expected)
+
+    def test_ou_reference_steps_once_from_the_fifth(self):
+        # the study-ou reference: ou-1d at n = 256, s = 4 and h = 1/5120
+        cfg = cfgmod.resolve_config("ou-1d")
+        cfg["problem"]["n"] = 256
+        problem = cfgmod.build_problem(cfg)
+        g = cfgmod.build_nonlinearity(cfg, problem)
+        u0 = cfgmod.build_initial(cfg, problem)
+        N = 40
+        rec = run(u0, N / 5120, N, SchemeSpec.with_stages(4), problem, g, 3.0)
+        rec.raise_if_failed()
+        assert rec.stage_iterations[4:] == [1] * (N - 4)
 
     @given(st.sampled_from(sorted(START_PROBLEMS)), st.integers(1, 4),
            st.floats(-16.0, math.log2(1 / 20)), st.floats(-50.0, 50.0),

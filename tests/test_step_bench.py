@@ -5,10 +5,12 @@ of a study context's strip estimate on the benchmark's grids.
 Each benchmark also checks that its timed call returns the same value,
 bit for bit, as an untimed call from the same inputs.  The Gauss-Legendre
 case has neither 0 nor 1 among its nodes, so its anchor flow carries an
-extra row at h for e^{hA} u_n.  Two cases time a
+extra row at h for e^{hA} u_n.  Three cases time a
 warm-started step: the second step of a run, whose iteration starts from
-the first correction, and the third, which starts from the extrapolation
-of the first two.  Three cases time a study's reference trajectory with the
+the first correction, the third, which starts from the extrapolation of
+the first two, and the fifth step of an OU run, which starts from the
+cubic through the first four corrections and stops after one iteration.
+Three cases time a study's reference trajectory with the
 benchmark's h_ref: a halving ladder solved by windows of steps on heat and
 wave, steps of h_ref on OU.  Two cases time OU's stage convolution alone,
 the stage op and the update op of a 4-stage step, each applied to the
@@ -96,6 +98,27 @@ def test_extrapolated_step(benchmark):
     warm = _bench_step(benchmark, (u2, t0 + 2 * h, g, plan, start))
     one_point = step(u2, t0 + 2 * h, g, plan, second.correction)[1]
     assert warm.iterations < one_point.iterations
+
+
+def test_cubic_started_step(benchmark):
+    # the fifth step of a run on the study-ou reference's grid and step:
+    # started from the cubic through the first four corrections,
+    # 4 c_4 - 6 c_3 + 4 c_2 - c_1, where the line 2 c_4 - c_3 needs two
+    # iterations
+    u, t0, g, plan = _step_args(*STEP_CASES["ou-n256-s4"])
+    h = STEP_CASES["ou-n256-s4"][3]
+    corrections = []
+    for n in range(4):
+        k = len(corrections)
+        start = sum((-1) ** (j + 1) * math.comb(k, j) * corrections[-j]
+                    for j in range(1, k + 1)) if k else None
+        u, info = step(u, t0 + n * h, g, plan, start)
+        corrections.append(info.correction)
+    c1, c2, c3, c4 = corrections
+    start = 4.0 * c4 - 6.0 * c3 + 4.0 * c2 - c1
+    cubic = _bench_step(benchmark, (u, t0 + 4 * h, g, plan, start))
+    assert cubic.iterations == 1
+    assert step(u, t0 + 4 * h, g, plan, 2.0 * c4 - c3)[1].iterations == 2
 
 
 def test_run_lipschitz_estimate(benchmark):
